@@ -13,9 +13,8 @@ from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
-from .field import (SpectralState, autocorrelation, difference_lattice,
-                    s_sum, t_sum, to_physical)
-from .potential import PotentialModel
+from .field import SpectralState, _get_kernel, s_sum, t_sum, to_physical
+from .potential import PotentialModel, vhat_grid
 
 __all__ = [
     "DiagnosticsRecord",
@@ -42,10 +41,6 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
-# beta on the difference lattice gets expensive for very large cutoffs;
-# beyond this site count the beta-dependent columns are reported as nan.
-BETA_SITE_LIMIT = 8_000_000
-
 
 class EnvelopeDomainError(ValueError):
     """Envelope evaluated at or beyond its blow-up time."""
@@ -54,16 +49,24 @@ class EnvelopeDomainError(ValueError):
 # ---------------------------------------------------------------------------
 # energy
 
-def energy_per_particle(state: SpectralState, model: PotentialModel) -> float:
-    """E / (rho L^3): kinetic sum plus half the correlation-weighted Vhat sum."""
+def _energy_and_beta_sq(state: SpectralState, model: PotentialModel):
+    """Energy per particle and |beta|^2 from one synthesis on the integrator's grid.
+
+    The dealiased kernel grid (G >= 4M+2) resolves the density |phi|^2 of
+    the unit-density field without aliasing, so beta = fftn(|phi|^2) / G^3
+    is the exact autocorrelation; |beta|^2 is returned flat, beta(0) first.
+    """
     lat = state.lattice
-    a2 = np.abs(state.alpha) ** 2
-    kinetic = lat.ordered_sum(lat.omega * a2)
-    corr = autocorrelation(state, "fft")
-    dl = corr.lattice
-    vhat = model.fourier_profile_radial((2.0 * math.pi / lat.L) * np.sqrt(dl.norm_sq))
-    pot = 0.5 * dl.ordered_sum(vhat * np.abs(corr.beta) ** 2)
-    return kinetic + pot
+    kernel = _get_kernel(model, lat, True)
+    phi = kernel.field(state.alpha)
+    beta_sq = np.abs(np.fft.fftn(np.abs(phi) ** 2) / kernel.G**3) ** 2
+    kinetic = lat.ordered_sum(lat.omega * np.abs(state.alpha) ** 2)
+    return kinetic + 0.5 * float(np.sum(kernel.vhat * beta_sq)), beta_sq.ravel()
+
+
+def energy_per_particle(state: SpectralState, model: PotentialModel) -> float:
+    """E / (rho L^3): kinetic sum plus half the Vhat-weighted |beta|^2 sum."""
+    return _energy_and_beta_sq(state, model)[0]
 
 
 def energy(state: SpectralState, model: PotentialModel) -> float:
@@ -94,10 +97,7 @@ def energy_physical(state: SpectralState, model: PotentialModel, g: int = 2) -> 
         grad_sq += np.abs(d) ** 2
 
     dens = np.abs(psi) ** 2
-    f = np.fft.fftfreq(G, 1.0 / G)
-    radii = (2.0 * math.pi / lat.L) * np.sqrt(
-        f[:, None, None] ** 2 + f[None, :, None] ** 2 + f[None, None, :] ** 2)
-    vhat = model.fourier_profile_radial(radii)
+    vhat = vhat_grid(model, lat.L, np.fft.fftfreq(G, 1.0 / G), limit=2 * lat.M)
     w = np.fft.ifftn(np.fft.fftn(dens) * vhat).real
 
     vol = lat.L**3
@@ -225,12 +225,17 @@ class TrajectoryContext:
         idx = lat.index_of(k0)
         if theta is None:
             theta = float(np.angle(state.alpha[idx]))
-        diff = state.alpha.copy()
-        diff[idx] -= np.exp(1j * theta)
-        u0 = lat.ordered_sum(np.abs(diff) ** 2)
+        u0 = lat.ordered_sum(_wave_deviation(lat, state.alpha, k0, theta) ** 2)
         return cls(s0=s_sum(state), t0_kin=t_sum(state), b=model.b,
                    c_decay=model.C, k0=tuple(int(v) for v in np.asarray(k0).reshape(3)),
                    theta=float(theta), u0_mass_sq=u0)
+
+
+def _wave_deviation(lattice, alpha, k, phase):
+    """|alpha - exp(i phase) delta_k| per site: distance to a plane wave."""
+    u = alpha.copy()
+    u[lattice.index_of(k)] -= np.exp(1j * phase)
+    return np.abs(u)
 
 
 def _argmax_mode(lattice, a_abs):
@@ -250,9 +255,7 @@ def make_record(state: SpectralState, model: PotentialModel,
     idx = lat.index_of(k_star)
     a_star = float(a_abs[idx])
     theta_star = float(np.angle(a[idx]))
-    diff = a.copy()
-    diff[idx] -= np.exp(1j * theta_star)
-    dabs = np.abs(diff)
+    dabs = _wave_deviation(lat, a, k_star, theta_star)
     l1_dev = lat.ordered_sum(dabs)
     l2_dev = math.sqrt(lat.ordered_sum(dabs**2))
 
@@ -261,17 +264,9 @@ def make_record(state: SpectralState, model: PotentialModel,
     tail_half = tail_sum(state, math.ceil(lat.M / 2))
     ktail = kinetic_tail(state, 1.0)
 
-    if difference_lattice(lat).size**3 <= BETA_SITE_LIMIT:
-        epp = energy_per_particle(state, model)
-        e_total = state.rho * lat.L**3 * epp
-        corr = autocorrelation(state, "fft")
-        g2 = np.abs(corr.beta) ** 2
-        gap_terms = g2.copy()
-        zero = corr.lattice.index_of((0, 0, 0))
-        gap_terms[zero] = abs(g2[zero] - 1.0)
-        beta_gap = corr.lattice.ordered_sum(gap_terms)
-    else:
-        epp = e_total = beta_gap = math.nan
+    epp, beta_sq = _energy_and_beta_sq(state, model)
+    e_total = state.rho * lat.L**3 * epp
+    beta_gap = float(np.sum(beta_sq[1:]) + abs(beta_sq[0] - 1.0))
 
     s_env = t_env = u_env = u_mass = u_grad = math.nan
     if context is not None:
@@ -285,9 +280,8 @@ def make_record(state: SpectralState, model: PotentialModel,
             pass  # past blow-up the envelopes carry no information
         k0 = np.asarray(context.k0)
         omega_l = 4.0 * math.pi**2 * float(k0 @ k0) / lat.L**2 + context.b
-        u = a.copy()
-        u[lat.index_of(context.k0)] -= np.exp(1j * (context.theta - omega_l * state.t))
-        uabs2 = np.abs(u) ** 2
+        uabs2 = _wave_deviation(lat, a, context.k0,
+                                context.theta - omega_l * state.t) ** 2
         u_mass = lat.ordered_sum(uabs2)
         u_grad = lat.ordered_sum(lat.omega * uabs2)
 
@@ -349,20 +343,14 @@ def plane_wave_comparison(trajectory, k0, theta: float, model: PotentialModel) -
     if not states:
         raise ValueError("trajectory carries no states; rerun with keep_states")
     lat = states[0].lattice
-    idx = lat.index_of(k0)
     k0 = np.asarray(k0, dtype=int).reshape(3)
     omega_l = 4.0 * math.pi**2 * float(k0 @ k0) / lat.L**2 + model.b
     s0 = s_sum(states[0])
-
-    u0 = states[0].alpha.copy()
-    u0[idx] -= np.exp(1j * theta)
-    u0_mass = lat.ordered_sum(np.abs(u0) ** 2)
+    u0_mass = lat.ordered_sum(_wave_deviation(lat, states[0].alpha, k0, theta) ** 2)
 
     ts, masses, grads, envs = [], [], [], []
     for st in states:
-        u = st.alpha.copy()
-        u[idx] -= np.exp(1j * (theta - omega_l * st.t))
-        uabs2 = np.abs(u) ** 2
+        uabs2 = _wave_deviation(lat, st.alpha, k0, theta - omega_l * st.t) ** 2
         ts.append(st.t)
         masses.append(lat.ordered_sum(uabs2))
         grads.append(lat.ordered_sum(lat.omega * uabs2))

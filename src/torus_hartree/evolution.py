@@ -17,17 +17,16 @@ as an oracle inside its certified contraction horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
-from scipy.fft import next_fast_len
 
 from . import diagnostics
-from .field import SpectralState, TorusLattice, autocorrelation, wiener_norm
-from .potential import PotentialModel
+from .field import (SpectralState, _get_kernel, _Kernel, autocorrelation,
+                    wiener_norm)
+from .potential import PotentialModel, vhat_grid
 
 __all__ = [
     "IntegratorConfig",
@@ -89,58 +88,6 @@ class IntegratorConfig:
             raise ValueError("picard_max_iter must be >= 1")
 
 
-class _Kernel:
-    """FFT workspace for one (lattice, model, grid) combination.
-
-    With dealiasing the grid has at least 4M+2 points per axis, which
-    makes the projected nonlinear term exact for cutoff-M data; without
-    it the native 2M+1 grid is used and products alias.
-    """
-
-    def __init__(self, lattice: TorusLattice, model: PotentialModel, dealias: bool):
-        self.lattice = lattice
-        self.dealias = bool(dealias)
-        G = next_fast_len(2 * lattice.size) if dealias else lattice.size
-        self.G = G
-        self.idx = lattice.embed_indexer(G)
-        f = np.fft.fftfreq(G, 1.0 / G)
-        radii = (2.0 * math.pi / lattice.L) * np.sqrt(
-            f[:, None, None] ** 2 + f[None, :, None] ** 2 + f[None, None, :] ** 2)
-        self.vhat = model.fourier_profile_radial(radii)
-        self._phases = {}
-
-    def field(self, alpha):
-        cube = np.zeros((self.G,) * 3, dtype=complex)
-        cube[self.idx] = alpha
-        return self.G**3 * np.fft.ifftn(cube)
-
-    def crop(self, phi):
-        return np.fft.fftn(phi)[self.idx] / self.G**3
-
-    def convolved_density(self, phi):
-        """(V_L * |phi|^2)(x) on the grid; phi is the unit-density field."""
-        return np.fft.ifftn(np.fft.fftn(np.abs(phi) ** 2) * self.vhat).real
-
-    def nonlinear(self, alpha):
-        """Projected convolution term P_M[(V_L * |phi|^2) phi] in coefficients."""
-        phi = self.field(alpha)
-        return self.crop(self.convolved_density(phi) * phi)
-
-    def half_kinetic_phase(self, dt):
-        key = float(dt)
-        ph = self._phases.get(key)
-        if ph is None:
-            ph = np.exp(-0.5j * key * self.lattice.omega)
-            self._phases[key] = ph
-        return ph
-
-
-@lru_cache(maxsize=16)
-def _get_kernel(model: PotentialModel, lattice: TorusLattice, dealias: bool) -> _Kernel:
-    # models hash by identity; lattices by value
-    return _Kernel(lattice, model, dealias)
-
-
 def rhs(state: SpectralState, model: PotentialModel, method: str = "fft"):
     """d alpha / dt as a complex array on the lattice.
 
@@ -152,14 +99,11 @@ def rhs(state: SpectralState, model: PotentialModel, method: str = "fft"):
     if method == "fft":
         nl = _get_kernel(model, lat, True).nonlinear(state.alpha)
     elif method == "direct":
-        corr = autocorrelation(state, "direct")
-        dl = corr.lattice
-        vhat = model.fourier_profile_radial(
-            (2.0 * math.pi / lat.L) * np.sqrt(dl.norm_sq))
-        coeff = vhat * corr.beta
+        M2 = 2 * lat.M
+        coeff = (vhat_grid(model, lat.L, np.arange(-M2, M2 + 1))
+                 * autocorrelation(state, "direct").beta)
         a = state.alpha
         n = lat.size
-        M2 = 2 * lat.M
         nl = np.zeros_like(a)
         for k1 in range(-M2, M2 + 1):
             b1lo, b1hi = max(0, k1), min(n - 1, n - 1 + k1)
@@ -337,7 +281,7 @@ class Trajectory:
     records: list
     final_state: SpectralState
     context: "diagnostics.TrajectoryContext"
-    states: list | None = dataclass_field(default=None)
+    states: list | None = None
 
     def __post_init__(self):
         ts = [r.t for r in self.records]

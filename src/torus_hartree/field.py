@@ -13,12 +13,16 @@ from __future__ import annotations
 import base64
 import json
 import math
+import threading
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 from scipy.fft import next_fast_len
+
+from .potential import vhat_grid
 
 __all__ = [
     "TorusLattice",
@@ -185,6 +189,64 @@ class AutoCorrelation:
         object.__setattr__(self, "beta", b)
 
 
+class _Kernel:
+    """FFT workspace for one (lattice, model, grid) combination.
+
+    With dealiasing the grid has at least 4M+2 points per axis, which
+    makes the projected nonlinear term and the quartic energy exact for
+    cutoff-M data; without it the native 2M+1 grid is used and products
+    alias.  Vhat is stored only on |k|_inf <= 2M, the frequencies a
+    cutoff-M density can reach, and is 0 elsewhere.
+    """
+
+    def __init__(self, lattice: TorusLattice, model, dealias: bool):
+        self.lattice = lattice
+        self.dealias = bool(dealias)
+        self.G = G = next_fast_len(2 * lattice.size) if dealias else lattice.size
+        self.idx = lattice.embed_indexer(G)
+        self.vhat = vhat_grid(model, lattice.L, np.fft.fftfreq(G, 1.0 / G),
+                              limit=2 * lattice.M)
+        self._phases = {}
+
+    def field(self, alpha):
+        cube = np.zeros((self.G,) * 3, dtype=complex)
+        cube[self.idx] = alpha
+        return self.G**3 * np.fft.ifftn(cube)
+
+    def crop(self, phi):
+        return np.fft.fftn(phi)[self.idx] / self.G**3
+
+    def convolved_density(self, phi):
+        """(V_L * |phi|^2)(x) on the grid; phi is the unit-density field."""
+        return np.fft.ifftn(np.fft.fftn(np.abs(phi) ** 2) * self.vhat).real
+
+    def nonlinear(self, alpha):
+        """Projected convolution term P_M[(V_L * |phi|^2) phi] in coefficients."""
+        phi = self.field(alpha)
+        return self.crop(self.convolved_density(phi) * phi)
+
+    def half_kinetic_phase(self, dt):
+        key = float(dt)
+        if key not in self._phases:
+            self._phases[key] = np.exp(-0.5j * key * self.lattice.omega)
+        return self._phases[key]
+
+
+# model -> {(lattice, dealias): kernel}; an entry lives as long as its model.
+# Scan worker threads share it, so lookups and builds hold the lock.
+_KERNELS = weakref.WeakKeyDictionary()
+_KERNELS_LOCK = threading.Lock()
+
+
+def _get_kernel(model, lattice: TorusLattice, dealias: bool) -> _Kernel:
+    key = (lattice, bool(dealias))
+    with _KERNELS_LOCK:
+        kernels = _KERNELS.setdefault(model, {})
+        if key not in kernels:
+            kernels[key] = _Kernel(lattice, model, dealias)
+        return kernels[key]
+
+
 def difference_lattice(lattice: TorusLattice) -> TorusLattice:
     return TorusLattice(lattice.L, 2 * lattice.M)
 
@@ -235,10 +297,9 @@ def wiener_norm(state: SpectralState, r: int) -> float:
     """
     if r not in (0, 2):
         raise ValueError("wiener_norm supports r in {0, 2}")
-    a = np.abs(state.alpha)
     if r == 0:
-        return state.lattice.ordered_sum(a)
-    return state.lattice.ordered_sum(state.lattice.a2_weight * a)
+        return s_sum(state)
+    return state.lattice.ordered_sum(state.lattice.a2_weight * np.abs(state.alpha))
 
 
 def s_sum(state: SpectralState) -> float:

@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 __all__ = [
     "PotentialModel",
@@ -31,6 +29,7 @@ __all__ = [
     "TabulatedRadialPotential",
     "make_potential",
     "fourier_profile",
+    "vhat_grid",
     "periodized_eval",
     "potential_l1",
     "potential_l2",
@@ -154,6 +153,10 @@ class TabulatedRadialPotential(PotentialModel):
 
     def __init__(self, radii, values, c=None, delta1=5.0, delta2=5.0,
                  p_max=64.0, fourier_samples=2049):
+        # scipy.integrate/interpolate are slow to import and only needed here
+        from scipy.integrate import simpson
+        from scipy.interpolate import CubicSpline, PchipInterpolator
+
         radii = np.asarray(radii, dtype=float)
         values = np.asarray(values, dtype=float)
         if radii.ndim != 1 or radii.shape != values.shape or radii.size < 4:
@@ -261,6 +264,22 @@ def fourier_profile(model: PotentialModel, p):
     return model.fourier_profile_radial(radii)
 
 
+def vhat_grid(model: PotentialModel, L, k1, limit=None):
+    """Vhat(2 pi |k| / L) on the grid k1^3 of integer frequencies k1 (any order).
+
+    With ``limit``, sites with |k|_inf > limit are 0 and Vhat is not evaluated there.
+    """
+    k1 = np.asarray(k1)
+    radii = (2.0 * math.pi / float(L)) * np.sqrt(
+        k1[:, None, None] ** 2 + k1[None, :, None] ** 2 + k1[None, None, :] ** 2)
+    if limit is None:
+        return model.fourier_profile_radial(radii)
+    inside = np.ix_(*(np.abs(k1) <= limit,) * 3)
+    out = np.zeros(radii.shape)
+    out[inside] = model.fourier_profile_radial(radii[inside])
+    return out
+
+
 def _fourier_tail_bound(model, L, trunc):
     d2 = model.delta2
     return (26.0 * model.C / L**3) * (L / (2.0 * math.pi)) ** (3.0 + d2) \
@@ -293,9 +312,7 @@ def periodized_eval(model: PotentialModel, x, L, truncation=None, image_shells=3
     x = (x + 0.5 * L) % L - 0.5 * L
 
     k1 = np.arange(-truncation, truncation + 1)
-    ksq = (k1[:, None, None] ** 2 + k1[None, :, None] ** 2
-           + k1[None, None, :] ** 2)
-    vhat = model.fourier_profile_radial((2.0 * math.pi / L) * np.sqrt(ksq))
+    vhat = vhat_grid(model, L, k1)
     ph = [np.exp((2j * math.pi / L) * k1 * xi) for xi in x]
     series = float(np.einsum("ijk,i,j,k->", vhat, ph[0], ph[1], ph[2]).real) / L**3
 
@@ -335,10 +352,7 @@ def potential_l2(model: PotentialModel, L, M) -> float:
         raise ValueError("L must be positive")
     if M < 0:
         raise ValueError("M must be >= 0")
-    k1 = np.arange(-M, M + 1)
-    ksq = (k1[:, None, None] ** 2 + k1[None, :, None] ** 2
-           + k1[None, None, :] ** 2)
-    vhat = model.fourier_profile_radial((2.0 * math.pi / L) * np.sqrt(ksq))
+    vhat = vhat_grid(model, L, np.arange(-M, M + 1))
     return float(math.sqrt(np.sum(vhat * vhat) / L**3))
 
 

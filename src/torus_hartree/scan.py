@@ -17,13 +17,13 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import SeedSequence
 
 from . import diagnostics
-from .evolution import IntegratorConfig, evolve
+from .evolution import IntegratorConfig, Trajectory, evolve
 from .field import TorusLattice, make_state
 from .potential import make_potential
 
@@ -187,9 +187,8 @@ def _run_point(plan: ScanPlan, model, i_rho: int, i_L: int, out_dir) -> ScanReco
                           stride=plan.stride, keep_states=False)
         else:
             ctx = diagnostics.TrajectoryContext.from_state(state, model)
-            traj = _StaticTrajectory(
-                records=[diagnostics.make_record(state, model, ctx)],
-                context=ctx)
+            traj = Trajectory(records=[diagnostics.make_record(state, model, ctx)],
+                              final_state=state, context=ctx)
 
         records = traj.records
         final = records[-1]
@@ -228,13 +227,6 @@ def _run_point(plan: ScanPlan, model, i_rho: int, i_L: int, out_dir) -> ScanReco
         rec.status = f"failed: {type(exc).__name__}: {exc}"
     rec.runtime_s = time.perf_counter() - started
     return rec
-
-
-@dataclass
-class _StaticTrajectory:
-    records: list
-    context: object
-    states: list | None = dataclass_field(default=None)
 
 
 def run_scan(plan: ScanPlan, out_dir=None, workers=None) -> list:

@@ -16,6 +16,7 @@ from torus_hartree import (
     Trajectory,
     TrajectoryContext,
     assumption_check,
+    autocorrelation,
     energy,
     energy_per_particle,
     energy_physical,
@@ -189,15 +190,65 @@ class TestRecord:
         assert ctx.s0 == pytest.approx(
             float(np.sum(np.abs(st.alpha))), rel=1e-13)
 
-    def test_huge_lattice_skips_beta_columns(self, gaussian):
-        lat = TorusLattice(32.0, 76)
-        alpha = np.zeros(lat.shape, dtype=complex)
-        alpha[lat.index_of((0, 0, 0))] = 1.0
-        st = SpectralState(lat, 10.0, 0.0, alpha)
+
+
+def direct_route(state, model):
+    """Energy per particle and beta_gap from the explicit shifted-sum beta
+    and Vhat on the difference lattice, independent of any FFT grid."""
+    lat = state.lattice
+    corr = autocorrelation(state, "direct")
+    dl = corr.lattice
+    vhat = model.fourier_profile_radial((2.0 * math.pi / lat.L) * np.sqrt(dl.norm_sq))
+    g2 = np.abs(corr.beta) ** 2
+    kinetic = float(np.sum(lat.omega * np.abs(state.alpha) ** 2))
+    g0 = g2[dl.index_of((0, 0, 0))]
+    gap = float(np.sum(g2) - g0 + abs(g0 - 1.0))
+    return kinetic + 0.5 * float(np.sum(vhat * g2)), gap
+
+
+class TestRecordOracle:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rho", [1.0, 10.0, 1e3, 1e6])
+    def test_random_state_matches_direct_route(self, gaussian, m, rho):
+        st = random_state(TorusLattice(1.5 * m, m), rho=rho, seed=31 * m)
+        epp, gap = direct_route(st, gaussian)
         rec = make_record(st, gaussian)
-        assert math.isnan(rec.beta_gap)
-        assert math.isnan(rec.energy)
-        assert rec.S == pytest.approx(1.0)
+        assert rec.energy_per_particle == pytest.approx(epp, rel=1e-12, abs=0.0)
+        assert rec.energy == pytest.approx(rho * (1.5 * m) ** 3 * epp, rel=1e-12)
+        assert abs(rec.beta_gap - gap) <= 1e-14
+        assert energy_per_particle(st, gaussian) == rec.energy_per_particle
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_quasi_condensate_matches_direct_route(self, gaussian, m):
+        st = make_state("perturbed", TorusLattice(4.0, m), 100.0,
+                        eps=0.2, s=2.0, seed=m)
+        epp, gap = direct_route(st, gaussian)
+        rec = make_record(st, gaussian)
+        assert rec.energy_per_particle == pytest.approx(epp, rel=1e-12, abs=0.0)
+        assert abs(rec.beta_gap - gap) <= 1e-14
+        assert rec.beta_gap > 1e-6
+
+    def test_mass_drift_enters_beta_gap(self, gaussian):
+        # beta(0) = mass, so a drifted state pays ||beta(0)|^2 - 1| in the gap
+        st = random_state(TorusLattice(3.0, 2), rho=10.0, seed=3)
+        drifted = st.with_alpha(1.05 * st.alpha)
+        epp, gap = direct_route(drifted, gaussian)
+        rec = make_record(drifted, gaussian)
+        assert rec.beta_gap >= 1.05**4 - 1.0
+        assert abs(rec.beta_gap - gap) <= 1e-14
+        assert rec.energy_per_particle == pytest.approx(epp, rel=1e-12, abs=0.0)
+
+    def test_undealiased_run_records_dealiased_energy(self, gaussian):
+        # the integrator steps on the aliasing 2M+1 grid, but every record
+        # measures on the G >= 4M+2 grid, so it still matches the oracle
+        st = make_state("perturbed", TorusLattice(4.0, 3), 10.0,
+                        eps=0.3, s=1.0, seed=5)
+        traj = evolve(st, gaussian, 3e-3, IntegratorConfig(dt=1e-3, dealiasing=False))
+        assert len(traj.records) == 4
+        for rec, state in zip(traj.records, traj.states):
+            epp, gap = direct_route(state, gaussian)
+            assert rec.energy_per_particle == pytest.approx(epp, rel=1e-12, abs=0.0)
+            assert abs(rec.beta_gap - gap) <= 1e-14
 
 
 class TestEnvelopeAudit:

@@ -1,6 +1,11 @@
 """Integrators: exactness, convergence order, guards, reversibility."""
 
+import gc
 import math
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +13,7 @@ import pytest
 from torus_hartree import (
     ContractionError,
     ConvergenceError,
+    GaussianPotential,
     InstabilityError,
     IntegratorConfig,
     LifespanGuardError,
@@ -23,6 +29,7 @@ from torus_hartree import (
     step_split,
     time_reversal,
 )
+from torus_hartree.evolution import _get_kernel
 
 from conftest import B_GAUSS
 
@@ -295,3 +302,41 @@ class TestEvolve:
             IntegratorConfig(picard_tau=1.0)
         with pytest.raises(ValueError):
             IntegratorConfig(picard_max_iter=0)
+
+
+class TestKernelCache:
+    def test_kernel_is_shared_per_model_and_lattice(self, gaussian):
+        lat = TorusLattice(4.0, 2)
+        kernel = _get_kernel(gaussian, lat, True)
+        assert _get_kernel(gaussian, TorusLattice(4.0, 2), True) is kernel
+        assert _get_kernel(gaussian, lat, False) is not kernel
+        assert _get_kernel(GaussianPotential(), lat, True) is not kernel
+
+    def test_kernel_dies_with_its_model(self):
+        model = GaussianPotential()
+        st = quasi_condensate()
+        step_split(st, model, 1e-3)
+        ref = weakref.ref(_get_kernel(model, st.lattice, True))
+        del model
+        gc.collect()
+        assert ref() is None
+
+    def test_concurrent_lookups_build_one_kernel(self):
+        # scan workers share the cache: racing first lookups must agree
+        workers = 8
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                for m in range(1, 21):
+                    model, lat = GaussianPotential(), TorusLattice(4.0, 1 + m % 3)
+                    barrier = threading.Barrier(workers, timeout=10)
+
+                    def lookup(_):
+                        barrier.wait()
+                        return _get_kernel(model, lat, True)
+
+                    kernels = list(pool.map(lookup, range(workers), timeout=30))
+                    assert all(k is kernels[0] for k in kernels)
+        finally:
+            sys.setswitchinterval(old_interval)

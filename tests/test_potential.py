@@ -1,24 +1,34 @@
 """Potential models: Fourier profiles, periodization, decay certificates."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+import torus_hartree
 from torus_hartree import (
     ConsistencyError,
     DecayViolationError,
     GaussianPotential,
     TableRangeError,
     TabulatedRadialPotential,
+    TorusLattice,
     check_decay,
     fourier_profile,
     make_potential,
+    make_state,
+    make_record,
     periodized_eval,
     potential_l1,
     potential_l2,
+    step_split,
 )
+from torus_hartree.field import _get_kernel
+from torus_hartree.potential import vhat_grid
 
 from conftest import B_GAUSS
 
@@ -175,6 +185,21 @@ class TestMomentumGrid:
             potential_l2(gaussian, 4.0, -1)
 
 
+    def test_vhat_grid_limit_zeroes_outer_frequencies(self, gaussian):
+        k1 = np.fft.fftfreq(10, 1.0 / 10)
+        full = vhat_grid(gaussian, 4.0, k1)
+        boxed = vhat_grid(gaussian, 4.0, k1, limit=3)
+        inside = np.ix_(*(np.abs(k1) <= 3,) * 3)
+        np.testing.assert_array_equal(boxed[inside], full[inside])
+        assert np.count_nonzero(boxed) == 7**3
+        assert full[0, 0, 0] == gaussian.b
+
+    def test_kernel_vhat_stops_at_twice_the_cutoff(self, gaussian):
+        kernel = _get_kernel(gaussian, TorusLattice(4.0, 2), True)
+        assert kernel.G >= 10
+        assert np.count_nonzero(kernel.vhat) == 9**3
+
+
 class TestTabulated:
     def radii(self):
         return np.linspace(0.0, 8.0, 1601)
@@ -193,6 +218,24 @@ class TestTabulated:
         table = TabulatedRadialPotential(r, np.exp(-r**2 / 2), c=20000.0)
         with pytest.raises(TableRangeError):
             fourier_profile(table, np.array([table.p_limit * 1.5]))
+
+    def test_cutoff_state_steps_inside_table_range(self):
+        # |k|_inf <= 2M reaches |p| = 2 pi sqrt(3) 8 / 4 = 21.8 < p_max,
+        # while the corners of the padded G = 18 grid sit at |p| = 24.5
+        r = np.linspace(0.0, 8.0, 161)
+        table = TabulatedRadialPotential(r, np.exp(-r**2 / 2), p_max=22.0)
+        lat = TorusLattice(4.0, 4)
+        st = make_state("perturbed", lat, 10.0, eps=0.05, s=6.0, seed=1)
+        k1 = np.arange(-2 * lat.M, 2 * lat.M + 1)
+        beta = torus_hartree.autocorrelation(st, "direct").beta
+        expected = st.rho * lat.L**3 * (
+            np.sum(lat.omega * np.abs(st.alpha) ** 2)
+            + 0.5 * np.sum(vhat_grid(table, lat.L, k1) * np.abs(beta) ** 2))
+        e0 = make_record(st, table).energy
+        assert e0 == pytest.approx(expected, rel=1e-12)
+        after = step_split(st, table, 1e-3)
+        assert after.mass == pytest.approx(1.0, abs=1e-12)
+        assert make_record(after, table).energy == pytest.approx(e0, rel=1e-12)
 
     def test_sign_changing_transform_rejected(self):
         # a thin spherical shell has an oscillating transform
@@ -225,3 +268,16 @@ class TestFactory:
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="sigm"):
             make_potential({"family": "gaussian", "sigm": 1.0})
+
+
+def test_package_import_leaves_out_quadrature_modules():
+    # scipy.integrate/interpolate load only when a tabulated model is built
+    src = os.path.dirname(os.path.dirname(torus_hartree.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, torus_hartree; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
