@@ -25,8 +25,10 @@ def main():
                     t_final=0.1 / b, dt=5e-4, stride=4, master_seed=7,
                     write_trajectories=False)
 
-    out = tempfile.mkdtemp(prefix="torus_scan_")
-    records = run_scan(plan, out_dir=out, workers=4)
+    with tempfile.TemporaryDirectory(prefix="torus_scan_") as out:
+        records = run_scan(plan, out_dir=out, workers=4)
+        with open(os.path.join(out, "summary.json")) as fh:
+            summary = json.load(fh)
 
     print(f"{'rho':>7} {'L':>4} {'M':>4} {'beta_gap':>12} {'energy gap':>12} "
           f"{'cond. frac':>12} {'runtime':>9}")
@@ -35,8 +37,6 @@ def main():
               f"{r.energy_gap:12.4e} {r.condensate_fraction:12.9f} "
               f"{r.runtime_s:8.2f}s")
 
-    with open(os.path.join(out, "summary.json")) as fh:
-        summary = json.load(fh)
     print()
     print("largest-L proxies and their trend along the rho ladder:")
     for col in ("beta_gap", "energy_gap", "condensate_fraction"):
@@ -45,8 +45,6 @@ def main():
             continue
         values = ", ".join(f"{p['value']:.3e}" for p in entry["proxies"])
         print(f"  {col:22s} [{values}]  -> {entry['trend']}")
-    print()
-    print(f"table.csv and summary.json left in {out}")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,9 @@
 
 All numerics live in the library modules; this is a thin shell mapping
 subcommands to them.  Exit codes: 0 success, 1 IO error, 2 invalid
-flags or config, 3 verification failure.
+flags or config (unknown keys and non-finite numbers included), 3
+verification failure or a numerical failure of the run (instability,
+Picard contraction or convergence).
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from . import diagnostics
 from .diagnostics import (BoundInputs, envelope_audit, excitation_bound,
                           format_float, omega_coefficient,
                           quasi_vacuum_energy_bound, write_trajectory_csv)
-from .evolution import (IntegratorConfig, evolve, lifespan_guard,
+from .evolution import (ContractionError, ConvergenceError, InstabilityError,
+                        IntegratorConfig, evolve, lifespan_guard,
                         picard_solve, rhs, step_split)
 from .field import (TorusLattice, load_state, make_state, pointwise_product,
                     random_state, save_state, time_reversal, wiener_norm)
@@ -63,21 +66,18 @@ def _require(doc, key, where):
 
 def _cmd_make_state(args):
     lattice = TorusLattice(args.L, args.M)
-    k0 = _parse_k0(args.k0)
-    if args.family == "plane-wave":
-        state = make_state("plane_wave", lattice, args.rho, k0=k0,
-                           theta=args.theta)
-    elif args.family == "two-mode":
+    params = {"k0": _parse_k0(args.k0)}
+    if args.family == "two-mode":
         if args.escape is None:
             raise ConfigError("--family two-mode requires --escape")
-        state = make_state("two_mode", lattice, args.rho, k0=k0,
-                           escape_exponent=args.escape)
-    else:  # perturbed
+        params["escape_exponent"] = args.escape
+    else:
+        params["theta"] = args.theta
+    if args.family == "perturbed":
         if args.eps is None or args.s is None or args.seed is None:
             raise ConfigError("--family perturbed requires --eps, --s, --seed")
-        state = make_state("perturbed_condensate", lattice, args.rho, k0=k0,
-                           theta=args.theta, eps=args.eps, s=args.s,
-                           seed=args.seed)
+        params.update(eps=args.eps, s=args.s, seed=args.seed)
+    state = make_state(args.family, lattice, args.rho, **params)
     save_state(state, args.out, family=args.family, seed=args.seed)
 
     report = diagnostics.assumption_check(state)
@@ -101,6 +101,11 @@ def _cmd_simulate(args):
     cfg = _load_json(args.config)
     if not isinstance(cfg, dict):
         raise ConfigError(f"{args.config}: config must be a JSON object")
+    integrator_keys = IntegratorConfig.__dataclass_fields__.keys()
+    extra = set(cfg) - {"potential", "state", "rho", "L", "M", "t_final",
+                        "stride"} - integrator_keys
+    if extra:
+        raise ConfigError(f"{args.config}: unknown config keys {sorted(extra)}")
     model = make_potential(_require(cfg, "potential", args.config))
 
     sblock = _require(cfg, "state", args.config)
@@ -118,13 +123,8 @@ def _cmd_simulate(args):
         state = make_state(family, lattice, _require(cfg, "rho", args.config),
                            **params)
 
-    config = IntegratorConfig(
-        method=cfg.get("method", "split_strang"),
-        dt=float(_require(cfg, "dt", args.config)),
-        dealiasing=bool(cfg.get("dealiasing", True)),
-        picard_tol=float(cfg.get("picard_tol", 1e-10)),
-        picard_tau=float(cfg.get("picard_tau", 1.5)),
-        picard_max_iter=int(cfg.get("picard_max_iter", 100)))
+    _require(cfg, "dt", args.config)
+    config = IntegratorConfig(**{k: cfg[k] for k in integrator_keys if k in cfg})
     traj = evolve(state, model, float(_require(cfg, "t_final", args.config)),
                   config, stride=int(cfg.get("stride", 1)), keep_states=False)
 
@@ -366,6 +366,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (InstabilityError, ContractionError, ConvergenceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO

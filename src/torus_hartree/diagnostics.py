@@ -8,8 +8,9 @@ so synthetic inputs can be audited independently of any simulation.
 
 from __future__ import annotations
 
+import csv
 import math
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import MISSING, dataclass, fields as dataclass_fields
 
 import numpy as np
 
@@ -38,6 +39,7 @@ __all__ = [
     "assumption_check",
     "make_record",
     "format_float",
+    "write_csv",
     "write_trajectory_csv",
 ]
 
@@ -173,15 +175,11 @@ def assumption_check(state: SpectralState, m_list=None, c: float = 1.0) -> dict:
 # ---------------------------------------------------------------------------
 # per-time record
 
-CSV_COLUMNS = [
-    "t", "mass", "energy", "energy_per_particle", "S", "T", "k_star",
-    "condensate_fraction", "l1_dev", "l2_dev", "tail_half_M", "beta_gap",
-    "s_envelope", "t_envelope", "u_mass_sq", "u_mass_envelope",
-]
-
-
 @dataclass(frozen=True)
 class DiagnosticsRecord:
+    """Observables at one instant; the fields without a default are the
+    trajectory CSV columns, in order."""
+
     t: float
     mass: float
     energy: float
@@ -198,9 +196,12 @@ class DiagnosticsRecord:
     t_envelope: float
     u_mass_sq: float
     u_mass_envelope: float
-    # not serialized to CSV
     u_grad_sq: float = math.nan
     kinetic_tail: float = math.nan
+
+
+CSV_COLUMNS = [f.name for f in dataclass_fields(DiagnosticsRecord)
+               if f.default is MISSING]
 
 
 @dataclass(frozen=True)
@@ -439,15 +440,27 @@ def format_float(x) -> str:
     return f"{x:.17g}"
 
 
-def _record_cell(rec, name) -> str:
-    if name == "k_star":
-        return " ".join(str(int(v)) for v in rec.k_star)
-    return format_float(getattr(rec, name))
+def _cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):  # a lattice mode such as k_star
+        return " ".join(str(int(v)) for v in value)
+    if isinstance(value, int):
+        return str(value)
+    return format_float(value)
+
+
+def write_csv(records, columns, path):
+    """Header plus one row per record, taking each column from the attribute
+    of that name: floats with 17 significant digits ("nan" for NaN), ints
+    and strings verbatim, modes as space-separated integers."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_cell(getattr(rec, c)) for c in columns]
+                         for rec in records)
 
 
 def write_trajectory_csv(records, path):
-    """One row per record, fixed column set, 17 significant digits."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for rec in records:
-            fh.write(",".join(_record_cell(rec, c) for c in CSV_COLUMNS) + "\n")
+    """One row per DiagnosticsRecord, columns CSV_COLUMNS."""
+    write_csv(records, CSV_COLUMNS, path)

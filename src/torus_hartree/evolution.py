@@ -17,7 +17,7 @@ as an oracle inside its certified contraction horizon.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -76,14 +76,16 @@ class IntegratorConfig:
     picard_max_iter: int = 100
 
     def __post_init__(self):
+        for f in fields(self):  # JSON configs may give 1 for 1.0 and vice versa
+            object.__setattr__(self, f.name, type(f.default)(getattr(self, f.name)))
         if self.method not in ("split_strang", "rk4", "picard"):
             raise ValueError(f"unknown method {self.method!r}")
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
-        if not self.picard_tau > 1.0:
-            raise ValueError("contraction factor tau must exceed 1")
-        if not self.picard_tol > 0.0:
-            raise ValueError("picard tolerance must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 1.0 < self.picard_tau < math.inf:
+            raise ValueError("contraction factor tau must exceed 1 and be finite")
+        if not 0.0 < self.picard_tol < math.inf:
+            raise ValueError("picard tolerance must be positive and finite")
         if self.picard_max_iter < 1:
             raise ValueError("picard_max_iter must be >= 1")
 
@@ -301,8 +303,8 @@ def evolve(state: SpectralState, model: PotentialModel, t_final: float,
     if config is None:
         config = IntegratorConfig()
     t_final = float(t_final)
-    if t_final <= 0.0:
-        raise ValueError("t_final must be positive")
+    if not 0.0 < t_final < math.inf:
+        raise ValueError("t_final must be positive and finite")
     stride = int(stride)
     if stride < 1:
         raise ValueError("stride must be >= 1")

@@ -34,6 +34,7 @@ __all__ = [
     "t_sum",
     "to_physical",
     "to_spectral",
+    "STATE_FAMILIES",
     "make_state",
     "random_state",
     "time_reversal",
@@ -59,8 +60,8 @@ class TorusLattice:
     def __post_init__(self):
         object.__setattr__(self, "L", float(self.L))
         object.__setattr__(self, "M", int(self.M))
-        if self.L <= 0.0:
-            raise ValueError("L must be positive")
+        if not 0.0 < self.L < math.inf:
+            raise ValueError("L must be positive and finite")
         if self.M < 1:
             raise ValueError("M must be >= 1")
 
@@ -151,8 +152,8 @@ class SpectralState:
     def __post_init__(self):
         object.__setattr__(self, "rho", float(self.rho))
         object.__setattr__(self, "t", float(self.t))
-        if self.rho <= 0.0:
-            raise ValueError("rho must be positive")
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite")
         a = np.ascontiguousarray(self.alpha, dtype=complex)
         if a.shape != self.lattice.shape:
             raise ValueError(f"alpha shape {a.shape} != lattice shape {self.lattice.shape}")
@@ -369,6 +370,17 @@ def _normalize(alpha, where: str):
     return alpha / norm
 
 
+# Every spelling of a state family that make_state accepts, mapped to its
+# canonical name; the CLI, scan plans and simulate configs all resolve here.
+STATE_FAMILIES = {
+    "plane_wave": "plane_wave", "plane-wave": "plane_wave",
+    "two_mode": "two_mode", "two-mode": "two_mode",
+    "perturbed_condensate": "perturbed_condensate",
+    "perturbed-condensate": "perturbed_condensate",
+    "perturbed": "perturbed_condensate",
+}
+
+
 def make_state(family: str, lattice: TorusLattice, rho: float, **params) -> SpectralState:
     """Construct a normalized initial state.
 
@@ -380,20 +392,13 @@ def make_state(family: str, lattice: TorusLattice, rho: float, **params) -> Spec
         phase exp(i theta) at k0 plus random-phase tail with magnitudes
         eps (1 + |n - k0|)**(-s), then renormalized.
     """
-    canonical = {
-        "plane_wave": "plane_wave", "plane-wave": "plane_wave",
-        "two_mode": "two_mode", "two-mode": "two_mode",
-        "perturbed_condensate": "perturbed_condensate",
-        "perturbed-condensate": "perturbed_condensate",
-        "perturbed": "perturbed_condensate",
-    }
-    if family not in canonical:
+    if family not in STATE_FAMILIES:
         raise ValueError(f"unknown state family {family!r}; known: "
-                         "plane_wave, two_mode, perturbed_condensate")
-    family = canonical[family]
+                         f"{', '.join(dict.fromkeys(STATE_FAMILIES.values()))}")
+    family = STATE_FAMILIES[family]
     rho = float(rho)
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    if not 0.0 < rho < math.inf:
+        raise ValueError("rho must be positive and finite")
     alpha = np.zeros(lattice.shape, dtype=complex)
 
     if family == "plane_wave":

@@ -11,20 +11,19 @@ across the rho ladder; no extrapolation is attempted.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.random import SeedSequence
 
 from . import diagnostics
 from .evolution import IntegratorConfig, Trajectory, evolve
-from .field import TorusLattice, make_state
+from .field import STATE_FAMILIES, TorusLattice, make_state
 from .potential import make_potential
 
 __all__ = [
@@ -66,15 +65,19 @@ class ScanPlan:
             vals = [float(v) for v in getattr(self, name)]
             if not vals:
                 raise ValueError(f"{name} must be non-empty")
+            if not all(0.0 < v < math.inf for v in vals):
+                raise ValueError(f"{name} must be positive and finite")
             if any(b <= a for a, b in zip(vals, vals[1:])):
                 raise ValueError(f"{name} must be strictly ascending")
             setattr(self, name, vals)
-        if not self.kappa > 0.0:
-            raise ValueError("kappa must be positive")
-        if self.t_final < 0.0:
-            raise ValueError("t_final must be non-negative")
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.kappa < math.inf:
+            raise ValueError("kappa must be positive and finite")
+        if not 0.0 <= self.t_final < math.inf:
+            raise ValueError("t_final must be non-negative and finite")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not (isinstance(self.family, str) and self.family in STATE_FAMILIES):
+            raise ValueError(f"unknown state family {self.family!r}")
         if "seed" in self.family_params:
             raise ValueError("per-point seeds come from master_seed; "
                              "remove 'seed' from family_params")
@@ -118,26 +121,16 @@ def load_plan(path) -> ScanPlan:
     return ScanPlan(**doc)
 
 
-SCAN_COLUMNS = [
-    "rho", "L", "M", "seed", "n_particles", "status", "final_t", "mass",
-    "energy", "energy_per_particle", "energy_gap", "S", "T", "k_star",
-    "condensate_fraction", "l1_dev", "l2_dev", "tail_half_M", "beta_gap",
-    "kinetic_tail", "u_mass_sq", "max_mass_dev", "max_energy_drift",
-    "min_s_margin", "min_t_margin", "runtime_s",
-]
-
-_NUMERIC_FIELDS = [c for c in SCAN_COLUMNS
-                   if c not in ("rho", "L", "M", "seed", "status", "k_star")]
-
-
 @dataclass
 class ScanRecord:
+    """One row of table.csv; the fields are its columns, in order."""
+
     rho: float
     L: float
     M: int
     seed: str
-    status: str = "ok"
     n_particles: float = math.nan
+    status: str = "ok"
     final_t: float = math.nan
     mass: float = math.nan
     energy: float = math.nan
@@ -145,7 +138,7 @@ class ScanRecord:
     energy_gap: float = math.nan
     S: float = math.nan
     T: float = math.nan
-    k_star: str = ""
+    k_star: tuple = ()
     condensate_fraction: float = math.nan
     l1_dev: float = math.nan
     l2_dev: float = math.nan
@@ -158,6 +151,9 @@ class ScanRecord:
     min_s_margin: float = math.nan
     min_t_margin: float = math.nan
     runtime_s: float = math.nan
+
+
+SCAN_COLUMNS = [f.name for f in fields(ScanRecord)]
 
 
 def _trajectory_filename(rho: float, L: float) -> str:
@@ -175,8 +171,7 @@ def _run_point(plan: ScanPlan, model, i_rho: int, i_L: int, out_dir) -> ScanReco
         lattice = TorusLattice(L, M)
         seed = SeedSequence([int(plan.master_seed), i_rho, i_L])
         params = plan.resolve_params(rho)
-        if plan.family in ("perturbed_condensate", "perturbed",
-                           "perturbed-condensate"):
+        if STATE_FAMILIES[plan.family] == "perturbed_condensate":
             params["seed"] = seed
         state = make_state(plan.family, lattice, rho, **params)
 
@@ -192,22 +187,12 @@ def _run_point(plan: ScanPlan, model, i_rho: int, i_L: int, out_dir) -> ScanReco
 
         records = traj.records
         final = records[-1]
+        for name in SCAN_COLUMNS:
+            if name in diagnostics.DiagnosticsRecord.__dataclass_fields__:
+                setattr(rec, name, getattr(final, name))
         rec.n_particles = rho * L**3
         rec.final_t = final.t
-        rec.mass = final.mass
-        rec.energy = final.energy
-        rec.energy_per_particle = final.energy_per_particle
         rec.energy_gap = abs(final.energy_per_particle - 0.5 * model.b)
-        rec.S = final.S
-        rec.T = final.T
-        rec.k_star = " ".join(str(v) for v in final.k_star)
-        rec.condensate_fraction = final.condensate_fraction
-        rec.l1_dev = final.l1_dev
-        rec.l2_dev = final.l2_dev
-        rec.tail_half_M = final.tail_half_M
-        rec.beta_gap = final.beta_gap
-        rec.kinetic_tail = final.kinetic_tail
-        rec.u_mass_sq = final.u_mass_sq
         rec.max_mass_dev = max(abs(r.mass - 1.0) for r in records)
         e0 = records[0].energy
         if math.isfinite(e0) and e0 != 0.0:
@@ -265,20 +250,7 @@ def run_scan(plan: ScanPlan, out_dir=None, workers=None) -> list:
 
 
 def write_scan_csv(records, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SCAN_COLUMNS)
-        for rec in records:
-            row = []
-            for col in SCAN_COLUMNS:
-                val = getattr(rec, col)
-                if col in ("seed", "status", "k_star"):
-                    row.append(val)
-                elif col == "M":
-                    row.append(str(int(val)))
-                else:
-                    row.append(diagnostics.format_float(val))
-            writer.writerow(row)
+    diagnostics.write_csv(records, SCAN_COLUMNS, path)
 
 
 def iterated_limit_summary(records, columns=DEFAULT_SUMMARY_COLUMNS) -> dict:

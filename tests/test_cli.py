@@ -144,6 +144,31 @@ class TestSimulate:
         assert code == 2
         assert "'dt'" in capsys.readouterr().err
 
+    def test_non_finite_number(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace('"L": 4.0', '"L": Infinity'))
+        code = run(["simulate", "--config", str(cfg),
+                    "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert "L must be positive and finite" in capsys.readouterr().err
+
+    def test_unknown_config_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dealising=False)
+        code = run(["simulate", "--config", str(cfg),
+                    "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert "dealising" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_numerical_failure_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, method="picard", picard_max_iter=1,
+                           t_final=2e-3)
+        code = run(["simulate", "--config", str(cfg),
+                    "--out", str(tmp_path / "t.csv")])
+        assert code == 3
+        assert "error: no fixed point within 1 iterations" in \
+            capsys.readouterr().err
+
     def test_invalid_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

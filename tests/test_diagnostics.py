@@ -412,6 +412,13 @@ class TestCsv:
         assert CSV_COLUMNS[:6] == ["t", "mass", "energy",
                                    "energy_per_particle", "S", "T"]
 
+    def test_columns_follow_readme(self):
+        assert CSV_COLUMNS == [
+            "t", "mass", "energy", "energy_per_particle", "S", "T", "k_star",
+            "condensate_fraction", "l1_dev", "l2_dev", "tail_half_M",
+            "beta_gap", "s_envelope", "t_envelope", "u_mass_sq",
+            "u_mass_envelope"]
+
     def test_format_float(self):
         assert format_float(math.nan) == "nan"
         for x in (0.1, 1.0 / 3.0, 1e300, -2.5e-17):

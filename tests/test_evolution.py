@@ -292,6 +292,9 @@ class TestEvolve:
             evolve(st, gaussian, 0.0)
         with pytest.raises(ValueError):
             evolve(st, gaussian, 1e-3, stride=0)
+        for t_final in (math.nan, math.inf, float("1e999")):
+            with pytest.raises(ValueError, match="finite"):
+                evolve(st, gaussian, t_final)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -302,6 +305,15 @@ class TestEvolve:
             IntegratorConfig(picard_tau=1.0)
         with pytest.raises(ValueError):
             IntegratorConfig(picard_max_iter=0)
+        for bad in (math.nan, math.inf):
+            for name in ("dt", "picard_tol", "picard_tau"):
+                with pytest.raises(ValueError, match="finite"):
+                    IntegratorConfig(**{name: bad})
+
+    def test_config_coerces_json_numbers(self):
+        cfg = IntegratorConfig(dt=1, picard_tau=2, picard_max_iter=50.0)
+        assert [type(v) for v in (cfg.dt, cfg.picard_tau, cfg.picard_max_iter)] \
+            == [float, float, int]
 
 
 class TestKernelCache:

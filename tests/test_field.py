@@ -49,6 +49,9 @@ class TestLattice:
             TorusLattice(0.0, 2)
         with pytest.raises(ValueError):
             TorusLattice(4.0, -1)
+        for L in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                TorusLattice(L, 2)
 
     def test_order_visits_shells_then_lex(self):
         lat = TorusLattice(4.0, 1)
@@ -133,6 +136,31 @@ class TestStates:
         a = make_state("plane-wave", lat, 1.0, k0=(1, 0, 0))
         b = make_state("plane_wave", lat, 1.0, k0=(1, 0, 0))
         np.testing.assert_array_equal(a.alpha, b.alpha)
+
+    @pytest.mark.parametrize("family,canonical", [
+        ("plane_wave", "plane_wave"), ("plane-wave", "plane_wave"),
+        ("two_mode", "two_mode"), ("two-mode", "two_mode"),
+        ("perturbed_condensate", "perturbed_condensate"),
+        ("perturbed-condensate", "perturbed_condensate"),
+        ("perturbed", "perturbed_condensate"),
+    ])
+    def test_family_spelling(self, family, canonical):
+        lat = TorusLattice(2.0, 2)
+        params = {"plane_wave": {"k0": (1, 0, 0), "theta": 0.5},
+                  "two_mode": {"escape_exponent": 0.1},
+                  "perturbed_condensate": {"eps": 0.1, "s": 4.0, "seed": 9},
+                  }[canonical]
+        np.testing.assert_array_equal(
+            make_state(family, lat, 10.0, **params).alpha,
+            make_state(canonical, lat, 10.0, **params).alpha)
+
+    def test_non_finite_rho(self):
+        lat = TorusLattice(4.0, 1)
+        for rho in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                make_state("plane_wave", lat, rho)
+            with pytest.raises(ValueError, match="finite"):
+                SpectralState(lat, rho, 0.0, np.ones(lat.shape))
 
     def test_rejections(self):
         lat = TorusLattice(4.0, 1)

@@ -14,7 +14,7 @@ from torus_hartree import (
     load_plan,
     run_scan,
 )
-from torus_hartree.scan import WORKERS_ENV, _trajectory_filename
+from torus_hartree.scan import WORKERS_ENV, _trajectory_filename, write_scan_csv
 
 POTENTIAL = {"family": "gaussian"}
 
@@ -47,6 +47,15 @@ class TestPlan:
             small_plan(dt=0.0)
         with pytest.raises(ValueError):
             small_plan(t_final=-1.0)
+        for bad in (math.nan, math.inf):
+            for name in ("kappa", "t_final", "dt"):
+                with pytest.raises(ValueError, match="finite"):
+                    small_plan(**{name: bad})
+            for name in ("rho_values", "L_values"):
+                with pytest.raises(ValueError, match="finite"):
+                    small_plan(**{name: [1.0, bad]})
+        with pytest.raises(ValueError, match="finite"):
+            small_plan(rho_values=[-1.0, 1.0])
 
     def test_seed_belongs_to_master(self):
         with pytest.raises(ValueError, match="master_seed"):
@@ -100,6 +109,13 @@ class TestLoadPlan:
         del doc["dt"]
         with pytest.raises(ValueError, match="dt"):
             load_plan(self.write(tmp_path, doc))
+
+    def test_unknown_family(self, tmp_path):
+        doc = self.base_doc()
+        for family in ("perturbd", ["perturbed"]):
+            doc["family"] = family
+            with pytest.raises(ValueError, match="unknown state family"):
+                load_plan(self.write(tmp_path, doc))
 
     def test_top_level_must_be_object(self, tmp_path):
         with pytest.raises(ValueError, match="JSON object"):
@@ -175,6 +191,27 @@ class TestRunScan:
             rows = list(csv.reader(fh))
         assert rows[0] == SCAN_COLUMNS
         assert len(rows) == 5
+
+    def test_columns_follow_readme(self):
+        assert SCAN_COLUMNS == [
+            "rho", "L", "M", "seed", "n_particles", "status", "final_t",
+            "mass", "energy", "energy_per_particle", "energy_gap", "S", "T",
+            "k_star", "condensate_fraction", "l1_dev", "l2_dev",
+            "tail_half_M", "beta_gap", "kinetic_tail", "u_mass_sq",
+            "max_mass_dev", "max_energy_drift", "min_s_margin",
+            "min_t_margin", "runtime_s"]
+
+    def test_status_with_comma_is_quoted(self, tmp_path):
+        rec = ScanRecord(rho=1.0, L=2.0, M=2, seed="0:0:0",
+                         status="failed: ValueError: mode (3, 0, 0) outside")
+        path = tmp_path / "table.csv"
+        write_scan_csv([rec], path)
+        row = path.read_text().splitlines()[1]
+        assert row.startswith('1,2,2,0:0:0,nan,'
+                              '"failed: ValueError: mode (3, 0, 0) outside",'
+                              'nan,')
+        with open(path, newline="") as fh:
+            assert list(csv.DictReader(fh))[0]["status"] == rec.status
 
     def test_eps_shrinks_along_rho_ladder(self):
         records = run_scan(small_plan())
