@@ -109,6 +109,8 @@ def _cmd_simulate(args):
     model = make_potential(_require(cfg, "potential", args.config))
 
     sblock = _require(cfg, "state", args.config)
+    if not isinstance(sblock, dict):
+        raise ConfigError(f"{args.config}: state must be a JSON object")
     if "snapshot" in sblock:
         state = load_state(sblock["snapshot"])
     else:
@@ -126,7 +128,7 @@ def _cmd_simulate(args):
     _require(cfg, "dt", args.config)
     config = IntegratorConfig(**{k: cfg[k] for k in integrator_keys if k in cfg})
     traj = evolve(state, model, float(_require(cfg, "t_final", args.config)),
-                  config, stride=int(cfg.get("stride", 1)), keep_states=False)
+                  config, stride=cfg.get("stride", 1), keep_states=False)
 
     write_trajectory_csv(traj.records, args.out)
     if args.audit:

@@ -13,6 +13,7 @@ import math
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
 
 import numpy as np
+import scipy.fft
 
 from .field import SpectralState, _get_kernel, s_sum, t_sum, to_physical
 from .potential import PotentialModel, vhat_grid
@@ -61,7 +62,8 @@ def _energy_and_beta_sq(state: SpectralState, model: PotentialModel):
     lat = state.lattice
     kernel = _get_kernel(model, lat, True)
     phi = kernel.field(state.alpha)
-    beta_sq = np.abs(np.fft.fftn(np.abs(phi) ** 2) / kernel.G**3) ** 2
+    beta = scipy.fft.fftn(phi.real**2 + phi.imag**2, norm="forward")
+    beta_sq = beta.real**2 + beta.imag**2
     kinetic = lat.ordered_sum(lat.omega * np.abs(state.alpha) ** 2)
     return kinetic + 0.5 * float(np.sum(kernel.vhat * beta_sq)), beta_sq.ravel()
 

@@ -24,8 +24,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
 from . import diagnostics
-from .field import (SpectralState, _get_kernel, _Kernel, autocorrelation,
-                    wiener_norm)
+from .field import (SpectralState, _get_kernel, _Kernel, as_int,
+                    autocorrelation, wiener_norm)
 from .potential import PotentialModel, vhat_grid
 
 __all__ = [
@@ -77,7 +77,10 @@ class IntegratorConfig:
 
     def __post_init__(self):
         for f in fields(self):  # JSON configs may give 1 for 1.0 and vice versa
-            object.__setattr__(self, f.name, type(f.default)(getattr(self, f.name)))
+            value = getattr(self, f.name)
+            if type(f.default) is int:
+                value = as_int(value, f.name)
+            object.__setattr__(self, f.name, type(f.default)(value))
         if self.method not in ("split_strang", "rk4", "picard"):
             raise ValueError(f"unknown method {self.method!r}")
         if not 0.0 < self.dt < math.inf:
@@ -136,7 +139,8 @@ def step_split(state: SpectralState, model: PotentialModel, dt: float,
     half = kernel.half_kinetic_phase(dt)
     a = half * state.alpha
     phi = kernel.field(a)
-    phi = phi * np.exp(-1j * dt * kernel.convolved_density(phi))
+    theta = -dt * kernel.convolved_density(phi)
+    phi = phi * (np.cos(theta) + 1j * np.sin(theta))
     a = half * kernel.crop(phi)
     t1 = state.t + dt
     _check_finite(a, t1)
@@ -305,7 +309,7 @@ def evolve(state: SpectralState, model: PotentialModel, t_final: float,
     t_final = float(t_final)
     if not 0.0 < t_final < math.inf:
         raise ValueError("t_final must be positive and finite")
-    stride = int(stride)
+    stride = as_int(stride, "stride")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if config.method == "picard":

@@ -13,12 +13,14 @@ from __future__ import annotations
 import base64
 import json
 import math
+import numbers
 import threading
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 from numpy.random import Generator, Philox, SeedSequence
 from scipy.fft import next_fast_len
 
@@ -47,6 +49,18 @@ SNAPSHOT_FORMAT = "torus-hartree-state"
 SNAPSHOT_VERSION = 1
 
 
+def as_int(value, name: str) -> int:
+    """An integer setting from a number; JSON may spell 4 as 4.0.
+
+    Rejects booleans, non-numbers, NaN, infinities and non-integral
+    values with ValueError rather than truncating them.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value != math.floor(value)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TorusLattice:
     """Cubic truncation {n in Z^3 : |n|_inf <= M} of the momentum lattice.
@@ -59,7 +73,7 @@ class TorusLattice:
 
     def __post_init__(self):
         object.__setattr__(self, "L", float(self.L))
-        object.__setattr__(self, "M", int(self.M))
+        object.__setattr__(self, "M", as_int(self.M, "M"))
         if not 0.0 < self.L < math.inf:
             raise ValueError("L must be positive and finite")
         if self.M < 1:
@@ -198,28 +212,50 @@ class _Kernel:
     cutoff-M data; without it the native 2M+1 grid is used and products
     alias.  Vhat is stored only on |k|_inf <= 2M, the frequencies a
     cutoff-M density can reach, and is 0 elsewhere.
+
+    The transforms are pruned (FFTW's "pruned FFTs"): synthesis embeds
+    the (2M+1)^3 coefficients and transforms one axis at a time, so each
+    1-D pass runs only over rows that can be nonzero, and analysis
+    mirrors it, dropping the rows that would be discarded after each
+    axis.  The density is real, so its convolution with V uses rfftn and
+    the half-spectrum vhat_half.  The kernel keeps no scratch buffers:
+    scan worker threads share one kernel, so each call allocates its own.
     """
 
     def __init__(self, lattice: TorusLattice, model, dealias: bool):
         self.lattice = lattice
         self.dealias = bool(dealias)
         self.G = G = next_fast_len(2 * lattice.size) if dealias else lattice.size
-        self.idx = lattice.embed_indexer(G)
-        self.vhat = vhat_grid(model, lattice.L, np.fft.fftfreq(G, 1.0 / G),
+        self.wrap = lattice.n1d % G
+        self.vhat = vhat_grid(model, lattice.L, scipy.fft.fftfreq(G, 1.0 / G),
                               limit=2 * lattice.M)
+        self.vhat_half = self.vhat[:, :, :G // 2 + 1]  # the rfftn half-spectrum
         self._phases = {}
 
     def field(self, alpha):
-        cube = np.zeros((self.G,) * 3, dtype=complex)
-        cube[self.idx] = alpha
-        return self.G**3 * np.fft.ifftn(cube)
+        """Unit-density field on the G^3 grid: G^3 ifftn of the embedded alpha."""
+        G, n, w = self.G, self.lattice.size, self.wrap
+        a = np.zeros((G, n, n), dtype=complex)
+        a[w] = alpha
+        a = scipy.fft.ifft(a, axis=0, norm="forward", overwrite_x=True)
+        b = np.zeros((G, G, n), dtype=complex)
+        b[:, w] = a
+        b = scipy.fft.ifft(b, axis=1, norm="forward", overwrite_x=True)
+        c = np.zeros((G, G, G), dtype=complex)
+        c[:, :, w] = b
+        return scipy.fft.ifft(c, axis=2, norm="forward", overwrite_x=True)
 
     def crop(self, phi):
-        return np.fft.fftn(phi)[self.idx] / self.G**3
+        """Lattice coefficients of a grid field: fftn(phi)[lattice] / G^3."""
+        w = self.wrap
+        c = scipy.fft.fft(phi, axis=2, norm="forward")[:, :, w]
+        c = scipy.fft.fft(c, axis=1, norm="forward", overwrite_x=True)[:, w]
+        return scipy.fft.fft(c, axis=0, norm="forward", overwrite_x=True)[w]
 
     def convolved_density(self, phi):
         """(V_L * |phi|^2)(x) on the grid; phi is the unit-density field."""
-        return np.fft.ifftn(np.fft.fftn(np.abs(phi) ** 2) * self.vhat).real
+        dens = phi.real**2 + phi.imag**2
+        return scipy.fft.irfftn(scipy.fft.rfftn(dens) * self.vhat_half, s=dens.shape)
 
     def nonlinear(self, alpha):
         """Projected convolution term P_M[(V_L * |phi|^2) phi] in coefficients."""
@@ -392,7 +428,7 @@ def make_state(family: str, lattice: TorusLattice, rho: float, **params) -> Spec
         phase exp(i theta) at k0 plus random-phase tail with magnitudes
         eps (1 + |n - k0|)**(-s), then renormalized.
     """
-    if family not in STATE_FAMILIES:
+    if not isinstance(family, str) or family not in STATE_FAMILIES:
         raise ValueError(f"unknown state family {family!r}; known: "
                          f"{', '.join(dict.fromkeys(STATE_FAMILIES.values()))}")
     family = STATE_FAMILIES[family]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +24,7 @@ from numpy.random import SeedSequence
 
 from . import diagnostics
 from .evolution import IntegratorConfig, Trajectory, evolve
-from .field import STATE_FAMILIES, TorusLattice, make_state
+from .field import STATE_FAMILIES, TorusLattice, as_int, make_state
 from .potential import make_potential
 
 __all__ = [
@@ -62,7 +63,11 @@ class ScanPlan:
 
     def __post_init__(self):
         for name in ("rho_values", "L_values"):
-            vals = [float(v) for v in getattr(self, name)]
+            raw = getattr(self, name)
+            if not isinstance(raw, (list, tuple, np.ndarray)) or any(
+                    isinstance(v, bool) or not isinstance(v, numbers.Real) for v in raw):
+                raise ValueError(f"{name} must be a list of numbers, got {raw!r}")
+            vals = [float(v) for v in raw]
             if not vals:
                 raise ValueError(f"{name} must be non-empty")
             if not all(0.0 < v < math.inf for v in vals):
@@ -76,8 +81,16 @@ class ScanPlan:
             raise ValueError("t_final must be non-negative and finite")
         if not 0.0 < self.dt < math.inf:
             raise ValueError("dt must be positive and finite")
+        self.stride = as_int(self.stride, "stride")
+        if self.stride < 1:
+            raise ValueError("stride must be >= 1")
+        self.master_seed = as_int(self.master_seed, "master_seed")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         if not (isinstance(self.family, str) and self.family in STATE_FAMILIES):
             raise ValueError(f"unknown state family {self.family!r}")
+        if not isinstance(self.family_params, dict):
+            raise ValueError("family_params must be a JSON object")
         if "seed" in self.family_params:
             raise ValueError("per-point seeds come from master_seed; "
                              "remove 'seed' from family_params")
@@ -169,7 +182,7 @@ def _run_point(plan: ScanPlan, model, i_rho: int, i_L: int, out_dir) -> ScanReco
     started = time.perf_counter()
     try:
         lattice = TorusLattice(L, M)
-        seed = SeedSequence([int(plan.master_seed), i_rho, i_L])
+        seed = SeedSequence([plan.master_seed, i_rho, i_L])
         params = plan.resolve_params(rho)
         if STATE_FAMILIES[plan.family] == "perturbed_condensate":
             params["seed"] = seed

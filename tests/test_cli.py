@@ -152,6 +152,33 @@ class TestSimulate:
         assert code == 2
         assert "L must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("M", math.inf), ("M", 2.5), ("stride", math.inf),
+        ("picard_max_iter", math.inf)])
+    def test_bad_integer_setting(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, **{key: value})
+        code = run(["simulate", "--config", str(cfg),
+                    "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert f"{key} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_integral_float_setting(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, M=2.0, stride=1.0)
+        assert run(["simulate", "--config", str(cfg),
+                    "--out", str(tmp_path / "t.csv")]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("state,message", [
+        ({"family": ["perturbed"]}, "unknown state family"),
+        (5, "state must be a JSON object")])
+    def test_wrongly_typed_state(self, tmp_path, capsys, state, message):
+        cfg = write_config(tmp_path, state=state)
+        code = run(["simulate", "--config", str(cfg),
+                    "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dealising=False)
         code = run(["simulate", "--config", str(cfg),
@@ -267,6 +294,12 @@ class TestScan:
         assert run(["scan", "--plan", str(self.plan(tmp_path, typo=1)),
                     "--out", str(tmp_path / "scan")]) == 2
         assert "typo" in capsys.readouterr().err
+
+    def test_wrongly_typed_plan_list(self, tmp_path, capsys):
+        assert run(["scan", "--plan", str(self.plan(tmp_path, rho_values=5)),
+                    "--out", str(tmp_path / "scan")]) == 2
+        assert "rho_values must be a list of numbers" in capsys.readouterr().err
+        assert not (tmp_path / "scan").exists()
 
     def test_missing_plan_file(self, tmp_path, capsys):
         assert run(["scan", "--plan", str(tmp_path / "ghost.json"),

@@ -29,6 +29,7 @@ from torus_hartree import (
     step_split,
     time_reversal,
 )
+from torus_hartree import diagnostics
 from torus_hartree.evolution import _get_kernel
 
 from conftest import B_GAUSS
@@ -107,6 +108,18 @@ class TestSplitStep:
         a, b, c = end(2e-3), end(1e-3), end(5e-4)
         order = math.log2(l2_dist(a, b) / l2_dist(b, c))
         assert order > 1.9
+
+    def test_phase_matches_complex_exponential(self, gaussian):
+        # the step builds exp(-i dt V) as cos + i sin of a real angle
+        st = quasi_condensate(m=3, eps=0.3, s=2.0)
+        dt = 1e-2
+        kernel = _get_kernel(gaussian, st.lattice, True)
+        half = kernel.half_kinetic_phase(dt)
+        phi = kernel.field(half * st.alpha)
+        phi = phi * np.exp(-1j * dt * kernel.convolved_density(phi))
+        expected = half * kernel.crop(phi)
+        got = step_split(st, gaussian, dt).alpha
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_aliasing_toggle_changes_result(self, gaussian):
         st = quasi_condensate(m=2, eps=0.3, s=2.0)
@@ -295,6 +308,9 @@ class TestEvolve:
         for t_final in (math.nan, math.inf, float("1e999")):
             with pytest.raises(ValueError, match="finite"):
                 evolve(st, gaussian, t_final)
+        for stride in (math.nan, math.inf, 1.5):
+            with pytest.raises(ValueError, match="stride must be an integer"):
+                evolve(st, gaussian, 1e-3, stride=stride)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -309,6 +325,9 @@ class TestEvolve:
             for name in ("dt", "picard_tol", "picard_tau"):
                 with pytest.raises(ValueError, match="finite"):
                     IntegratorConfig(**{name: bad})
+        for bad in (math.nan, math.inf, 2.5):
+            with pytest.raises(ValueError, match="picard_max_iter must be an integer"):
+                IntegratorConfig(picard_max_iter=bad)
 
     def test_config_coerces_json_numbers(self):
         cfg = IntegratorConfig(dt=1, picard_tau=2, picard_max_iter=50.0)
@@ -352,3 +371,35 @@ class TestKernelCache:
                     assert all(k is kernels[0] for k in kernels)
         finally:
             sys.setswitchinterval(old_interval)
+
+    def test_threads_share_one_kernel(self, gaussian):
+        # a kernel holds no scratch buffers, so concurrent calls cannot mix
+        lat = TorusLattice(4.0, 3)
+        kernel = _get_kernel(gaussian, lat, True)
+        inputs = [random_state(lat, seed=seed).alpha for seed in range(12)]
+        serial = [kernel.nonlinear(a) for a in inputs]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                for _ in range(5):
+                    got = list(pool.map(kernel.nonlinear, inputs, timeout=30))
+                    for g, want in zip(got, serial):
+                        np.testing.assert_array_equal(g, want)
+        finally:
+            sys.setswitchinterval(old_interval)
+
+
+def test_hot_path_uses_no_full_grid_numpy_fft(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("full-grid np.fft call on the hot path")
+
+    monkeypatch.setattr(np.fft, "fftn", forbidden)
+    monkeypatch.setattr(np.fft, "ifftn", forbidden)
+    model = GaussianPotential()  # fresh model: the kernel is built under the patch
+    st = quasi_condensate(m=3)
+    step_split(st, model, 1e-3)
+    step_rk4(st, model, 1e-3)
+    step_split(st, model, 1e-3, dealias=False)
+    context = diagnostics.TrajectoryContext.from_state(st, model)
+    diagnostics.make_record(st, model, context)

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 from torus_hartree import (
+    GaussianPotential,
     SpectralState,
     TorusLattice,
     autocorrelation,
@@ -25,6 +27,7 @@ from torus_hartree import (
     to_spectral,
     wiener_norm,
 )
+from torus_hartree.field import _Kernel
 
 
 class TestLattice:
@@ -52,6 +55,10 @@ class TestLattice:
         for L in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
                 TorusLattice(L, 2)
+        for M in (math.nan, math.inf, 2.5, "3", [3], True):
+            with pytest.raises(ValueError, match="M must be an integer"):
+                TorusLattice(4.0, M)
+        assert TorusLattice(4.0, 4.0).M == 4
 
     def test_order_visits_shells_then_lex(self):
         lat = TorusLattice(4.0, 1)
@@ -172,6 +179,8 @@ class TestStates:
             make_state("plane_wave", lat, -1.0)
         with pytest.raises(ValueError):
             make_state("perturbed", lat, 1.0, eps=1.0, s=2.0, seed=0)
+        with pytest.raises(ValueError, match="unknown state family"):
+            make_state(["perturbed"], lat, 1.0, eps=0.1, s=2.0, seed=0)
 
     def test_alpha_is_immutable(self):
         st_ = make_state("plane_wave", TorusLattice(4.0, 1), 1.0)
@@ -293,6 +302,54 @@ class TestPhysicalSpace:
         st_ = make_state("plane_wave", TorusLattice(4.0, 2), 7.0, k0=(1, 1, 0))
         psi = to_physical(st_)
         np.testing.assert_allclose(np.abs(psi) ** 2, 7.0, rtol=1e-12)
+
+
+def full_grid_reference(kernel, alpha):
+    """Unpruned numpy route through the kernel's G^3 grid: phi, V*|phi|^2, P_M term."""
+    lat, G = kernel.lattice, kernel.G
+    idx = lat.embed_indexer(G)
+    cube = np.zeros((G, G, G), dtype=complex)
+    cube[idx] = alpha
+    phi = G**3 * np.fft.ifftn(cube)
+    conv = np.fft.ifftn(np.fft.fftn(np.abs(phi) ** 2) * kernel.vhat).real
+    return phi, conv, np.fft.fftn(conv * phi)[idx] / G**3
+
+
+def assert_rel_close(actual, expected, rel=1e-13):
+    assert np.max(np.abs(actual - expected)) <= rel * np.max(np.abs(expected))
+
+
+class TestKernel:
+    """The pruned transforms against the full-cube numpy reference."""
+
+    def check(self, M, dealias, seed):
+        lat = TorusLattice(float(M), M)
+        kernel = _Kernel(lat, GaussianPotential(), dealias)
+        alpha = random_state(lat, seed=seed).alpha
+        phi_ref, conv_ref, nl_ref = full_grid_reference(kernel, alpha)
+        phi = kernel.field(alpha)
+        assert_rel_close(phi, phi_ref)
+        assert_rel_close(kernel.crop(phi), alpha)
+        assert_rel_close(kernel.convolved_density(phi), conv_ref)
+        assert_rel_close(kernel.nonlinear(alpha), nl_ref)
+        grid = np.random.default_rng(seed).normal(size=(kernel.G,) * 3 + (2,))
+        grid = grid[..., 0] + 1j * grid[..., 1]
+        assert_rel_close(kernel.crop(grid),
+                         np.fft.fftn(grid)[lat.embed_indexer(kernel.G)] / kernel.G**3)
+        return kernel
+
+    @pytest.mark.parametrize("dealias", [True, False])
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 8])
+    def test_matches_full_grid(self, M, dealias):
+        # The native grid 2M+1 is always odd; M = 8 gives the odd dealiased G = 35.
+        kernel = self.check(M, dealias, seed=M)
+        assert kernel.G == (next_fast_len(4 * M + 2) if dealias else 2 * M + 1)
+
+    @settings(max_examples=20, deadline=None)
+    @given(M=st.integers(1, 6), dealias=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_full_grid_property(self, M, dealias, seed):
+        self.check(M, dealias, seed)
 
 
 class TestPointwiseProduct:

@@ -56,6 +56,13 @@ class TestPlan:
                     small_plan(**{name: [1.0, bad]})
         with pytest.raises(ValueError, match="finite"):
             small_plan(rho_values=[-1.0, 1.0])
+        for bad in (math.nan, math.inf, 1.5):
+            for name in ("stride", "master_seed"):
+                with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                    small_plan(**{name: bad})
+        assert small_plan(stride=2.0, master_seed=3.0).stride == 2
+        with pytest.raises(ValueError, match="master_seed"):
+            small_plan(master_seed=-1)
 
     def test_seed_belongs_to_master(self):
         with pytest.raises(ValueError, match="master_seed"):
@@ -115,6 +122,14 @@ class TestLoadPlan:
         for family in ("perturbd", ["perturbed"]):
             doc["family"] = family
             with pytest.raises(ValueError, match="unknown state family"):
+                load_plan(self.write(tmp_path, doc))
+
+    def test_wrongly_typed_values(self, tmp_path):
+        for key, value in (("rho_values", 5), ("L_values", "2.0"),
+                           ("rho_values", [1.0, None]), ("family_params", [])):
+            doc = self.base_doc()
+            doc[key] = value
+            with pytest.raises(ValueError, match=key):
                 load_plan(self.write(tmp_path, doc))
 
     def test_top_level_must_be_object(self, tmp_path):
