@@ -22,7 +22,7 @@ from .diagnostics import (BoundInputs, envelope_audit, excitation_bound,
 from .evolution import (ContractionError, ConvergenceError, InstabilityError,
                         IntegratorConfig, evolve, lifespan_guard,
                         picard_solve, rhs, step_split)
-from .field import (TorusLattice, load_state, make_state, pointwise_product,
+from .field import (TorusLattice, as_real, load_state, make_state, pointwise_product,
                     random_state, save_state, time_reversal, wiener_norm)
 from .potential import GaussianPotential, make_potential
 from .scan import load_plan, run_scan
@@ -120,15 +120,13 @@ def _cmd_simulate(args):
         family = params.pop("family", None)
         if family is None:
             raise ConfigError(f"{args.config}: state block needs 'family' or 'snapshot'")
-        if "k0" in params:
-            params["k0"] = tuple(int(v) for v in params["k0"])
         state = make_state(family, lattice, _require(cfg, "rho", args.config),
                            **params)
 
     _require(cfg, "dt", args.config)
     config = IntegratorConfig(**{k: cfg[k] for k in integrator_keys if k in cfg})
-    traj = evolve(state, model, float(_require(cfg, "t_final", args.config)),
-                  config, stride=cfg.get("stride", 1), keep_states=False)
+    traj = evolve(state, model, _require(cfg, "t_final", args.config), config,
+                  stride=cfg.get("stride", 1), keep_states=False)
 
     write_trajectory_csv(traj.records, args.out)
     if args.audit:
@@ -153,7 +151,7 @@ def _cmd_bound_report(args):
     scalars = {}
     for key in ("n", "e", "h_xi", "s_inf", "d_inf", "b", "v2", "rho", "L",
                 "S0", "T0", "C", "horizon", "t"):
-        scalars[key] = float(_require(doc, key, args.inputs))
+        scalars[key] = as_real(_require(doc, key, args.inputs), key)
     inputs = BoundInputs(n=scalars["n"], e=scalars["e"], h_xi=scalars["h_xi"],
                          s_inf=scalars["s_inf"], d_inf=scalars["d_inf"],
                          b=scalars["b"], v2=scalars["v2"],
@@ -342,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     sc = sub.add_parser("scan", help="run a thermodynamic-limit scan plan")
     sc.add_argument("--plan", required=True, help="scan plan JSON")
     sc.add_argument("--out", required=True, help="output directory")
-    sc.add_argument("--workers", type=int,
-                    help="worker threads (default: TORUS_HARTREE_WORKERS or 1)")
+    sc.add_argument("--workers", type=int, default=1,
+                    help="worker threads (default: 1)")
     return p
 
 

@@ -61,6 +61,25 @@ def as_int(value, name: str) -> int:
     return int(value)
 
 
+def as_real(value, name: str, positive: bool = False) -> float:
+    """A real setting from a number: rejects booleans, non-numbers, NaN and
+    infinities (and, if positive, values <= 0) with ValueError."""
+    what = "positive and finite" if positive else "a finite number"
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or (positive and value <= 0)):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return float(value)
+
+
+def as_mode(value, name: str = "k0") -> tuple:
+    """A lattice mode: a sequence of three integers, each read with as_int."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ValueError(f"{name} must be a list of three integers, got {value!r}")
+    return tuple(as_int(v, name) for v in value)
+
+
 @dataclass(frozen=True)
 class TorusLattice:
     """Cubic truncation {n in Z^3 : |n|_inf <= M} of the momentum lattice.
@@ -72,10 +91,8 @@ class TorusLattice:
     M: int
 
     def __post_init__(self):
-        object.__setattr__(self, "L", float(self.L))
+        object.__setattr__(self, "L", as_real(self.L, "L", positive=True))
         object.__setattr__(self, "M", as_int(self.M, "M"))
-        if not 0.0 < self.L < math.inf:
-            raise ValueError("L must be positive and finite")
         if self.M < 1:
             raise ValueError("M must be >= 1")
 
@@ -204,6 +221,29 @@ class AutoCorrelation:
         object.__setattr__(self, "beta", b)
 
 
+def _synthesize(alpha, w, G):
+    """G^3 ifftn of the (n, n, n) array alpha embedded at grid indices w.
+
+    Pruned (FFTW's "pruned FFTs"): one axis at a time, so each 1-D pass
+    runs only over rows that can be nonzero.  With w = lattice.n1d % G
+    this is the unit-density field of alpha on the grid x_j = j L / G.
+    """
+    f = alpha
+    for axis in range(3):
+        grid = np.zeros(f.shape[:axis] + (G,) + f.shape[axis + 1:], dtype=complex)
+        grid[(slice(None),) * axis + (w,)] = f
+        f = scipy.fft.ifft(grid, axis=axis, norm="forward", overwrite_x=True)
+    return f
+
+
+def _analyze(f, w):
+    """fftn(f)[w, w, w] / G^3 for a G^3 grid array f, pruned like _synthesize."""
+    for axis in (2, 1, 0):  # only the first pass reads the caller's array
+        f = scipy.fft.fft(f, axis=axis, norm="forward", overwrite_x=axis < 2)
+        f = f[(slice(None),) * axis + (w,)]
+    return f
+
+
 class _Kernel:
     """FFT workspace for one (lattice, model, grid) combination.
 
@@ -213,18 +253,15 @@ class _Kernel:
     alias.  Vhat is stored only on |k|_inf <= 2M, the frequencies a
     cutoff-M density can reach, and is 0 elsewhere.
 
-    The transforms are pruned (FFTW's "pruned FFTs"): synthesis embeds
-    the (2M+1)^3 coefficients and transforms one axis at a time, so each
-    1-D pass runs only over rows that can be nonzero, and analysis
-    mirrors it, dropping the rows that would be discarded after each
-    axis.  The density is real, so its convolution with V uses rfftn and
-    the half-spectrum vhat_half.  The kernel keeps no scratch buffers:
-    scan worker threads share one kernel, so each call allocates its own.
+    field and crop are the module's pruned transforms _synthesize and
+    _analyze, which autocorrelation and pointwise_product share.  The
+    density is real, so its convolution with V uses rfftn and the
+    half-spectrum vhat_half.  The kernel keeps no scratch buffers: scan
+    worker threads share one kernel, so each call allocates its own.
     """
 
     def __init__(self, lattice: TorusLattice, model, dealias: bool):
         self.lattice = lattice
-        self.dealias = bool(dealias)
         self.G = G = next_fast_len(2 * lattice.size) if dealias else lattice.size
         self.wrap = lattice.n1d % G
         self.vhat = vhat_grid(model, lattice.L, scipy.fft.fftfreq(G, 1.0 / G),
@@ -234,23 +271,11 @@ class _Kernel:
 
     def field(self, alpha):
         """Unit-density field on the G^3 grid: G^3 ifftn of the embedded alpha."""
-        G, n, w = self.G, self.lattice.size, self.wrap
-        a = np.zeros((G, n, n), dtype=complex)
-        a[w] = alpha
-        a = scipy.fft.ifft(a, axis=0, norm="forward", overwrite_x=True)
-        b = np.zeros((G, G, n), dtype=complex)
-        b[:, w] = a
-        b = scipy.fft.ifft(b, axis=1, norm="forward", overwrite_x=True)
-        c = np.zeros((G, G, G), dtype=complex)
-        c[:, :, w] = b
-        return scipy.fft.ifft(c, axis=2, norm="forward", overwrite_x=True)
+        return _synthesize(alpha, self.wrap, self.G)
 
     def crop(self, phi):
         """Lattice coefficients of a grid field: fftn(phi)[lattice] / G^3."""
-        w = self.wrap
-        c = scipy.fft.fft(phi, axis=2, norm="forward")[:, :, w]
-        c = scipy.fft.fft(c, axis=1, norm="forward", overwrite_x=True)[:, w]
-        return scipy.fft.fft(c, axis=0, norm="forward", overwrite_x=True)[w]
+        return _analyze(phi, self.wrap)
 
     def convolved_density(self, phi):
         """(V_L * |phi|^2)(x) on the grid; phi is the unit-density field."""
@@ -291,21 +316,18 @@ def difference_lattice(lattice: TorusLattice) -> TorusLattice:
 def autocorrelation(state: SpectralState, method: str = "fft") -> AutoCorrelation:
     """Compute beta on the difference lattice.
 
-    'fft' embeds alpha in a zero-padded cube and reads the circular
-    autocorrelation off ifftn(|fftn|^2); padding to at least 4M+1 per
-    axis makes wraparound images vanish.  'direct' performs the explicit
+    'fft' synthesizes the field on a grid of at least 4M+1 points per
+    axis, so no two differences of cutoff-M modes alias, and reads beta
+    off the transform of |phi|^2.  'direct' performs the explicit
     shifted sum and serves as the oracle.
     """
     lat = state.lattice
     M = lat.M
     diff = difference_lattice(lat)
     if method == "fft":
-        P = next_fast_len(4 * M + 1)
-        cube = np.zeros((P, P, P), dtype=complex)
-        cube[lat.embed_indexer(P)] = state.alpha
-        corr = np.fft.ifftn(np.abs(np.fft.fftn(cube)) ** 2)
-        beta = corr[diff.embed_indexer(P)]
-        return AutoCorrelation(diff, beta)
+        G = next_fast_len(4 * M + 1)
+        phi = _synthesize(state.alpha, lat.n1d % G, G)
+        return AutoCorrelation(diff, _analyze(phi.real**2 + phi.imag**2, diff.n1d % G))
     if method == "direct":
         a = state.alpha
         n = lat.size
@@ -389,14 +411,10 @@ def pointwise_product(a: SpectralState, b: SpectralState) -> SpectralState:
         raise ValueError("operands must share a lattice")
     lat = a.lattice
     G = next_fast_len(2 * lat.size - 1)
-    ca = np.zeros((G, G, G), dtype=complex)
-    cb = np.zeros_like(ca)
-    idx = lat.embed_indexer(G)
-    ca[idx] = a.alpha
-    cb[idx] = b.alpha
-    prod = np.fft.ifftn(np.fft.fftn(ca) * np.fft.fftn(cb))
+    w = lat.n1d % G
+    prod = _synthesize(a.alpha, w, G) * _synthesize(b.alpha, w, G)
     diff = difference_lattice(lat)
-    return SpectralState(diff, a.rho, a.t, prod[diff.embed_indexer(G)])
+    return SpectralState(diff, a.rho, a.t, _analyze(prod, diff.n1d % G))
 
 
 def _normalize(alpha, where: str):
@@ -432,21 +450,18 @@ def make_state(family: str, lattice: TorusLattice, rho: float, **params) -> Spec
         raise ValueError(f"unknown state family {family!r}; known: "
                          f"{', '.join(dict.fromkeys(STATE_FAMILIES.values()))}")
     family = STATE_FAMILIES[family]
-    rho = float(rho)
-    if not 0.0 < rho < math.inf:
-        raise ValueError("rho must be positive and finite")
+    rho = as_real(rho, "rho", positive=True)
+    k0 = as_mode(params.pop("k0", (0, 0, 0)))
     alpha = np.zeros(lattice.shape, dtype=complex)
 
     if family == "plane_wave":
-        k0 = params.pop("k0", (0, 0, 0))
-        theta = float(params.pop("theta", 0.0))
+        theta = as_real(params.pop("theta", 0.0), "theta")
         _reject_extra(params)
         alpha[lattice.index_of(k0)] = np.exp(1j * theta)
         return SpectralState(lattice, rho, 0.0, alpha)
 
     if family == "two_mode":
-        k0 = tuple(int(v) for v in np.asarray(params.pop("k0", (0, 0, 0))).reshape(3))
-        a_exp = float(params.pop("escape_exponent"))
+        a_exp = as_real(params.pop("escape_exponent"), "escape_exponent")
         _reject_extra(params)
         n_esc = (int(math.floor(rho**a_exp * lattice.L)), 0, 0)
         if n_esc == k0:
@@ -456,18 +471,17 @@ def make_state(family: str, lattice: TorusLattice, rho: float, **params) -> Spec
         return SpectralState(lattice, rho, 0.0, alpha)
 
     # perturbed_condensate
-    k0 = np.asarray(params.pop("k0", (0, 0, 0)), dtype=int).reshape(3)
-    theta = float(params.pop("theta", 0.0))
-    eps = float(params.pop("eps"))
-    s = float(params.pop("s"))
+    theta = as_real(params.pop("theta", 0.0), "theta")
+    eps = as_real(params.pop("eps"), "eps")
+    s = as_real(params.pop("s"), "s", positive=True)
     seed = params.pop("seed")
     _reject_extra(params)
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
-    if s <= 0.0:
-        raise ValueError("tail exponent s must be positive")
     idx0 = lattice.index_of(k0)
-    rng = Generator(Philox(seed if isinstance(seed, SeedSequence) else int(seed)))
+    if not isinstance(seed, SeedSequence):
+        seed = as_int(seed, "seed")
+    rng = Generator(Philox(seed))
     phases = rng.uniform(0.0, 2.0 * math.pi, size=lattice.shape)
     n = lattice.n1d
     dist = np.sqrt((n[:, None, None] - k0[0]) ** 2
@@ -543,7 +557,8 @@ def load_state(path) -> SpectralState:
     flat = buf[0::2] + 1j * buf[1::2]
     alpha = np.empty(lat.size**3, dtype=complex)
     alpha[lat.order] = flat
-    state = SpectralState(lat, doc["rho"], doc["t"], alpha.reshape(lat.shape))
+    state = SpectralState(lat, as_real(doc["rho"], "rho", positive=True),
+                          as_real(doc["t"], "t"), alpha.reshape(lat.shape))
     if abs(state.mass - 1.0) > 1e-9:
         raise ValueError(f"{path}: snapshot mass {state.mass!r} deviates from 1")
     return state

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -24,7 +23,7 @@ from numpy.random import SeedSequence
 
 from . import diagnostics
 from .evolution import IntegratorConfig, Trajectory, evolve
-from .field import STATE_FAMILIES, TorusLattice, as_int, make_state
+from .field import STATE_FAMILIES, TorusLattice, as_int, as_mode, as_real, make_state
 from .potential import make_potential
 
 __all__ = [
@@ -35,10 +34,7 @@ __all__ = [
     "run_scan",
     "write_scan_csv",
     "iterated_limit_summary",
-    "WORKERS_ENV",
 ]
-
-WORKERS_ENV = "TORUS_HARTREE_WORKERS"
 
 DEFAULT_SUMMARY_COLUMNS = ("beta_gap", "energy_gap", "condensate_fraction",
                            "kinetic_tail", "tail_half_M")
@@ -64,23 +60,19 @@ class ScanPlan:
     def __post_init__(self):
         for name in ("rho_values", "L_values"):
             raw = getattr(self, name)
-            if not isinstance(raw, (list, tuple, np.ndarray)) or any(
-                    isinstance(v, bool) or not isinstance(v, numbers.Real) for v in raw):
+            if not isinstance(raw, (list, tuple, np.ndarray)):
                 raise ValueError(f"{name} must be a list of numbers, got {raw!r}")
-            vals = [float(v) for v in raw]
+            vals = [as_real(v, name, positive=True) for v in raw]
             if not vals:
                 raise ValueError(f"{name} must be non-empty")
-            if not all(0.0 < v < math.inf for v in vals):
-                raise ValueError(f"{name} must be positive and finite")
             if any(b <= a for a, b in zip(vals, vals[1:])):
                 raise ValueError(f"{name} must be strictly ascending")
             setattr(self, name, vals)
-        if not 0.0 < self.kappa < math.inf:
-            raise ValueError("kappa must be positive and finite")
-        if not 0.0 <= self.t_final < math.inf:
-            raise ValueError("t_final must be non-negative and finite")
-        if not 0.0 < self.dt < math.inf:
-            raise ValueError("dt must be positive and finite")
+        self.kappa = as_real(self.kappa, "kappa", positive=True)
+        self.dt = as_real(self.dt, "dt", positive=True)
+        self.t_final = as_real(self.t_final, "t_final")
+        if self.t_final < 0.0:
+            raise ValueError("t_final must be non-negative")
         self.stride = as_int(self.stride, "stride")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
@@ -94,6 +86,14 @@ class ScanPlan:
         if "seed" in self.family_params:
             raise ValueError("per-point seeds come from master_seed; "
                              "remove 'seed' from family_params")
+        if "k0" in self.family_params:
+            k0 = as_mode(self.family_params["k0"], "family_params.k0")
+            self.family_params = {**self.family_params, "k0": k0}
+        numeric = [f.name for f in fields(ScanRecord) if f.type in ("float", "int")]
+        if (not isinstance(self.summary_columns, (list, tuple))
+                or any(c not in numeric for c in self.summary_columns)):
+            raise ValueError(f"summary_columns must be a list of numeric table columns "
+                             f"({', '.join(numeric)}), got {self.summary_columns!r}")
 
     def cutoff(self, L: float) -> int:
         return int(math.ceil(self.kappa * L))
@@ -103,7 +103,7 @@ class ScanPlan:
         params = dict(self.family_params)
         rule = params.pop("eps_rule", None)
         if "eps0" in params:
-            eps0 = float(params.pop("eps0"))
+            eps0 = as_real(params.pop("eps0"), "eps0")
             rule = rule or "inv_sqrt_rho"
             if rule == "inv_sqrt_rho":
                 params["eps"] = eps0 / math.sqrt(rho)
@@ -113,8 +113,6 @@ class ScanPlan:
                 raise ValueError(f"unknown eps_rule {rule!r}")
         elif rule is not None:
             raise ValueError("eps_rule requires eps0")
-        if "k0" in params:
-            params["k0"] = tuple(int(v) for v in params["k0"])
         return params
 
 
@@ -227,16 +225,16 @@ def _run_point(plan: ScanPlan, model, i_rho: int, i_L: int, out_dir) -> ScanReco
     return rec
 
 
-def run_scan(plan: ScanPlan, out_dir=None, workers=None) -> list:
+def run_scan(plan: ScanPlan, out_dir=None, workers: int = 1) -> list:
     """Execute all plan points; rows come back rho-major, then L.
 
     Per-point failures are recorded in the row's status and do not stop
     the scan.  When ``out_dir`` is given, writes table.csv, summary.json,
     and one trajectory CSV per point.
     """
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    workers = max(1, int(workers))
+    workers = as_int(workers, "workers")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     model = make_potential(plan.potential)

@@ -163,6 +163,25 @@ class TestSimulate:
         assert f"{key} must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("rho", None), ("t_final", [1]), ("dt", True), ("L", True),
+        ("dt", "0.001"), ("L", [2.0])])
+    def test_bad_real_setting(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, **{key: value})
+        code = run(["simulate", "--config", str(cfg),
+                    "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert f"{key} must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("k0", [5, [1.5, 0, 0], [1, 2]])
+    def test_bad_state_k0(self, tmp_path, capsys, k0):
+        cfg = write_config(tmp_path, state={"family": "plane_wave", "k0": k0})
+        code = run(["simulate", "--config", str(cfg),
+                    "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert "k0 must be" in capsys.readouterr().err
+
     def test_integral_float_setting(self, tmp_path, capsys):
         cfg = write_config(tmp_path, M=2.0, stride=1.0)
         assert run(["simulate", "--config", str(cfg),
@@ -299,6 +318,27 @@ class TestScan:
         assert run(["scan", "--plan", str(self.plan(tmp_path, rho_values=5)),
                     "--out", str(tmp_path / "scan")]) == 2
         assert "rho_values must be a list of numbers" in capsys.readouterr().err
+        assert not (tmp_path / "scan").exists()
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"summary_columns": 5}, "summary_columns must be"),
+        ({"summary_columns": ["nope"]}, "summary_columns must be"),
+        ({"family_params": {"eps0": 0.2, "s": 6.0, "k0": 5}}, "k0 must be"),
+        ({"family_params": {"eps0": 0.2, "s": 6.0, "k0": [1.5, 0, 0]}}, "k0 must be"),
+        ({"family_params": {"eps0": 0.2, "s": 6.0, "k0": [1, 2]}}, "k0 must be"),
+        ({"kappa": True}, "kappa must be"),
+        ({"dt": "1e-3"}, "dt must be")])
+    def test_invalid_plan_writes_nothing(self, tmp_path, capsys, overrides, message):
+        assert run(["scan", "--plan", str(self.plan(tmp_path, **overrides)),
+                    "--out", str(tmp_path / "scan")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "scan").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one(self, tmp_path, capsys, workers):
+        assert run(["scan", "--plan", str(self.plan(tmp_path)),
+                    "--out", str(tmp_path / "scan"), "--workers", workers]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "scan").exists()
 
     def test_missing_plan_file(self, tmp_path, capsys):

@@ -18,11 +18,13 @@ from torus_hartree import (
     IntegratorConfig,
     LifespanGuardError,
     TorusLattice,
+    autocorrelation,
     evolve,
     lifespan_guard,
     lifespan_guard_value,
     make_state,
     picard_solve,
+    pointwise_product,
     random_state,
     rhs,
     step_rk4,
@@ -311,6 +313,24 @@ class TestEvolve:
         for stride in (math.nan, math.inf, 1.5):
             with pytest.raises(ValueError, match="stride must be an integer"):
                 evolve(st, gaussian, 1e-3, stride=stride)
+        for t_final in ([1], None, True, "1e-3"):
+            with pytest.raises(ValueError, match="t_final must be positive and finite"):
+                evolve(st, gaussian, t_final)
+
+    @pytest.mark.parametrize("method,step", [("split_strang", step_split),
+                                             ("rk4", step_rk4)])
+    def test_forwards_dealiasing(self, gaussian, method, step):
+        st = quasi_condensate(m=2, eps=0.3, s=2.0)
+        dt = 2.0**-7
+        cfg = IntegratorConfig(method=method, dt=dt, dealiasing=False)
+        aliased = evolve(st, gaussian, 3 * dt, cfg, keep_states=False).final_state
+        cur = st
+        for _ in range(3):
+            cur = step(cur, gaussian, dt, dealias=False)
+        np.testing.assert_array_equal(aliased.alpha, cur.alpha)
+        dealiased = evolve(st, gaussian, 3 * dt, IntegratorConfig(method=method, dt=dt),
+                           keep_states=False).final_state
+        assert l2_dist(aliased, dealiased) > 0.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -328,6 +348,10 @@ class TestEvolve:
         for bad in (math.nan, math.inf, 2.5):
             with pytest.raises(ValueError, match="picard_max_iter must be an integer"):
                 IntegratorConfig(picard_max_iter=bad)
+        for bad in (True, "0.001", None, [1e-3]):
+            for name in ("dt", "picard_tol", "picard_tau"):
+                with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                    IntegratorConfig(**{name: bad})
 
     def test_config_coerces_json_numbers(self):
         cfg = IntegratorConfig(dt=1, picard_tau=2, picard_max_iter=50.0)
@@ -403,3 +427,5 @@ def test_hot_path_uses_no_full_grid_numpy_fft(monkeypatch):
     step_split(st, model, 1e-3, dealias=False)
     context = diagnostics.TrajectoryContext.from_state(st, model)
     diagnostics.make_record(st, model, context)
+    autocorrelation(st)
+    pointwise_product(st, st)

@@ -58,6 +58,9 @@ class TestLattice:
         for M in (math.nan, math.inf, 2.5, "3", [3], True):
             with pytest.raises(ValueError, match="M must be an integer"):
                 TorusLattice(4.0, M)
+        for L in (True, "4.0", [2.0], None):
+            with pytest.raises(ValueError, match="L must be positive and finite"):
+                TorusLattice(L, 2)
         assert TorusLattice(4.0, 4.0).M == 4
 
     def test_order_visits_shells_then_lex(self):
@@ -181,6 +184,26 @@ class TestStates:
             make_state("perturbed", lat, 1.0, eps=1.0, s=2.0, seed=0)
         with pytest.raises(ValueError, match="unknown state family"):
             make_state(["perturbed"], lat, 1.0, eps=0.1, s=2.0, seed=0)
+        for rho in (None, "1.0", True):
+            with pytest.raises(ValueError, match="rho must be positive and finite"):
+                make_state("plane_wave", lat, rho)
+        for k0 in (5, [1.5, 0, 0], [1, 2], "100", [[1], [0], [0]]):
+            for family, params in (("plane_wave", {}),
+                                   ("two_mode", {"escape_exponent": 0.5}),
+                                   ("perturbed", {"eps": 0.1, "s": 2.0, "seed": 0})):
+                with pytest.raises(ValueError, match="k0 must be"):
+                    make_state(family, lat, 1.0, k0=k0, **params)
+        for name, value in (("eps", None), ("s", "2.0"), ("theta", math.nan),
+                            ("seed", 1.5)):
+            params = {"eps": 0.1, "s": 2.0, "seed": 0, name: value}
+            with pytest.raises(ValueError, match=name):
+                make_state("perturbed", lat, 1.0, **params)
+
+    def test_k0_read_as_integers(self):
+        lat = TorusLattice(4.0, 1)
+        for k0 in ([1.0, 0, -1], np.array([1, 0, -1])):
+            st_ = make_state("plane_wave", lat, 1.0, k0=k0)
+            assert st_.alpha[lat.index_of((1, 0, -1))] == 1.0
 
     def test_alpha_is_immutable(self):
         st_ = make_state("plane_wave", TorusLattice(4.0, 1), 1.0)
@@ -226,6 +249,14 @@ class TestAutocorrelation:
         direct = autocorrelation(st_, "direct").beta
         np.testing.assert_allclose(fft, direct, atol=1e-12)
 
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 5])
+    def test_fft_matches_direct_and_full_cube(self, M):
+        # G = next_fast_len(4M+1) is 5, 9, 14, 18, 21: odd and even grids
+        st_ = random_state(TorusLattice(4.0, M), seed=40 + M)
+        fft = autocorrelation(st_).beta
+        assert_rel_close(fft, autocorrelation(st_, "direct").beta)
+        assert_rel_close(fft, full_cube_autocorrelation(st_))
+
     def test_two_mode_closed_form(self):
         lat = TorusLattice(8.0, 23)
         st_ = make_state("two_mode", lat, 16.0, escape_exponent=0.375)
@@ -260,6 +291,16 @@ class TestAutocorrelation:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             autocorrelation(random_state(TorusLattice(4.0, 1)), "magic")
+
+
+def full_cube_autocorrelation(state):
+    """beta by the padded numpy route: ifftn(|fftn(cube)|^2) on a 4M+1 grid."""
+    lat = state.lattice
+    G = next_fast_len(4 * lat.M + 1)
+    cube = np.zeros((G, G, G), dtype=complex)
+    cube[lat.embed_indexer(G)] = state.alpha
+    corr = np.fft.ifftn(np.abs(np.fft.fftn(cube)) ** 2)
+    return corr[difference_lattice(lat).embed_indexer(G)]
 
 
 class TestNorms:
@@ -380,6 +421,21 @@ class TestPointwiseProduct:
         rhs = unit_field(f, grid) * unit_field(g, grid)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 8])
+    def test_matches_full_cube(self, M):
+        lat = TorusLattice(4.0, M)
+        f = random_state(lat, seed=M)
+        g = random_state(lat, seed=100 + M)
+        G = next_fast_len(2 * lat.size - 1)
+        idx = lat.embed_indexer(G)
+        ca = np.zeros((G, G, G), dtype=complex)
+        cb = np.zeros_like(ca)
+        ca[idx] = f.alpha
+        cb[idx] = g.alpha
+        ref = np.fft.ifftn(np.fft.fftn(ca) * np.fft.fftn(cb))
+        prod = pointwise_product(f, g)
+        assert_rel_close(prod.alpha, ref[prod.lattice.embed_indexer(G)])
+
     def test_algebra_constant_extremal_pair(self):
         # two modes at euclidean radius 1 with L = 2 pi sqrt(2): the
         # product at radius 2 has weight 1 + (2pi/L)^2 * 4 = 3, each
@@ -456,6 +512,16 @@ class TestSnapshots:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError):
             load_state(path)
+
+    def test_rejects_wrongly_typed_numbers(self, tmp_path):
+        st_ = make_state("plane_wave", TorusLattice(4.0, 1), 1.0)
+        path = tmp_path / "state.json"
+        save_state(st_, path)
+        good = json.loads(path.read_text())
+        for key, value in (("rho", None), ("t", "0.0"), ("L", [4.0]), ("rho", True)):
+            path.write_text(json.dumps({**good, key: value}))
+            with pytest.raises(ValueError, match=f"{key} must be"):
+                load_state(path)
 
     def test_rejects_denormalized_state(self, tmp_path):
         lat = TorusLattice(4.0, 1)

@@ -14,7 +14,7 @@ from torus_hartree import (
     load_plan,
     run_scan,
 )
-from torus_hartree.scan import WORKERS_ENV, _trajectory_filename, write_scan_csv
+from torus_hartree.scan import _trajectory_filename, write_scan_csv
 
 POTENTIAL = {"family": "gaussian"}
 
@@ -63,6 +63,19 @@ class TestPlan:
         assert small_plan(stride=2.0, master_seed=3.0).stride == 2
         with pytest.raises(ValueError, match="master_seed"):
             small_plan(master_seed=-1)
+        for bad in (True, "1e-3", None, [1.0]):
+            for name in ("kappa", "t_final", "dt"):
+                with pytest.raises(ValueError, match=f"{name} must be"):
+                    small_plan(**{name: bad})
+            for name in ("rho_values", "L_values"):
+                with pytest.raises(ValueError, match=name):
+                    small_plan(**{name: [1.0, bad]})
+
+    def test_summary_columns_validated_on_load(self):
+        for columns in (5, "beta_gap", ["nope"], ["status"], ["beta_gap", 1]):
+            with pytest.raises(ValueError, match="summary_columns must be"):
+                small_plan(summary_columns=columns)
+        assert small_plan(summary_columns=["mass", "M"]).summary_columns == ["mass", "M"]
 
     def test_seed_belongs_to_master(self):
         with pytest.raises(ValueError, match="master_seed"):
@@ -284,6 +297,12 @@ class TestDeterminism:
         run_scan(self.dynamic_plan(), out_dir=out, workers=workers)
         return out
 
+    def test_workers_must_be_positive(self, tmp_path):
+        for workers in (0, -3, 1.5, None):
+            with pytest.raises(ValueError, match="workers must be"):
+                run_scan(self.dynamic_plan(), out_dir=tmp_path / "scan", workers=workers)
+        assert not (tmp_path / "scan").exists()
+
     def test_worker_count_does_not_change_results(self, tmp_path):
         serial = self.run_to(tmp_path, "serial", 1)
         threaded = self.run_to(tmp_path, "threaded", 3)
@@ -294,10 +313,3 @@ class TestDeterminism:
         assert strip_runtime((serial / "table.csv").read_text()) == \
             strip_runtime((threaded / "table.csv").read_text())
         assert SCAN_COLUMNS[-1] == "runtime_s"  # the stripped column
-
-    def test_workers_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "2")
-        env_out = self.run_to(tmp_path, "env", None)
-        ref_out = self.run_to(tmp_path, "ref", 1)
-        assert strip_runtime((env_out / "table.csv").read_text()) == \
-            strip_runtime((ref_out / "table.csv").read_text())
