@@ -22,9 +22,9 @@ from .diagnostics import (BoundInputs, envelope_audit, excitation_bound,
 from .evolution import (ContractionError, ConvergenceError, InstabilityError,
                         IntegratorConfig, evolve, lifespan_guard,
                         picard_solve, rhs, step_split)
-from .field import (TorusLattice, as_real, load_state, make_state, pointwise_product,
+from .field import (TorusLattice, load_state, make_state, pointwise_product,
                     random_state, save_state, time_reversal, wiener_norm)
-from .potential import GaussianPotential, make_potential
+from .potential import GaussianPotential, as_real, make_potential
 from .scan import load_plan, run_scan
 
 EXIT_OK = 0

@@ -25,8 +25,8 @@ from numpy.polynomial.legendre import leggauss, legvander
 
 from . import diagnostics
 from .field import _Kernel  # noqa: F401  (perfbench/tracing.py wraps evolution._Kernel)
-from .field import SpectralState, _get_kernel, as_int, as_real, autocorrelation, wiener_norm
-from .potential import PotentialModel, vhat_grid
+from .field import SpectralState, _get_kernel, autocorrelation, wiener_norm
+from .potential import PotentialModel, as_bool, as_int, as_real, vhat_grid
 
 __all__ = [
     "IntegratorConfig",
@@ -82,6 +82,8 @@ class IntegratorConfig:
                 value = as_int(value, f.name)
             elif type(f.default) is float:  # dt, picard_tol and picard_tau are all > 0
                 value = as_real(value, f.name, positive=True)
+            elif type(f.default) is bool:
+                value = as_bool(value, f.name)
             object.__setattr__(self, f.name, type(f.default)(value))
         if self.method not in ("split_strang", "rk4", "picard"):
             raise ValueError(f"unknown method {self.method!r}")
@@ -238,23 +240,20 @@ def picard_solve(state: SpectralState, model: PotentialModel, t_target: float,
     prev_end = None
     for q in (8, 16, 32, 64):
         nodes, weights = leggauss(q)
-        s_nodes = 0.5 * t * (nodes + 1.0)
         Q = _collocation_matrix(nodes, t)
-        rot = [np.exp(1j * s * omega) for s in s_nodes]
-        g = [a0.copy() for _ in range(q)]
+        # node axis first: rot[i] = exp(i omega s_i), g[i] is the iterate at s_i
+        rot = np.exp((0.5j * t) * (nodes + 1.0)[:, None, None, None] * omega)
+        g = np.array([a0] * q)
 
-        def node_terms(g_list):
-            return [rot[i] * kernel.nonlinear(np.conj(rot[i]) * g_list[i])
-                    for i in range(q)]
+        def node_terms(g):
+            return rot * np.array([kernel.nonlinear(a) for a in np.conj(rot) * g])
 
         converged = False
         for _ in range(max_iter):
-            h = node_terms(g)
-            g_new = [a0 - 1j * sum(Q[i, j] * h[j] for j in range(q))
-                     for i in range(q)]
-            delta = max(a2norm(g_new[i] - g[i]) for i in range(q))
+            g_new = a0 - 1j * np.tensordot(Q, node_terms(g), 1)
+            delta = max(map(a2norm, g_new - g))
             g = g_new
-            worst = max(a2norm(gi) for gi in g)
+            worst = max(map(a2norm, g))
             if worst > ball:
                 raise ContractionError(
                     f"iterate norm {worst:.6g} left the contraction ball "
@@ -267,8 +266,8 @@ def picard_solve(state: SpectralState, model: PotentialModel, t_target: float,
                 f"no fixed point within {max_iter} iterations (last delta "
                 f"{delta:.3g}, tol {tol:.3g})")
 
-        h = node_terms(g)
-        integral = sum((0.5 * t * weights[j]) * h[j] for j in range(q))
+        # einsum, not a BLAS gemv, whose threaded reduction order varies with thread count
+        integral = np.einsum("j,j...->...", (0.5 * t) * weights, node_terms(g))
         end = np.exp(-1j * omega * t) * (a0 - 1j * integral)
         if prev_end is not None and a2norm(end - prev_end) < 0.1 * tol:
             return state.with_alpha(end, t=state.t + t)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import base64
 import json
 import math
-import numbers
 import threading
 import weakref
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ import scipy.fft
 from numpy.random import Generator, Philox, SeedSequence
 from scipy.fft import next_fast_len
 
-from .potential import vhat_grid
+from .potential import as_int, as_real, vhat_grid
 
 __all__ = [
     "TorusLattice",
@@ -47,28 +46,6 @@ __all__ = [
 
 SNAPSHOT_FORMAT = "torus-hartree-state"
 SNAPSHOT_VERSION = 1
-
-
-def as_int(value, name: str) -> int:
-    """An integer setting from a number; JSON may spell 4 as 4.0.
-
-    Rejects booleans, non-numbers, NaN, infinities and non-integral
-    values with ValueError rather than truncating them.
-    """
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or value != math.floor(value)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def as_real(value, name: str, positive: bool = False) -> float:
-    """A real setting from a number: rejects booleans, non-numbers, NaN and
-    infinities (and, if positive, values <= 0) with ValueError."""
-    what = "positive and finite" if positive else "a finite number"
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or (positive and value <= 0)):
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    return float(value)
 
 
 def as_mode(value, name: str = "k0") -> tuple:

@@ -20,6 +20,8 @@ set to the smallest constant satisfying both envelopes, so that
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 
 import numpy as np
 
@@ -38,6 +40,51 @@ __all__ = [
     "ConsistencyError",
     "TableRangeError",
 ]
+
+
+def _is_finite_real(value) -> bool:
+    """A real number, not a bool, that fits a finite float: the bound is
+    False for NaN and infinities, and compares an int exactly."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and abs(value) <= sys.float_info.max)
+
+
+def as_int(value, name: str) -> int:
+    """An integer setting from a number; JSON may spell 4 as 4.0.
+
+    Rejects booleans, non-numbers, NaN, infinities, values beyond the
+    float range and non-integral values with ValueError rather than
+    truncating them.
+    """
+    if not _is_finite_real(value) or value != math.floor(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def as_real(value, name: str, positive: bool = False) -> float:
+    """A real setting from a number: rejects booleans, non-numbers, NaN,
+    infinities and values beyond the float range (and, if positive,
+    values <= 0) with ValueError."""
+    if not _is_finite_real(value) or (positive and value <= 0):
+        what = "positive and finite" if positive else "a finite number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return float(value)
+
+
+def as_bool(value, name: str) -> bool:
+    """A switch: only true or false, so that "no" or 0 is not read as a truth value."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def as_reals(value, name: str, positive: bool = False) -> list:
+    """A list of real settings, each read with as_real."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+    return [as_real(v, name, positive) for v in value]
 
 
 class DecayViolationError(ValueError):
@@ -65,16 +112,12 @@ class PotentialModel:
     p_limit: float | None = None
 
     def __init__(self, c=None, delta1=5.0, delta2=5.0):
-        delta1 = float(delta1)
-        delta2 = float(delta2)
-        if delta1 <= 0.0:
-            raise ValueError(f"delta1 must be positive, got {delta1}")
-        if delta2 <= 4.0:
+        self.delta1 = as_real(delta1, "delta1", positive=True)
+        self.delta2 = as_real(delta2, "delta2")
+        if self.delta2 <= 4.0:
             # the contraction estimates need summable p^2 * Vhat tails
-            raise ValueError(f"delta2 must exceed 4, got {delta2}")
-        self.delta1 = delta1
-        self.delta2 = delta2
-        self.C = float(c) if c is not None else self._tight_decay_constant()
+            raise ValueError(f"delta2 must exceed 4, got {self.delta2}")
+        self.C = as_real(c, "C") if c is not None else self._tight_decay_constant()
         if self.C <= 0.0:
             raise ValueError("decay constant C must be positive")
 
@@ -105,15 +148,9 @@ class GaussianPotential(PotentialModel):
     family = "gaussian"
 
     def __init__(self, amplitude=1.0, sigma=1.0, c=None, delta1=5.0, delta2=5.0):
-        amplitude = float(amplitude)
-        sigma = float(sigma)
-        if amplitude <= 0.0:
-            raise ValueError("amplitude must be positive")
-        if sigma <= 0.0:
-            raise ValueError("sigma must be positive")
-        self.amplitude = amplitude
-        self.sigma = sigma
-        self.b = amplitude * (2.0 * math.pi * sigma**2) ** 1.5
+        self.amplitude = as_real(amplitude, "amplitude", positive=True)
+        self.sigma = as_real(sigma, "sigma", positive=True)
+        self.b = self.amplitude * (2.0 * math.pi * self.sigma**2) ** 1.5
         super().__init__(c=c, delta1=delta1, delta2=delta2)
 
     def profile(self, r):
@@ -157,26 +194,27 @@ class TabulatedRadialPotential(PotentialModel):
         from scipy.integrate import simpson
         from scipy.interpolate import CubicSpline, PchipInterpolator
 
-        radii = np.asarray(radii, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if radii.ndim != 1 or radii.shape != values.shape or radii.size < 4:
+        radii = np.array(as_reals(radii, "radii"))
+        values = np.array(as_reals(values, "values"))
+        if radii.shape != values.shape or radii.size < 4:
             raise ValueError("need matching 1-D radii/values with >= 4 samples")
         if radii[0] != 0.0 or np.any(np.diff(radii) <= 0.0):
             raise ValueError("radii must start at 0 and increase strictly")
         if np.any(values < 0.0):
             raise ValueError("profile samples must be non-negative")
-        if p_max <= 0.0:
-            raise ValueError("p_max must be positive")
+        self.p_limit = as_real(p_max, "p_max", positive=True)
+        fourier_samples = as_int(fourier_samples, "fourier_samples")
+        if fourier_samples < 2:
+            raise ValueError("fourier_samples must be >= 2")
         self.radii = radii
         self.values = values
         self.r_max = float(radii[-1])
-        self.p_limit = float(p_max)
         self._real = PchipInterpolator(radii, values, extrapolate=False)
 
         # dense radial quadrature grid; sinc handles the p -> 0 limit
         rr = np.linspace(0.0, self.r_max, 8 * (radii.size - 1) + 1)
         vv = self._real(rr)
-        pp = np.linspace(0.0, self.p_limit, int(fourier_samples))
+        pp = np.linspace(0.0, self.p_limit, fourier_samples)
         integrand = (rr * rr * vv)[None, :] * np.sinc(pp[:, None] * rr[None, :] / math.pi)
         vhat = 4.0 * math.pi * simpson(integrand, x=rr, axis=-1)
         neg = vhat.min()

@@ -18,13 +18,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
-import numpy as np
 from numpy.random import SeedSequence
 
 from . import diagnostics
 from .evolution import IntegratorConfig, Trajectory, evolve
-from .field import STATE_FAMILIES, TorusLattice, as_int, as_mode, as_real, make_state
-from .potential import make_potential
+from .field import STATE_FAMILIES, TorusLattice, as_mode, make_state
+from .potential import as_bool, as_int, as_real, as_reals, make_potential
 
 __all__ = [
     "ScanPlan",
@@ -59,17 +58,17 @@ class ScanPlan:
 
     def __post_init__(self):
         for name in ("rho_values", "L_values"):
-            raw = getattr(self, name)
-            if not isinstance(raw, (list, tuple, np.ndarray)):
-                raise ValueError(f"{name} must be a list of numbers, got {raw!r}")
-            vals = [as_real(v, name, positive=True) for v in raw]
+            vals = as_reals(getattr(self, name), name, positive=True)
             if not vals:
                 raise ValueError(f"{name} must be non-empty")
             if any(b <= a for a, b in zip(vals, vals[1:])):
                 raise ValueError(f"{name} must be strictly ascending")
             setattr(self, name, vals)
         self.kappa = as_real(self.kappa, "kappa", positive=True)
-        self.dt = as_real(self.dt, "dt", positive=True)
+        # the integrator's own checks, so a bad method fails before any point runs
+        config = IntegratorConfig(method=self.method, dt=self.dt, dealiasing=self.dealiasing)
+        self.method, self.dt, self.dealiasing = config.method, config.dt, config.dealiasing
+        self.write_trajectories = as_bool(self.write_trajectories, "write_trajectories")
         self.t_final = as_real(self.t_final, "t_final")
         if self.t_final < 0.0:
             raise ValueError("t_final must be non-negative")

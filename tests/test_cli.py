@@ -154,7 +154,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("key,value", [
         ("M", math.inf), ("M", 2.5), ("stride", math.inf),
-        ("picard_max_iter", math.inf)])
+        ("picard_max_iter", math.inf), ("M", 10**400), ("stride", 10**400)])
     def test_bad_integer_setting(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, **{key: value})
         code = run(["simulate", "--config", str(cfg),
@@ -165,13 +165,41 @@ class TestSimulate:
 
     @pytest.mark.parametrize("key,value", [
         ("rho", None), ("t_final", [1]), ("dt", True), ("L", True),
-        ("dt", "0.001"), ("L", [2.0])])
+        ("dt", "0.001"), ("L", [2.0]), ("L", 10**400)])
     def test_bad_real_setting(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, **{key: value})
         code = run(["simulate", "--config", str(cfg),
                     "--out", str(tmp_path / "t.csv")])
         assert code == 2
         assert f"{key} must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("value", ["no", 0])
+    def test_dealiasing_must_be_boolean(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, dealiasing=value)
+        code = run(["simulate", "--config", str(cfg),
+                    "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert "dealiasing must be true or false" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("potential,message", [
+        ({"sigma": math.nan}, "sigma must be positive and finite"),
+        ({"amplitude": math.inf}, "amplitude must be positive and finite"),
+        ({"sigma": "1.0"}, "sigma must be positive and finite"),
+        ({"C": math.nan}, "C must be a finite number"),
+        ({"delta2": math.nan}, "delta2 must be a finite number"),
+        ({"family": "tabulated_radial", "radii": [0.0, 1.0, 2.0, 3.0],
+          "values": [1.0, math.nan, 0.0, 0.0]}, "values must be a finite number"),
+        ({"family": "tabulated_radial", "radii": [0.0, 1.0, 2.0, 3.0],
+          "values": [1.0, 0.5, 0.1, 0.0], "fourier_samples": 1.5},
+         "fourier_samples must be an integer")])
+    def test_bad_potential_parameter(self, tmp_path, capsys, potential, message):
+        cfg = write_config(tmp_path, potential={"family": "gaussian", **potential})
+        code = run(["simulate", "--config", str(cfg),
+                    "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("k0", [5, [1.5, 0, 0], [1, 2]])
@@ -327,7 +355,11 @@ class TestScan:
         ({"family_params": {"eps0": 0.2, "s": 6.0, "k0": [1.5, 0, 0]}}, "k0 must be"),
         ({"family_params": {"eps0": 0.2, "s": 6.0, "k0": [1, 2]}}, "k0 must be"),
         ({"kappa": True}, "kappa must be"),
-        ({"dt": "1e-3"}, "dt must be")])
+        ({"dt": "1e-3"}, "dt must be"),
+        ({"method": "bogus"}, "unknown method 'bogus'"),
+        ({"dealiasing": "no"}, "dealiasing must be true or false"),
+        ({"write_trajectories": "no"}, "write_trajectories must be true or false"),
+        ({"stride": 10**400}, "stride must be an integer")])
     def test_invalid_plan_writes_nothing(self, tmp_path, capsys, overrides, message):
         assert run(["scan", "--plan", str(self.plan(tmp_path, **overrides)),
                     "--out", str(tmp_path / "scan")]) == 2

@@ -32,7 +32,9 @@ from torus_hartree import (
     time_reversal,
 )
 from torus_hartree import diagnostics
-from torus_hartree.evolution import _get_kernel
+from numpy.polynomial.legendre import leggauss
+
+from torus_hartree.evolution import _collocation_matrix, _get_kernel
 
 from conftest import B_GAUSS
 
@@ -44,6 +46,48 @@ def quasi_condensate(m=2, L=4.0, rho=10.0, eps=0.1, s=6.0, seed=1):
 
 def l2_dist(a, b):
     return float(np.sqrt(np.sum(np.abs(a.alpha - b.alpha) ** 2)))
+
+
+def picard_per_node(state, model, t, tau=1.5, tol=1e-10, max_iter=100):
+    """picard_solve's fixed point with one array per node and explicit
+    sums over nodes: the reference for its stacked node algebra."""
+    lat = state.lattice
+    kernel = _get_kernel(model, lat, True)
+    omega, w2 = lat.omega, lat.a2_weight
+
+    def a2norm(arr):
+        return lat.ordered_sum(w2 * np.abs(arr))
+
+    a0 = state.alpha
+    ball = tau * a2norm(a0)
+    prev_end = None
+    for q in (8, 16, 32, 64):
+        nodes, weights = leggauss(q)
+        Q = _collocation_matrix(nodes, t)
+        rot = [np.exp(1j * s * omega) for s in 0.5 * t * (nodes + 1.0)]
+        g = [a0.copy() for _ in range(q)]
+
+        def node_terms(g_list):
+            return [rot[i] * kernel.nonlinear(np.conj(rot[i]) * g_list[i])
+                    for i in range(q)]
+
+        for _ in range(max_iter):
+            h = node_terms(g)
+            g_new = [a0 - 1j * sum(Q[i, j] * h[j] for j in range(q)) for i in range(q)]
+            delta = max(a2norm(g_new[i] - g[i]) for i in range(q))
+            g = g_new
+            assert max(a2norm(gi) for gi in g) <= ball
+            if delta < tol:
+                break
+        else:
+            raise AssertionError("reference did not converge")
+        h = node_terms(g)
+        integral = sum((0.5 * t * weights[j]) * h[j] for j in range(q))
+        end = np.exp(-1j * omega * t) * (a0 - 1j * integral)
+        if prev_end is not None and a2norm(end - prev_end) < 0.1 * tol:
+            return end
+        prev_end = end
+    raise AssertionError("reference quadrature did not settle")
 
 
 class TestRhs:
@@ -224,6 +268,28 @@ class TestPicard:
             cur = step_split(cur, gaussian, t / 256.0)
         assert l2_dist(oracle, cur) < 1e-7
 
+    @pytest.mark.parametrize("q", [8, 16])
+    def test_collocation_matrix_integrates_polynomials(self, q):
+        # (Q p(s))_i = int_0^{s_i} p for every p of degree < q; u = s / t in [0, 1]
+        t = 0.7
+        nodes, _ = leggauss(q)
+        u = 0.5 * (nodes + 1.0)
+        Q = _collocation_matrix(nodes, t)
+        for k in range(q):
+            np.testing.assert_allclose(Q @ u**k, t * u ** (k + 1) / (k + 1),
+                                       rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("frac", [0.1, 0.3])
+    def test_matches_per_node_reference(self, gaussian, m, frac):
+        lat = TorusLattice(4.0, m)
+        states = [quasi_condensate(m=m), random_state(lat, 10.0, seed=m),
+                  make_state("plane_wave", lat, 10.0, k0=(1, 0, -1), theta=0.4)]
+        for st in states:
+            t = frac * lifespan_guard(st, gaussian).guard
+            got = picard_solve(st, gaussian, t).alpha
+            assert np.max(np.abs(got - picard_per_node(st, gaussian, t))) <= 1e-14
+
     def test_zero_horizon_is_identity(self, gaussian):
         st = quasi_condensate()
         out = picard_solve(st, gaussian, 0.0)
@@ -348,10 +414,16 @@ class TestEvolve:
         for bad in (math.nan, math.inf, 2.5):
             with pytest.raises(ValueError, match="picard_max_iter must be an integer"):
                 IntegratorConfig(picard_max_iter=bad)
-        for bad in (True, "0.001", None, [1e-3]):
+        for bad in (True, "0.001", None, [1e-3], 10**400):
             for name in ("dt", "picard_tol", "picard_tau"):
                 with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
                     IntegratorConfig(**{name: bad})
+        with pytest.raises(ValueError, match="picard_max_iter must be an integer"):
+            IntegratorConfig(picard_max_iter=10**400)
+        for bad in ("no", "false", 0, 1, None, [True]):
+            with pytest.raises(ValueError, match="dealiasing must be true or false"):
+                IntegratorConfig(dealiasing=bad)
+        assert IntegratorConfig(dealiasing=False).dealiasing is False
 
     def test_config_coerces_json_numbers(self):
         cfg = IntegratorConfig(dt=1, picard_tau=2, picard_max_iter=50.0)

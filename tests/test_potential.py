@@ -80,6 +80,12 @@ class TestGaussian:
         with pytest.raises(ValueError):
             GaussianPotential(sigma=-1.0)
 
+    def test_rejects_non_finite_parameters(self):
+        for bad in (math.nan, math.inf, -math.inf, 10**400, "1.0", [1.0], True):
+            for name in ("amplitude", "sigma", "C", "delta1", "delta2"):
+                with pytest.raises(ValueError, match=f"{name} must be"):
+                    make_potential({"family": "gaussian", name: bad})
+
 
 class TestDecayEnvelope:
     def test_auto_constant_is_tight(self, gaussian):
@@ -243,6 +249,21 @@ class TestTabulated:
         vals = np.where((r > 2.0) & (r < 2.5), 1.0, 0.0)
         with pytest.raises(ValueError):
             TabulatedRadialPotential(r, vals, c=100.0)
+
+    def test_rejects_non_finite_samples(self):
+        r, v = [0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.1, 0.0]
+        for bad in (math.nan, math.inf, 10**400, "1.0", None):
+            with pytest.raises(ValueError, match="radii must be"):
+                TabulatedRadialPotential(r[:3] + [bad], v)
+            with pytest.raises(ValueError, match="values must be"):
+                TabulatedRadialPotential(r, v[:3] + [bad])
+            with pytest.raises(ValueError, match="p_max must be"):
+                TabulatedRadialPotential(r, v, p_max=bad)
+        for bad in (1.5, math.nan, 10**400, "2049", 1):
+            with pytest.raises(ValueError, match="fourier_samples must be"):
+                TabulatedRadialPotential(r, v, fourier_samples=bad)
+        with pytest.raises(ValueError, match="values must be a list of numbers"):
+            TabulatedRadialPotential(r, "abcd")
 
     def test_requires_monotone_radii(self):
         with pytest.raises(ValueError):

@@ -70,6 +70,18 @@ class TestPlan:
             for name in ("rho_values", "L_values"):
                 with pytest.raises(ValueError, match=name):
                     small_plan(**{name: [1.0, bad]})
+        for name in ("stride", "master_seed"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                small_plan(**{name: 10**400})
+        for name in ("kappa", "t_final", "dt"):
+            with pytest.raises(ValueError, match=f"{name} must be"):
+                small_plan(**{name: 10**400})
+        for bad in ("no", 0, 1, None):
+            for name in ("dealiasing", "write_trajectories"):
+                with pytest.raises(ValueError, match=f"{name} must be true or false"):
+                    small_plan(**{name: bad})
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            small_plan(method="bogus")
 
     def test_summary_columns_validated_on_load(self):
         for columns in (5, "beta_gap", ["nope"], ["status"], ["beta_gap", 1]):
