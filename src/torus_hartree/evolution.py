@@ -199,6 +199,13 @@ def _collocation_matrix(nodes, t):
     return 0.5 * t * np.linalg.solve(vander[:, :q].T, B.T).T
 
 
+def _interpolation_matrix(nodes, new_nodes):
+    """Matrix P with (P g)_i = interpolant(g)(new_nodes[i]), where the
+    interpolant is the degree q-1 polynomial through the values g at nodes."""
+    q = nodes.size
+    return np.linalg.solve(legvander(nodes, q - 1).T, legvander(new_nodes, q - 1).T).T
+
+
 def picard_solve(state: SpectralState, model: PotentialModel, t_target: float,
                  tau: float = 1.5, tol: float = 1e-10,
                  max_iter: int = 100) -> SpectralState:
@@ -208,9 +215,11 @@ def picard_solve(state: SpectralState, model: PotentialModel, t_target: float,
     Duhamel map reads g = alpha0 - i int_0^t exp(i omega s) NL(alpha(s)) ds.
     The integral is evaluated on Gauss-Legendre nodes through the exact
     integration matrix of the degree q-1 interpolant, with q doubling
-    until the endpoint moves by less than 0.1 tol.  Iterates start at the
-    free flight (g = alpha0) and must stay inside the contraction ball of
-    radius tau times the initial A^2 norm.
+    until the endpoint moves by less than 0.1 tol.  The q = 8 pass starts
+    at the free flight (g = alpha0); each doubled pass starts from the
+    previous pass's solution, interpolated to its nodes.  Every iterate,
+    the interpolated starts included, must stay inside the contraction
+    ball of radius tau times the initial A^2 norm.
     """
     t = float(t_target)
     if t < 0.0:
@@ -237,13 +246,26 @@ def picard_solve(state: SpectralState, model: PotentialModel, t_target: float,
 
     a0 = state.alpha
     ball = tau * a2norm(a0)
+
+    def check_ball(g):
+        worst = max(map(a2norm, g))
+        if worst > ball:
+            raise ContractionError(
+                f"iterate norm {worst:.6g} left the contraction ball "
+                f"{ball:.6g} (tau = {tau})")
+
     prev_end = None
     for q in (8, 16, 32, 64):
         nodes, weights = leggauss(q)
         Q = _collocation_matrix(nodes, t)
         # node axis first: rot[i] = exp(i omega s_i), g[i] is the iterate at s_i
         rot = np.exp((0.5j * t) * (nodes + 1.0)[:, None, None, None] * omega)
-        g = np.array([a0] * q)
+        if prev_end is None:
+            g = np.array([a0] * q)
+        else:
+            g = np.tensordot(_interpolation_matrix(prev_nodes, nodes), g, 1)
+            check_ball(g)
+        prev_nodes = nodes
 
         def node_terms(g):
             return rot * np.array([kernel.nonlinear(a) for a in np.conj(rot) * g])
@@ -253,11 +275,7 @@ def picard_solve(state: SpectralState, model: PotentialModel, t_target: float,
             g_new = a0 - 1j * np.tensordot(Q, node_terms(g), 1)
             delta = max(map(a2norm, g_new - g))
             g = g_new
-            worst = max(map(a2norm, g))
-            if worst > ball:
-                raise ContractionError(
-                    f"iterate norm {worst:.6g} left the contraction ball "
-                    f"{ball:.6g} (tau = {tau})")
+            check_ball(g)
             if delta < tol:
                 converged = True
                 break

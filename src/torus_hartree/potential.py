@@ -78,6 +78,19 @@ def as_bool(value, name: str) -> bool:
     return value
 
 
+def _positive_finite(compute, name: str) -> float:
+    """compute() as a float that must be positive and finite.  Extreme
+    settings can make the float arithmetic overflow or divide by zero;
+    that raises ValueError too."""
+    try:
+        value = float(compute())
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"{name} is beyond the float range for these settings") from exc
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite for these settings, got {value!r}")
+    return value
+
+
 def as_reals(value, name: str, positive: bool = False) -> list:
     """A list of real settings, each read with as_real."""
     if isinstance(value, np.ndarray):
@@ -102,10 +115,10 @@ class TableRangeError(ValueError):
 class PotentialModel:
     """Base class: radial pair potential with certified decay data.
 
-    Subclasses must set ``b`` (the integral of V, equal to Vhat(0)) and
-    implement ``profile`` and ``fourier_profile_radial``.  ``p_limit``
-    is None for analytic families and the largest admissible |p| for
-    tabulated ones.
+    Subclasses implement ``_integral`` (b, the integral of V, equal to
+    Vhat(0)), ``profile`` and ``fourier_profile_radial``; b and C must
+    come out positive and finite.  ``p_limit`` is None for analytic
+    families and the largest admissible |p| for tabulated ones.
     """
 
     family = "abstract"
@@ -117,7 +130,9 @@ class PotentialModel:
         if self.delta2 <= 4.0:
             # the contraction estimates need summable p^2 * Vhat tails
             raise ValueError(f"delta2 must exceed 4, got {self.delta2}")
-        self.C = as_real(c, "C") if c is not None else self._tight_decay_constant()
+        self.b = _positive_finite(self._integral, "potential integral b")
+        self.C = as_real(c, "C") if c is not None else _positive_finite(
+            self._tight_decay_constant, "decay constant C")
         if self.C <= 0.0:
             raise ValueError("decay constant C must be positive")
 
@@ -127,6 +142,9 @@ class PotentialModel:
 
     def fourier_profile_radial(self, p):
         """Radial Fourier transform Vhat(|p|); vectorized in p."""
+        raise NotImplementedError
+
+    def _integral(self):
         raise NotImplementedError
 
     def _tight_decay_constant(self):
@@ -150,8 +168,10 @@ class GaussianPotential(PotentialModel):
     def __init__(self, amplitude=1.0, sigma=1.0, c=None, delta1=5.0, delta2=5.0):
         self.amplitude = as_real(amplitude, "amplitude", positive=True)
         self.sigma = as_real(sigma, "sigma", positive=True)
-        self.b = self.amplitude * (2.0 * math.pi * self.sigma**2) ** 1.5
         super().__init__(c=c, delta1=delta1, delta2=delta2)
+
+    def _integral(self):
+        return self.amplitude * (2.0 * math.pi * self.sigma**2) ** 1.5
 
     def profile(self, r):
         r = np.asarray(r, dtype=float)
@@ -170,7 +190,8 @@ class GaussianPotential(PotentialModel):
 
         c_real = peak(self.amplitude, 3.0 + self.delta1, 1.0 / self.sigma**2)
         c_fourier = peak(self.b, 3.0 + self.delta2, self.sigma**2)
-        return max(c_real, c_fourier)
+        # np.maximum keeps a NaN (inf * 0 at extreme deltas) for the caller to reject
+        return np.maximum(c_real, c_fourier)
 
 
 class TabulatedRadialPotential(PotentialModel):
@@ -226,10 +247,10 @@ class TabulatedRadialPotential(PotentialModel):
         self._fourier = CubicSpline(pp, vhat)
         self._vhat_table = vhat
         self._p_table = pp
-        self.b = float(vhat[0])
-        if self.b <= 0.0:
-            raise ValueError("potential integrates to zero; b must be positive")
         super().__init__(c=c, delta1=delta1, delta2=delta2)
+
+    def _integral(self):
+        return self._vhat_table[0]
 
     def profile(self, r):
         r = np.asarray(r, dtype=float)

@@ -234,9 +234,9 @@ def run_scan(plan: ScanPlan, out_dir=None, workers: int = 1) -> list:
     workers = as_int(workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    model = make_potential(plan.potential)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    model = make_potential(plan.potential)
 
     points = [(i_rho, i_L)
               for i_rho in range(len(plan.rho_values))

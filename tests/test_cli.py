@@ -193,7 +193,11 @@ class TestSimulate:
           "values": [1.0, math.nan, 0.0, 0.0]}, "values must be a finite number"),
         ({"family": "tabulated_radial", "radii": [0.0, 1.0, 2.0, 3.0],
           "values": [1.0, 0.5, 0.1, 0.0], "fourier_samples": 1.5},
-         "fourier_samples must be an integer")])
+         "fourier_samples must be an integer"),
+        ({"sigma": 1e200}, "potential integral b is beyond the float range"),
+        ({"sigma": 1e-200}, "potential integral b must be positive and finite"),
+        ({"amplitude": 1e300, "sigma": 1e3},
+         "potential integral b must be positive and finite")])
     def test_bad_potential_parameter(self, tmp_path, capsys, potential, message):
         cfg = write_config(tmp_path, potential={"family": "gaussian", **potential})
         code = run(["simulate", "--config", str(cfg),
@@ -359,7 +363,9 @@ class TestScan:
         ({"method": "bogus"}, "unknown method 'bogus'"),
         ({"dealiasing": "no"}, "dealiasing must be true or false"),
         ({"write_trajectories": "no"}, "write_trajectories must be true or false"),
-        ({"stride": 10**400}, "stride must be an integer")])
+        ({"stride": 10**400}, "stride must be an integer"),
+        ({"potential": {"family": "gaussian", "sigma": 1e200}},
+         "potential integral b is beyond the float range")])
     def test_invalid_plan_writes_nothing(self, tmp_path, capsys, overrides, message):
         assert run(["scan", "--plan", str(self.plan(tmp_path, **overrides)),
                     "--out", str(tmp_path / "scan")]) == 2

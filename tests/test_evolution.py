@@ -2,7 +2,10 @@
 
 import gc
 import math
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -31,10 +34,16 @@ from torus_hartree import (
     step_split,
     time_reversal,
 )
+import torus_hartree
 from torus_hartree import diagnostics
 from numpy.polynomial.legendre import leggauss
 
-from torus_hartree.evolution import _collocation_matrix, _get_kernel
+from torus_hartree.evolution import (
+    _Kernel,
+    _collocation_matrix,
+    _get_kernel,
+    _interpolation_matrix,
+)
 
 from conftest import B_GAUSS
 
@@ -278,6 +287,57 @@ class TestPicard:
         for k in range(q):
             np.testing.assert_allclose(Q @ u**k, t * u ** (k + 1) / (k + 1),
                                        rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("q", [8, 16])
+    def test_interpolation_matrix_reproduces_polynomials(self, q):
+        # (P p(s))_i = p(s'_i) for every p of degree < q, from q to 2q nodes
+        nodes, _ = leggauss(q)
+        new_nodes, _ = leggauss(2 * q)
+        P = _interpolation_matrix(nodes, new_nodes)
+        u, new_u = 0.5 * (nodes + 1.0), 0.5 * (new_nodes + 1.0)
+        for k in range(q):
+            np.testing.assert_allclose(P @ u**k, new_u**k, rtol=0, atol=1e-13)
+
+    def test_doubled_passes_start_warm(self, gaussian, monkeypatch):
+        # q = 8 sweeps from the free flight; q = 16 starts from its solution
+        # and settles in one sweep: 8 (sweeps + 1) + 16 (1 + 1) kernel calls
+        calls = []
+        nonlinear = _Kernel.nonlinear
+
+        def counted(kernel, alpha):
+            calls.append(None)
+            return nonlinear(kernel, alpha)
+
+        monkeypatch.setattr(_Kernel, "nonlinear", counted)
+        st = quasi_condensate(m=3, eps=0.05)
+        guard = lifespan_guard(st, gaussian).guard
+        counts = []
+        for frac in (0.05, 0.1, 0.2, 0.3):
+            calls.clear()
+            picard_solve(st, gaussian, frac * guard)
+            counts.append(len(calls))
+        assert counts == [72, 80, 80, 88]
+
+    def test_bit_identical_across_blas_threads(self):
+        src = os.path.dirname(os.path.dirname(torus_hartree.__file__))
+        code = textwrap.dedent("""
+            import hashlib
+            from torus_hartree import (GaussianPotential, TorusLattice, lifespan_guard,
+                                       make_state, picard_solve)
+            model = GaussianPotential()
+            for m in (3, 8):
+                st = make_state("perturbed", TorusLattice(4.0, m), 10.0, eps=0.05, s=6.0, seed=1)
+                for frac in (0.05, 0.3):
+                    out = picard_solve(st, model, frac * lifespan_guard(st, model).guard)
+                    print(m, frac, hashlib.sha256(out.alpha.tobytes()).hexdigest())
+            """)
+        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        outputs = [subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                                  text=True, env=dict(os.environ, PYTHONPATH=path,
+                                                      OPENBLAS_NUM_THREADS=threads)).stdout
+                   for threads in ("1", "2")]
+        assert len(outputs[0].splitlines()) == 4
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("frac", [0.1, 0.3])

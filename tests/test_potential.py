@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 import torus_hartree
@@ -31,6 +33,11 @@ from torus_hartree.field import _get_kernel
 from torus_hartree.potential import vhat_grid
 
 from conftest import B_GAUSS
+
+
+# every float, NaN, infinities and subnormals included, with positive values drawn
+# as often again so that many draws reach the computation of b and C
+ANY_FLOAT = st.floats() | st.floats(min_value=0.0, exclude_min=True)
 
 
 def quad_fourier_oracle(profile, p, r_max=30.0):
@@ -85,6 +92,34 @@ class TestGaussian:
             for name in ("amplitude", "sigma", "C", "delta1", "delta2"):
                 with pytest.raises(ValueError, match=f"{name} must be"):
                     make_potential({"family": "gaussian", name: bad})
+
+    @pytest.mark.parametrize("params,message", [
+        ({"sigma": 1e200}, "potential integral b is beyond the float range"),
+        ({"sigma": 1e-200}, "potential integral b must be positive and finite"),
+        ({"amplitude": 1e300, "sigma": 1e3},
+         "potential integral b must be positive and finite"),
+        ({"sigma": 1e-100}, "decay constant C is beyond the float range"),
+        ({"delta2": 1e308}, "decay constant C must be positive and finite")])
+    def test_rejects_extreme_parameters(self, params, message):
+        # finite settings whose b or C leaves the float range
+        with pytest.raises(ValueError, match=message):
+            make_potential({"family": "gaussian", **params})
+
+    @settings(max_examples=400, deadline=None)
+    @given(amplitude=ANY_FLOAT, sigma=ANY_FLOAT, c=st.none() | ANY_FLOAT,
+           delta1=ANY_FLOAT, delta2=ANY_FLOAT)
+    def test_any_float_parameters_give_finite_constants(self, amplitude, sigma, c,
+                                                        delta1, delta2):
+        config = {"family": "gaussian", "amplitude": amplitude, "sigma": sigma,
+                  "delta1": delta1, "delta2": delta2}
+        if c is not None:
+            config["C"] = c
+        try:
+            model = make_potential(config)
+        except ValueError:
+            return
+        assert 0.0 < model.b < math.inf
+        assert 0.0 < model.C < math.inf
 
 
 class TestDecayEnvelope:
@@ -264,6 +299,15 @@ class TestTabulated:
                 TabulatedRadialPotential(r, v, fourier_samples=bad)
         with pytest.raises(ValueError, match="values must be a list of numbers"):
             TabulatedRadialPotential(r, "abcd")
+
+    def test_rejects_out_of_range_constants(self):
+        r = self.radii()
+        with pytest.raises(ValueError, match="potential integral b must be positive"):
+            TabulatedRadialPotential(r, np.zeros_like(r))
+        # (1 + p)^(3 + delta2) overflows on the tabulated momenta, so C would be inf
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="decay constant C must be positive and finite"):
+                TabulatedRadialPotential(r, np.exp(-r**2 / 2), delta2=300.0)
 
     def test_requires_monotone_radii(self):
         with pytest.raises(ValueError):
