@@ -1,10 +1,10 @@
 """Command-line frontend.
 
 All numerics live in the library modules; this is a thin shell mapping
-subcommands to them.  Exit codes: 0 success, 1 IO error, 2 invalid
-flags or config (unknown keys and non-finite numbers included), 3
-verification failure or a numerical failure of the run (instability,
-Picard contraction or convergence).
+subcommands to them.  Exit codes: 0 success, 1 IO error or a scan
+worker process that died, 2 invalid flags or config (unknown keys and
+non-finite numbers included), 3 verification failure or a numerical
+failure of the run (instability, Picard contraction or convergence).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -341,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--plan", required=True, help="scan plan JSON")
     sc.add_argument("--out", required=True, help="output directory")
     sc.add_argument("--workers", type=int, default=1,
-                    help="worker threads (default: 1)")
+                    help="worker processes, forked; rows stay in plan order (default: 1)")
     return p
 
 
@@ -371,6 +372,10 @@ def main(argv=None) -> int:
         return EXIT_VERIFY
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except BrokenProcessPool as exc:
+        print(f"error: scan worker process died; no table.csv or summary.json "
+              f"written ({exc})", file=sys.stderr)
         return EXIT_IO
 
 

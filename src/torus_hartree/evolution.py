@@ -139,8 +139,15 @@ def step_split(state: SpectralState, model: PotentialModel, dt: float,
     a = half * state.alpha
     phi = kernel.field(a)
     theta = -dt * kernel.convolved_density(phi)
-    phi = phi * (np.cos(theta) + 1j * np.sin(theta))
-    a = half * kernel.crop(phi)
+    # Complex products are explicit ufunc calls in the written order: numpy
+    # computes x * temporary as temporary * x once the temporary has 256 KiB,
+    # and a complex multiply is not bitwise commutative.  The product goes
+    # into the phase buffer, as the elided form did; writing it into phi
+    # instead made 6x the page faults and a 10% slower step at M=16.
+    phase = np.cos(theta) + 1j * np.sin(theta)
+    phi = np.multiply(phi, phase, out=phase)
+    a = kernel.crop(phi)
+    np.multiply(half, a, out=a)
     t1 = state.t + dt
     _check_finite(a, t1)
     return state.with_alpha(a, t=t1)
@@ -268,7 +275,8 @@ def picard_solve(state: SpectralState, model: PotentialModel, t_target: float,
         prev_nodes = nodes
 
         def node_terms(g):
-            return rot * np.array([kernel.nonlinear(a) for a in np.conj(rot) * g])
+            terms = np.array([kernel.nonlinear(a) for a in np.conj(rot) * g])
+            return np.multiply(rot, terms, out=terms)  # operand order: see step_split
 
         converged = False
         for _ in range(max_iter):

@@ -233,8 +233,9 @@ class _Kernel:
     field and crop are the module's pruned transforms _synthesize and
     _analyze, which autocorrelation and pointwise_product share.  The
     density is real, so its convolution with V uses rfftn and the
-    half-spectrum vhat_half.  The kernel keeps no scratch buffers: scan
-    worker threads share one kernel, so each call allocates its own.
+    half-spectrum vhat_half.  The kernel keeps no scratch buffers, so
+    threads of one process may share it: each call allocates its own.
+    (Scan worker processes each build their own kernels.)
     """
 
     def __init__(self, lattice: TorusLattice, model, dealias: bool):
@@ -272,7 +273,7 @@ class _Kernel:
 
 
 # model -> {(lattice, dealias): kernel}; an entry lives as long as its model.
-# Scan worker threads share it, so lookups and builds hold the lock.
+# A library caller's threads may share it, so lookups and builds hold the lock.
 _KERNELS = weakref.WeakKeyDictionary()
 _KERNELS_LOCK = threading.Lock()
 

@@ -186,7 +186,8 @@ class GaussianPotential(PotentialModel):
         # of r (1+r) = (3+delta)/a; both envelopes have this shape.
         def peak(prefactor, expo, a):
             r = 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * expo / a))
-            return prefactor * (1.0 + r) ** expo * math.exp(-0.5 * a * r * r)
+            # one exponential: (1+r)^expo alone can overflow where the peak fits
+            return prefactor * math.exp(expo * math.log1p(r) - 0.5 * a * r * r)
 
         c_real = peak(self.amplitude, 3.0 + self.delta1, 1.0 / self.sigma**2)
         c_fourier = peak(self.b, 3.0 + self.delta2, self.sigma**2)

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 from numpy.random import SeedSequence
@@ -224,16 +225,43 @@ def _run_point(plan: ScanPlan, model, i_rho: int, i_L: int, out_dir) -> ScanReco
     return rec
 
 
+# A pool worker's (plan, model, out_dir), set once per worker process by
+# _init_worker.  Fork hands the parent's objects over without pickling.
+_worker_scan = None
+
+
+def _init_worker(plan, model, out_dir):
+    global _worker_scan
+    _worker_scan = (plan, model, out_dir)
+
+
+def _run_worker_point(i_rho: int, i_L: int) -> ScanRecord:
+    plan, model, out_dir = _worker_scan
+    return _run_point(plan, model, i_rho, i_L, out_dir)
+
+
 def run_scan(plan: ScanPlan, out_dir=None, workers: int = 1) -> list:
     """Execute all plan points; rows come back rho-major, then L.
 
     Per-point failures are recorded in the row's status and do not stop
     the scan.  When ``out_dir`` is given, writes table.csv, summary.json,
     and one trajectory CSV per point.
+
+    With ``workers`` > 1 the points run on that many forked worker
+    processes (at most one per point), largest M first, and the rows are
+    put back in plan order.  A worker that dies raises
+    ``concurrent.futures.process.BrokenProcessPool`` and nothing more is
+    written.  Fork is required: a spawned worker would pay the package
+    import (~0.35 s) again.  Fork copies only the calling thread, so no
+    other thread of the caller may hold a lock the points take (the
+    kernel cache's, say) while the pool starts.
     """
     workers = as_int(workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        raise ValueError("workers > 1 needs the fork start method, "
+                         "which this platform does not offer")
     model = make_potential(plan.potential)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -244,10 +272,14 @@ def run_scan(plan: ScanPlan, out_dir=None, workers: int = 1) -> list:
     if workers == 1:
         records = [_run_point(plan, model, i, j, out_dir) for i, j in points]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(
-                lambda ij: _run_point(plan, model, ij[0], ij[1], out_dir),
-                points))
+        with ProcessPoolExecutor(max_workers=min(workers, len(points)),
+                                 mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_init_worker,
+                                 initargs=(plan, model, out_dir)) as pool:
+            # the largest (slowest) points first, so none starts last
+            by_cost = sorted(points, key=lambda ij: -plan.cutoff(plan.L_values[ij[1]]))
+            futures = {ij: pool.submit(_run_worker_point, *ij) for ij in by_cost}
+            records = [futures[ij].result() for ij in points]
 
     if out_dir is not None:
         write_scan_csv(records, os.path.join(out_dir, "table.csv"))

@@ -3,10 +3,13 @@
 import csv
 import json
 import math
+import multiprocessing
+import os
+import threading
 
 import pytest
 
-from torus_hartree import cli
+from torus_hartree import cli, scan
 from torus_hartree.field import load_state
 
 
@@ -378,6 +381,37 @@ class TestScan:
                     "--out", str(tmp_path / "scan"), "--workers", workers]) == 2
         assert "workers must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "scan").exists()
+
+    def test_workers_need_fork(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert run(["scan", "--plan", str(self.plan(tmp_path)),
+                    "--out", str(tmp_path / "scan"), "--workers", "2"]) == 2
+        assert "fork start method" in capsys.readouterr().err
+        assert not (tmp_path / "scan").exists()
+
+    def test_dead_worker_exits_1(self, tmp_path, capsys, monkeypatch):
+        run_point = scan._run_point
+
+        def dying(plan, model, i_rho, i_L, out_dir):
+            if i_rho == 1:
+                os._exit(1)
+            return run_point(plan, model, i_rho, i_L, out_dir)
+
+        monkeypatch.setattr(scan, "_run_point", dying)  # forked workers inherit it
+        out = tmp_path / "scan"
+        codes = []
+        argv = ["scan", "--plan", str(self.plan(tmp_path, L_values=[2.0, 3.0])),
+                "--out", str(out), "--workers", "2"]
+        runner = threading.Thread(target=lambda: codes.append(run(argv)), daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "scan hung after a worker died"
+        assert codes == [1]
+        err = capsys.readouterr().err
+        assert err.startswith("error: scan worker process died")
+        assert err.count("\n") == 1
+        assert not (out / "table.csv").exists()
+        assert not (out / "summary.json").exists()
 
     def test_missing_plan_file(self, tmp_path, capsys):
         assert run(["scan", "--plan", str(tmp_path / "ghost.json"),

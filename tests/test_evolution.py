@@ -176,6 +176,30 @@ class TestSplitStep:
         got = step_split(st, gaussian, dt).alpha
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
+    @pytest.mark.parametrize("m", [8, 16])
+    def test_products_keep_written_operand_order(self, gaussian, m):
+        # numpy computes x * temporary as temporary * x once the temporary
+        # has 256 KiB, and a complex multiply need not be bitwise
+        # commutative: the reference names every operand, so it multiplies
+        # in the written order at every size (G^3 above that size at M >= 6,
+        # the cropped (2M+1)^3 at M >= 13)
+        st = quasi_condensate(m=m, L=float(m))
+        dt = 1e-3
+        kernel = _get_kernel(gaussian, st.lattice, True)
+        half = kernel.half_kinetic_phase(dt)
+        alpha = st.alpha
+        a = half * alpha
+        phi = kernel.field(a)
+        density = kernel.convolved_density(phi)
+        theta = -dt * density
+        cos, sin = np.cos(theta), np.sin(theta)
+        isin = 1j * sin
+        phase = cos + isin
+        turned = phi * phase
+        cropped = kernel.crop(turned)
+        expected = half * cropped
+        np.testing.assert_array_equal(step_split(st, gaussian, dt).alpha, expected)
+
     def test_aliasing_toggle_changes_result(self, gaussian):
         st = quasi_condensate(m=2, eps=0.3, s=2.0)
         a = step_split(st, gaussian, 1e-2, dealias=True)

@@ -105,6 +105,20 @@ class TestGaussian:
         with pytest.raises(ValueError, match=message):
             make_potential({"family": "gaussian", **params})
 
+    def test_decay_constant_with_huge_polynomial_factor(self):
+        # (1 + r)^(3 + delta1) alone overflows at the peak; the peak itself fits
+        model = make_potential({"family": "gaussian", "sigma": 0.0033, "delta1": 9997})
+        assert 1e214 < model.C < 1e215
+
+    def test_decay_constant_matches_product_form(self, gaussian):
+        def peak(prefactor, expo, a):
+            r = 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * expo / a))
+            return prefactor * (1.0 + r) ** expo * math.exp(-0.5 * a * r * r)
+
+        product_form = max(peak(gaussian.amplitude, 3.0 + gaussian.delta1, 1.0),
+                           peak(gaussian.b, 3.0 + gaussian.delta2, 1.0))
+        assert gaussian.C == pytest.approx(product_form, rel=1e-13, abs=0.0)
+
     @settings(max_examples=400, deadline=None)
     @given(amplitude=ANY_FLOAT, sigma=ANY_FLOAT, c=st.none() | ANY_FLOAT,
            delta1=ANY_FLOAT, delta2=ANY_FLOAT)

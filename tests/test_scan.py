@@ -3,9 +3,11 @@
 import csv
 import json
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from torus_hartree import scan
 from torus_hartree import (
     SCAN_COLUMNS,
     ScanPlan,
@@ -299,6 +301,32 @@ def strip_runtime(table_text):
     return "\n".join(rows)
 
 
+def assert_same_outputs(a, b):
+    """Every output file byte-identical, table.csv up to runtime_s."""
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        if name == "table.csv":
+            assert strip_runtime((a / name).read_text()) == \
+                strip_runtime((b / name).read_text())
+        else:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+class RecordingPool(ProcessPoolExecutor):
+    """The scan's process pool, noting its size and the submitted points."""
+
+    calls = []
+
+    def __init__(self, max_workers, **kwargs):
+        self.calls.append(("start", max_workers))
+        super().__init__(max_workers, **kwargs)
+
+    def submit(self, fn, *args):
+        self.calls.append(("submit",) + args)
+        return super().submit(fn, *args)
+
+
 class TestDeterminism:
     def dynamic_plan(self):
         return small_plan(rho_values=[1.0, 2.0], t_final=2e-3, dt=1e-3,
@@ -325,3 +353,43 @@ class TestDeterminism:
         assert strip_runtime((serial / "table.csv").read_text()) == \
             strip_runtime((threaded / "table.csv").read_text())
         assert SCAN_COLUMNS[-1] == "runtime_s"  # the stripped column
+
+
+class TestProcessPool:
+    @pytest.fixture
+    def pool_calls(self, monkeypatch):
+        monkeypatch.setattr(RecordingPool, "calls", [])
+        monkeypatch.setattr(scan, "ProcessPoolExecutor", RecordingPool)
+        return RecordingPool.calls
+
+    def run_both(self, tmp_path, plan, workers):
+        outs = {}
+        for w in (1, workers):
+            outs[w] = tmp_path / f"w{w}"
+            records = run_scan(plan, out_dir=outs[w], workers=w)
+            assert [(r.rho, r.L) for r in records] == [
+                (rho, L) for rho in plan.rho_values for L in plan.L_values]
+        assert_same_outputs(outs[1], outs[workers])
+        return records
+
+    def test_largest_M_first_rows_in_plan_order(self, tmp_path, pool_calls):
+        plan = small_plan(rho_values=[1.0, 2.0], L_values=[2.0, 3.0, 4.0],
+                          t_final=2e-3, dt=1e-3)
+        self.run_both(tmp_path, plan, 2)
+        assert pool_calls == [("start", 2),
+                              ("submit", 0, 2), ("submit", 1, 2),
+                              ("submit", 0, 1), ("submit", 1, 1),
+                              ("submit", 0, 0), ("submit", 1, 0)]
+
+    def test_more_workers_than_points(self, tmp_path, pool_calls):
+        plan = small_plan(rho_values=[1.0, 2.0], t_final=2e-3, dt=1e-3)
+        self.run_both(tmp_path, plan, 5)
+        assert pool_calls[0] == ("start", 2)
+
+    def test_point_failing_in_a_worker(self, tmp_path, pool_calls):
+        # k0 = (3, 0, 0) lies outside the M = 2 lattice but inside M = 4
+        plan = small_plan(rho_values=[1.0], L_values=[2.0, 4.0],
+                          family_params={"eps0": 0.1, "s": 6.0, "k0": [3, 0, 0]})
+        records = self.run_both(tmp_path, plan, 2)
+        assert records[0].status.startswith("failed: ValueError: ")
+        assert records[1].status == "ok"
