@@ -20,8 +20,8 @@ def main():
                        eps=0.05, s=6.0, seed=5)
     guard = lifespan_guard(state, model)
     print(f"contraction horizon for this state: {guard.guard:.5e}")
-    print(f"(rho-independent form 1/(12 b S^2); t* = {guard.t_star:.5e} "
-          "for the normalized dynamics)")
+    print("(rho-independent form 1/(12 b W2^2), W2 the order-2 Wiener norm;")
+    print(f" t* = {guard.t_star:.5e} for the normalized dynamics)")
     print()
 
     t = 0.25 * guard.guard

@@ -204,10 +204,7 @@ def _suite_conservation():
                        eps=0.05, s=6.0, seed=11)
     traj = evolve(state, model, 0.02, IntegratorConfig(dt=1e-3), stride=4,
                   keep_states=False)
-    recs = traj.records
-    mass_dev = max(abs(r.mass - 1.0) for r in recs)
-    e0 = recs[0].energy
-    drift = max(abs(r.energy - e0) / abs(e0) for r in recs)
+    mass_dev, drift = diagnostics._drift(traj.records)
     return [
         ("mass conservation", mass_dev <= 1e-9,
          f"max |mass - 1| = {mass_dev:.3e}"),

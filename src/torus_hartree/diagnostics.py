@@ -16,7 +16,7 @@ import numpy as np
 import scipy.fft
 
 from .field import SpectralState, _get_kernel, s_sum, t_sum, to_physical
-from .potential import PotentialModel, vhat_grid
+from .potential import PotentialModel, as_real, vhat_grid
 
 __all__ = [
     "DiagnosticsRecord",
@@ -198,7 +198,6 @@ class DiagnosticsRecord:
     t_envelope: float
     u_mass_sq: float
     u_mass_envelope: float
-    u_grad_sq: float = math.nan
     kinetic_tail: float = math.nan
 
 
@@ -241,6 +240,15 @@ def _wave_deviation(lattice, alpha, k, phase):
     return np.abs(u)
 
 
+def _comparison_wave(state: SpectralState, k0, theta: float, b: float):
+    """omega_L = 4 pi^2 |k0|^2 / L^2 + b and the per-site |u|^2 at state.t,
+    where u = alpha - exp(i (theta - omega_L t)) delta_k0."""
+    lat = state.lattice
+    k0 = np.asarray(k0)
+    omega_l = 4.0 * math.pi**2 * float(k0 @ k0) / lat.L**2 + b
+    return omega_l, _wave_deviation(lat, state.alpha, k0, theta - omega_l * state.t) ** 2
+
+
 def _argmax_mode(lattice, a_abs):
     flat = int(np.argmax(a_abs))
     i, j, k = np.unravel_index(flat, lattice.shape)
@@ -262,8 +270,6 @@ def make_record(state: SpectralState, model: PotentialModel,
     l1_dev = lat.ordered_sum(dabs)
     l2_dev = math.sqrt(lat.ordered_sum(dabs**2))
 
-    s_val = lat.ordered_sum(a_abs)
-    t_val = lat.ordered_sum(lat.omega * a_abs)
     tail_half = tail_sum(state, math.ceil(lat.M / 2))
     ktail = kinetic_tail(state, 1.0)
 
@@ -271,7 +277,7 @@ def make_record(state: SpectralState, model: PotentialModel,
     e_total = state.rho * lat.L**3 * epp
     beta_gap = float(np.sum(beta_sq[1:]) + abs(beta_sq[0] - 1.0))
 
-    s_env = t_env = u_env = u_mass = u_grad = math.nan
+    s_env = t_env = u_env = u_mass = math.nan
     if context is not None:
         try:
             s_env = s_envelope(context.s0, context.b, state.t)
@@ -281,22 +287,27 @@ def make_record(state: SpectralState, model: PotentialModel,
                                     context.b, state.t)
         except EnvelopeDomainError:
             pass  # past blow-up the envelopes carry no information
-        k0 = np.asarray(context.k0)
-        omega_l = 4.0 * math.pi**2 * float(k0 @ k0) / lat.L**2 + context.b
-        uabs2 = _wave_deviation(lat, a, context.k0,
-                                context.theta - omega_l * state.t) ** 2
+        _, uabs2 = _comparison_wave(state, context.k0, context.theta, context.b)
         u_mass = lat.ordered_sum(uabs2)
-        u_grad = lat.ordered_sum(lat.omega * uabs2)
 
     return DiagnosticsRecord(
         t=state.t, mass=mass, energy=e_total, energy_per_particle=epp,
-        S=s_val, T=t_val, k_star=k_star,
+        S=s_sum(state), T=t_sum(state), k_star=k_star,
         condensate_fraction=a_star**2, l1_dev=l1_dev, l2_dev=l2_dev,
         tail_half_M=tail_half, beta_gap=beta_gap,
         s_envelope=s_env, t_envelope=t_env,
-        u_mass_sq=u_mass, u_mass_envelope=u_env,
-        u_grad_sq=u_grad, kinetic_tail=ktail,
+        u_mass_sq=u_mass, u_mass_envelope=u_env, kinetic_tail=ktail,
     )
+
+
+def _drift(records):
+    """(max |mass - 1|, max relative energy drift) over a record stream; the
+    drift is NaN when the first energy is 0 or not finite."""
+    e0 = records[0].energy
+    drift = math.nan
+    if math.isfinite(e0) and e0 != 0.0:
+        drift = max(abs(r.energy - e0) / abs(e0) for r in records)
+    return max(abs(r.mass - 1.0) for r in records), drift
 
 
 # ---------------------------------------------------------------------------
@@ -345,22 +356,19 @@ def plane_wave_comparison(trajectory, k0, theta: float, model: PotentialModel) -
     states = trajectory.states
     if not states:
         raise ValueError("trajectory carries no states; rerun with keep_states")
+    ctx = TrajectoryContext.from_state(states[0], model, k0, theta)
     lat = states[0].lattice
-    k0 = np.asarray(k0, dtype=int).reshape(3)
-    omega_l = 4.0 * math.pi**2 * float(k0 @ k0) / lat.L**2 + model.b
-    s0 = s_sum(states[0])
-    u0_mass = lat.ordered_sum(_wave_deviation(lat, states[0].alpha, k0, theta) ** 2)
 
     ts, masses, grads, envs = [], [], [], []
     for st in states:
-        uabs2 = _wave_deviation(lat, st.alpha, k0, theta - omega_l * st.t) ** 2
+        omega_l, uabs2 = _comparison_wave(st, ctx.k0, ctx.theta, ctx.b)
         ts.append(st.t)
         masses.append(lat.ordered_sum(uabs2))
         grads.append(lat.ordered_sum(lat.omega * uabs2))
-        envs.append(u_mass_envelope(u0_mass, s0, model.b, st.t))
+        envs.append(u_mass_envelope(ctx.u0_mass_sq, ctx.s0, ctx.b, st.t))
     return {"t": np.array(ts), "u_mass_sq": np.array(masses),
             "u_grad_sq": np.array(grads), "mass_envelope": np.array(envs),
-            "omega_l": omega_l, "u0_mass_sq": u0_mass}
+            "omega_l": omega_l, "u0_mass_sq": ctx.u0_mass_sq}
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +396,7 @@ class BoundInputs:
 
     def __post_init__(self):
         for f in dataclass_fields(self):
-            v = float(getattr(self, f.name))
+            v = as_real(getattr(self, f.name), f"BoundInputs.{f.name}")
             object.__setattr__(self, f.name, v)
             if v < 0.0:
                 raise ValueError(f"BoundInputs.{f.name} must be non-negative")

@@ -195,6 +195,14 @@ def lifespan_guard(state: SpectralState, model: PotentialModel) -> Lifespan:
                     t_star=1.0 / (12.0 * model.b))
 
 
+def _check_guard(state, model, t, name):
+    """Raise LifespanGuardError unless the horizon ``name`` = t is below the guard."""
+    guard = lifespan_guard(state, model).guard
+    if t >= guard:
+        raise LifespanGuardError(
+            f"{name} = {t:.6g} is not below the lifespan guard {guard:.6g}", guard)
+
+
 def _collocation_matrix(nodes, t):
     """Integration matrix Q with (Q h)_i = int_0^{s_i} interpolant(h) ds."""
     q = nodes.size
@@ -237,11 +245,7 @@ def picard_solve(state: SpectralState, model: PotentialModel, t_target: float,
         raise ValueError("tol must be positive")
     if t == 0.0:
         return state
-    guard = lifespan_guard(state, model).guard
-    if t >= guard:
-        raise LifespanGuardError(
-            f"t_target = {t:.6g} is not below the lifespan guard {guard:.6g}",
-            guard)
+    _check_guard(state, model, t, "t_target")
 
     lat = state.lattice
     kernel = _get_kernel(model, lat, True)
@@ -332,11 +336,7 @@ def evolve(state: SpectralState, model: PotentialModel, t_final: float,
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if config.method == "picard":
-        guard = lifespan_guard(state, model).guard
-        if t_final >= guard:
-            raise LifespanGuardError(
-                f"t_final = {t_final:.6g} is not below the lifespan guard "
-                f"{guard:.6g}", guard)
+        _check_guard(state, model, t_final, "t_final")
 
     if config.method == "split_strang":
         def step(s, h):
@@ -352,28 +352,26 @@ def evolve(state: SpectralState, model: PotentialModel, t_final: float,
 
     dt = config.dt
     t0 = state.t
-    n_full = int(math.floor(t_final / dt + 1e-12))
+    n_dt = t_final / dt
+    if not math.isfinite(n_dt):
+        raise ValueError(f"t_final / dt = {t_final!r} / {dt!r} is beyond the float range")
+    n_full = int(math.floor(n_dt + 1e-12))
     remainder = t_final - n_full * dt
-    do_partial = remainder > 1e-12 * dt
+    n_steps = n_full + (remainder > 1e-12 * dt)  # step n_full + 1 is the shortened one
 
     context = diagnostics.TrajectoryContext.from_state(state, model)
     records = [diagnostics.make_record(state, model, context)]
     states = [state] if keep_states else None
 
     current = state
-    for k in range(1, n_full + 1):
-        current = step(current, dt)
-        current = current.with_alpha(current.alpha, t=t0 + k * dt)
-        if k % stride == 0 or (k == n_full and not do_partial):
+    for k in range(1, n_steps + 1):
+        short = k > n_full
+        current = step(current, remainder if short else dt)
+        current = current.with_alpha(current.alpha, t=t0 + (t_final if short else k * dt))
+        if k % stride == 0 or k == n_steps:
             records.append(diagnostics.make_record(current, model, context))
             if keep_states:
                 states.append(current)
-    if do_partial:
-        current = step(current, remainder)
-        current = current.with_alpha(current.alpha, t=t0 + t_final)
-        records.append(diagnostics.make_record(current, model, context))
-        if keep_states:
-            states.append(current)
 
     return Trajectory(records=records, final_state=current,
                       context=context, states=states)

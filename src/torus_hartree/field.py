@@ -23,7 +23,7 @@ import scipy.fft
 from numpy.random import Generator, Philox, SeedSequence
 from scipy.fft import next_fast_len
 
-from .potential import as_int, as_real, vhat_grid
+from .potential import _positive_finite, as_int, as_real, vhat_grid
 
 __all__ = [
     "TorusLattice",
@@ -68,7 +68,11 @@ class TorusLattice:
     M: int
 
     def __post_init__(self):
-        object.__setattr__(self, "L", as_real(self.L, "L", positive=True))
+        L = as_real(self.L, "L", positive=True)
+        # the kinetic symbol and the box volume must be positive finite floats
+        _positive_finite(lambda: 4.0 * math.pi**2 / L**2, f"4 pi^2 / L^2 at L = {L!r}")
+        _positive_finite(lambda: L**3, f"L^3 at L = {L!r}")
+        object.__setattr__(self, "L", L)
         object.__setattr__(self, "M", as_int(self.M, "M"))
         if self.M < 1:
             raise ValueError("M must be >= 1")
@@ -524,11 +528,13 @@ def load_state(path) -> SpectralState:
     """Read a snapshot written by save_state; validates normalization."""
     with open(path, "r", encoding="ascii") as fh:
         doc = json.load(fh)
-    if doc.get("format") != SNAPSHOT_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
         raise ValueError(f"{path}: not a state snapshot")
     if doc.get("version") != SNAPSHOT_VERSION:
         raise ValueError(f"{path}: unsupported snapshot version {doc.get('version')}")
     lat = TorusLattice(doc["L"], doc["M"])
+    if not isinstance(doc["data"], str):
+        raise ValueError(f"{path}: data must be a base64 string")
     buf = np.frombuffer(base64.b64decode(doc["data"]), dtype="<f8")
     if buf.size != 2 * lat.size**3:
         raise ValueError(f"{path}: coefficient block has wrong length")

@@ -295,7 +295,7 @@ def make_potential(config: dict) -> PotentialModel:
     if not isinstance(config, dict) or "family" not in config:
         raise ValueError("potential config must be a mapping with a 'family' key")
     family = config["family"]
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         known = ", ".join(sorted(_FAMILIES))
         raise ValueError(f"unknown potential family {family!r}; known: {known}")
     cls, allowed = _FAMILIES[family]

@@ -66,8 +66,12 @@ class ScanPlan:
                 raise ValueError(f"{name} must be strictly ascending")
             setattr(self, name, vals)
         self.kappa = as_real(self.kappa, "kappa", positive=True)
+        if not math.isfinite(self.kappa * self.L_values[-1]):
+            raise ValueError(f"cutoff kappa * L = {self.kappa!r} * {self.L_values[-1]!r} "
+                             "is beyond the float range")
         # the integrator's own checks, so a bad method fails before any point runs
-        config = IntegratorConfig(method=self.method, dt=self.dt, dealiasing=self.dealiasing)
+        config = self._integrator = IntegratorConfig(method=self.method, dt=self.dt,
+                                                     dealiasing=self.dealiasing)
         self.method, self.dt, self.dealiasing = config.method, config.dt, config.dealiasing
         self.write_trajectories = as_bool(self.write_trajectories, "write_trajectories")
         self.t_final = as_real(self.t_final, "t_final")
@@ -187,9 +191,7 @@ def _run_point(plan: ScanPlan, model, i_rho: int, i_L: int, out_dir) -> ScanReco
         state = make_state(plan.family, lattice, rho, **params)
 
         if plan.t_final > 0.0:
-            config = IntegratorConfig(method=plan.method, dt=plan.dt,
-                                      dealiasing=plan.dealiasing)
-            traj = evolve(state, model, plan.t_final, config,
+            traj = evolve(state, model, plan.t_final, plan._integrator,
                           stride=plan.stride, keep_states=False)
         else:
             ctx = diagnostics.TrajectoryContext.from_state(state, model)
@@ -204,11 +206,7 @@ def _run_point(plan: ScanPlan, model, i_rho: int, i_L: int, out_dir) -> ScanReco
         rec.n_particles = rho * L**3
         rec.final_t = final.t
         rec.energy_gap = abs(final.energy_per_particle - 0.5 * model.b)
-        rec.max_mass_dev = max(abs(r.mass - 1.0) for r in records)
-        e0 = records[0].energy
-        if math.isfinite(e0) and e0 != 0.0:
-            rec.max_energy_drift = max(abs(r.energy - e0) / abs(e0)
-                                       for r in records)
+        rec.max_mass_dev, rec.max_energy_drift = diagnostics._drift(records)
         audit = diagnostics.envelope_audit(traj)
         s_margins = [e["s_margin"] for e in audit["records"] if e.get("in_domain")]
         t_margins = [e["t_margin"] for e in audit["records"] if e.get("in_domain")]

@@ -1,16 +1,21 @@
 """End-to-end checks of the command-line frontend, run in process."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import multiprocessing
 import os
+import tempfile
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torus_hartree import cli, scan
-from torus_hartree.field import load_state
+from torus_hartree.field import TorusLattice, load_state, make_state, save_state
 
 
 def run(args):
@@ -264,6 +269,46 @@ class TestSimulate:
         assert code == 1
         assert "io error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("L", 1e308, "4 pi^2 / L^2 at L = 1e+308 is beyond the float range"),
+        ("L", 1e-308, "4 pi^2 / L^2 at L = 1e-308 is beyond the float range"),
+        ("L", 5e-324, "4 pi^2 / L^2 at L = 5e-324 is beyond the float range"),
+        ("L", 1e-160, "4 pi^2 / L^2 at L = 1e-160 must be positive and finite"),
+        ("L", 1e103, "L^3 at L = 1e+103 is beyond the float range"),
+        ("t_final", 1e308, "t_final / dt = 1e+308 / 0.001 is beyond the float range"),
+        ("dt", 5e-324, "t_final / dt = 0.005 / 5e-324 is beyond the float range")])
+    def test_extreme_number(self, tmp_path, capsys, key, value, message):
+        cfg = write_config(tmp_path, **{key: value})
+        code = run(["simulate", "--config", str(cfg),
+                    "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: {**doc, "L": 1e308}, "4 pi^2 / L^2 at L = 1e+308 is beyond"),
+        (lambda doc: [doc], "not a state snapshot"),
+        (lambda doc: {**doc, "data": None}, "data must be a base64 string"),
+        (lambda doc: {**doc, "data": [1]}, "data must be a base64 string")])
+    def test_bad_snapshot_header(self, tmp_path, capsys, edit, message):
+        snap = tmp_path / "in.state"
+        save_state(make_state("plane_wave", TorusLattice(4.0, 1), 10.0), snap)
+        snap.write_text(json.dumps(edit(json.loads(snap.read_text()))))
+        cfg = write_config(tmp_path, state={"snapshot": str(snap)})
+        code = run(["simulate", "--config", str(cfg),
+                    "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    def test_make_state_extreme_L(self, tmp_path, capsys):
+        code = run(["make-state", "--family", "plane-wave", "--rho", "10",
+                    "--L", "1e308", "--M", "1", "--out", str(tmp_path / "s")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: 4 pi^2 / L^2 at L = 1e+308")
+        assert not (tmp_path / "s").exists()
+
 
 class TestVerify:
     @pytest.mark.parametrize("suite", ["algebra", "oracle"])
@@ -368,7 +413,8 @@ class TestScan:
         ({"write_trajectories": "no"}, "write_trajectories must be true or false"),
         ({"stride": 10**400}, "stride must be an integer"),
         ({"potential": {"family": "gaussian", "sigma": 1e200}},
-         "potential integral b is beyond the float range")])
+         "potential integral b is beyond the float range"),
+        ({"kappa": 1e308}, "cutoff kappa * L = 1e+308 * 2.0 is beyond the float range")])
     def test_invalid_plan_writes_nothing(self, tmp_path, capsys, overrides, message):
         assert run(["scan", "--plan", str(self.plan(tmp_path, **overrides)),
                     "--out", str(tmp_path / "scan")]) == 2
@@ -417,3 +463,69 @@ class TestScan:
         assert run(["scan", "--plan", str(tmp_path / "ghost.json"),
                     "--out", str(tmp_path / "scan")]) == 1
         capsys.readouterr()
+
+
+# Hostile values substituted for one top-level key at a time.
+HOSTILE = (None, True, "x", [], {}, [1], -1, 0, 1e308, 1e-308, 5e-324,
+           math.nan, math.inf, -math.inf)
+GAUSSIAN = {"family": "gaussian", "amplitude": 1.0, "sigma": 1.0,
+            "delta1": 5.0, "delta2": 5.0}  # "C" is drawn as a key too
+SIMULATE = {"potential": GAUSSIAN,
+            "state": {"family": "perturbed", "eps": 0.05, "s": 6.0, "seed": 11},
+            "rho": 10.0, "L": 4.0, "M": 1, "dt": 1e-3, "t_final": 2e-3, "stride": 1,
+            "method": "split_strang", "dealiasing": True, "picard_tol": 1e-10,
+            "picard_tau": 1.5, "picard_max_iter": 100}
+PLAN = {"potential": GAUSSIAN, "rho_values": [10.0], "L_values": [2.0],
+        "family": "perturbed", "family_params": {"eps0": 0.1, "s": 6.0},
+        "t_final": 1e-3, "dt": 1e-3, "method": "split_strang", "kappa": 0.5,
+        "stride": 1, "master_seed": 0, "dealiasing": True,
+        "write_trajectories": False, "summary_columns": ["beta_gap"]}
+SNAPSHOT_KEYS = ("format", "version", "L", "M", "rho", "t", "family", "seed",
+                 "encoding", "order", "data")
+SLOTS = ([("simulate", k) for k in SIMULATE] + [("plan", k) for k in PLAN]
+         + [("potential", k) for k in (*GAUSSIAN, "C")]
+         + [("snapshot", k) for k in SNAPSHOT_KEYS])
+# A tiny positive dt is left out: t_final / dt steps of it is a valid request
+# for an unbounded run (about 1e305 steps at dt = 1e-308), not a defect.
+HOSTILE_CASES = [(doc, key, value) for doc, key in SLOTS for value in HOSTILE
+                 if not (key == "dt" and value in (1e-308, 5e-324))]
+
+
+def _run_hostile(tmp, doc, key, value):
+    if doc == "plan":
+        path = os.path.join(tmp, "plan.json")
+        with open(path, "w") as fh:
+            json.dump({**PLAN, key: value}, fh)
+        return run(["scan", "--plan", path, "--out", os.path.join(tmp, "scan")])
+    cfg = dict(SIMULATE)
+    if doc == "potential":
+        cfg["potential"] = {**GAUSSIAN, key: value}
+    elif doc == "simulate":
+        cfg[key] = value
+    else:
+        snap = os.path.join(tmp, "in.state")
+        save_state(make_state("plane_wave", TorusLattice(4.0, 1), 10.0), snap)
+        with open(snap) as fh:
+            header = json.load(fh)
+        with open(snap, "w") as fh:
+            json.dump({**header, key: value}, fh)
+        cfg["state"] = {"snapshot": snap}
+    path = os.path.join(tmp, "run.json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    return run(["simulate", "--config", path, "--out", os.path.join(tmp, "t.csv")])
+
+
+# The draw space is finite, so one example per case enumerates every case.
+@settings(max_examples=len(HOSTILE_CASES))
+@given(case=st.sampled_from(HOSTILE_CASES))
+def test_hostile_value_exits_cleanly(case):
+    """Any one hostile top-level value exits 0, 2 or 3, never with a traceback;
+    a refusal is one error line."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = _run_hostile(tmp, *case)
+    assert code in (0, 2, 3)
+    if code:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from torus_hartree import (
 )
 from torus_hartree.diagnostics import (
     CSV_COLUMNS,
+    _drift,
     format_float,
     make_record,
     write_trajectory_csv,
@@ -190,6 +192,14 @@ class TestRecord:
         assert ctx.s0 == pytest.approx(
             float(np.sum(np.abs(st.alpha))), rel=1e-13)
 
+    def test_drift(self):
+        recs = [SimpleNamespace(mass=m, energy=e)
+                for m, e in ((1.0, 2.0), (1.25, 2.5), (0.5, 1.0))]
+        assert _drift(recs) == (0.5, 0.5)
+        for e0 in (0.0, math.nan, math.inf):
+            mass_dev, drift = _drift([SimpleNamespace(mass=1.0, energy=e0), *recs])
+            assert mass_dev == 0.5 and math.isnan(drift)
+
 
 
 def direct_route(state, model):
@@ -324,6 +334,16 @@ class TestPlaneWaveComparison:
         # |e^{i theta} - e^{i(theta+pi)}|^2 = 4 at every time
         np.testing.assert_allclose(cmp["u_mass_sq"], 4.0, rtol=1e-12)
 
+    def test_matches_the_records(self, gaussian):
+        st = make_state("perturbed", TorusLattice(4.0, 2), 10.0,
+                        eps=0.05, s=6.0, seed=4)
+        traj = evolve(st, gaussian, 3e-3, IntegratorConfig(dt=1e-3))
+        ctx = traj.context
+        cmp = plane_wave_comparison(traj, ctx.k0, ctx.theta, gaussian)
+        assert cmp["u0_mass_sq"] == ctx.u0_mass_sq
+        assert cmp["u_mass_sq"].tolist() == [r.u_mass_sq for r in traj.records]
+        assert cmp["mass_envelope"].tolist() == [r.u_mass_envelope for r in traj.records]
+
     def test_requires_states(self, gaussian):
         st = make_state("plane_wave", TorusLattice(4.0, 1), 1.0)
         traj = evolve(st, gaussian, 2e-3, IntegratorConfig(dt=1e-3),
@@ -386,6 +406,14 @@ class TestBoundCalculators:
                              b=1.0, v2=0.0, rho=1.0, L=1.0)
         with pytest.raises(ValueError):
             excitation_bound(inputs, 1.0, -1.0)
+
+    @pytest.mark.parametrize("key,value", [
+        ("n", math.nan), ("s_inf", math.inf), ("rho", True), ("L", "4"), ("b", None)])
+    def test_inputs_must_be_finite_numbers(self, key, value):
+        kwargs = dict(n=0.1, e=0.0, h_xi=0.0, s_inf=1.0, d_inf=0.0,
+                      b=1.0, v2=0.0, rho=10.0, L=4.0)
+        with pytest.raises(ValueError, match=f"BoundInputs.{key} must be a finite number"):
+            BoundInputs(**{**kwargs, key: value})
 
 
 class TestCsv:

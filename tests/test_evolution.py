@@ -382,7 +382,7 @@ class TestPicard:
     def test_guard_enforced(self, gaussian):
         st = quasi_condensate()
         guard = lifespan_guard(st, gaussian).guard
-        with pytest.raises(LifespanGuardError) as err:
+        with pytest.raises(LifespanGuardError, match="t_target = .* is not below") as err:
             picard_solve(st, gaussian, guard)
         assert err.value.guard == pytest.approx(guard)
         picard_solve(st, gaussian, 0.99 * guard)  # just inside is fine
@@ -422,6 +422,11 @@ class TestEvolve:
         traj = evolve(st, gaussian, 0.01, IntegratorConfig(dt=1e-3), stride=3)
         times = [r.t for r in traj.records]
         assert times == [k * 1e-3 for k in (0, 3, 6, 9, 10)]
+        # a shortened last step is recorded, the full step before it is not
+        traj = evolve(st, gaussian, 0.0105, IntegratorConfig(dt=1e-3), stride=4)
+        assert [r.t for r in traj.records] == [0.0, 4e-3, 8e-3, 0.0105]
+        traj = evolve(st, gaussian, 5e-4, IntegratorConfig(dt=1e-3), stride=4)
+        assert [r.t for r in traj.records] == [0.0, 5e-4]
 
     def test_states_align_with_records(self, gaussian):
         st = quasi_condensate()
@@ -447,7 +452,7 @@ class TestEvolve:
     def test_picard_method_guards_full_horizon(self, gaussian):
         st = quasi_condensate()
         guard = lifespan_guard(st, gaussian).guard
-        with pytest.raises(LifespanGuardError):
+        with pytest.raises(LifespanGuardError, match="t_final = .* is not below"):
             evolve(st, gaussian, 2 * guard,
                    IntegratorConfig(method="picard", dt=guard / 4))
 
@@ -466,6 +471,9 @@ class TestEvolve:
         for t_final in ([1], None, True, "1e-3"):
             with pytest.raises(ValueError, match="t_final must be positive and finite"):
                 evolve(st, gaussian, t_final)
+        for t_final, dt in ((1e308, 1e-3), (1.0, 5e-324)):
+            with pytest.raises(ValueError, match="t_final / dt .* beyond the float range"):
+                evolve(st, gaussian, t_final, IntegratorConfig(dt=dt))
 
     @pytest.mark.parametrize("method,step", [("split_strang", step_split),
                                              ("rk4", step_rk4)])

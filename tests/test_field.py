@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,10 @@ class TestLattice:
             TorusLattice(4.0, -1)
         for L in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
+                TorusLattice(L, 2)
+        # 4 pi^2 / L^2 or L^3 would overflow, underflow to 0 or divide by 0
+        for L in (1e308, 1e103, 1e-160, 1e-308, 5e-324):
+            with pytest.raises(ValueError, match=re.escape(f"at L = {L!r}")):
                 TorusLattice(L, 2)
         for M in (math.nan, math.inf, 2.5, "3", [3], True):
             with pytest.raises(ValueError, match="M must be an integer"):
@@ -521,6 +526,19 @@ class TestSnapshots:
         for key, value in (("rho", None), ("t", "0.0"), ("L", [4.0]), ("rho", True)):
             path.write_text(json.dumps({**good, key: value}))
             with pytest.raises(ValueError, match=f"{key} must be"):
+                load_state(path)
+
+    def test_rejects_wrongly_typed_header(self, tmp_path):
+        st_ = make_state("plane_wave", TorusLattice(4.0, 1), 1.0)
+        path = tmp_path / "state.json"
+        save_state(st_, path)
+        good = json.loads(path.read_text())
+        path.write_text(json.dumps([good]))
+        with pytest.raises(ValueError, match="not a state snapshot"):
+            load_state(path)
+        for data in (None, 5, [good["data"]], {}):
+            path.write_text(json.dumps({**good, "data": data}))
+            with pytest.raises(ValueError, match="data must be a base64 string"):
                 load_state(path)
 
     def test_rejects_denormalized_state(self, tmp_path):
