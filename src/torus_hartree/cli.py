@@ -25,7 +25,7 @@ from .evolution import (ContractionError, ConvergenceError, InstabilityError,
                         picard_solve, rhs, step_split)
 from .field import (TorusLattice, load_state, make_state, pointwise_product,
                     random_state, save_state, time_reversal, wiener_norm)
-from .potential import GaussianPotential, as_real, make_potential
+from .potential import GaussianPotential, _positive_finite, as_real, make_potential
 from .scan import load_plan, run_scan
 
 EXIT_OK = 0
@@ -157,12 +157,16 @@ def _cmd_bound_report(args):
                          s_inf=scalars["s_inf"], d_inf=scalars["d_inf"],
                          b=scalars["b"], v2=scalars["v2"],
                          rho=scalars["rho"], L=scalars["L"])
-    omega = omega_coefficient(scalars["S0"], scalars["T0"], scalars["b"],
-                              scalars["v2"], scalars["C"], scalars["horizon"])
+    # each value is >= 1/rho > 0, so a bound that overflows is refused, never printed
+    omega = _positive_finite(lambda: omega_coefficient(
+        scalars["S0"], scalars["T0"], scalars["b"], scalars["v2"], scalars["C"],
+        scalars["horizon"]), "omega")
     report = {
         "omega": omega,
-        "excitation_bound": excitation_bound(inputs, omega, scalars["t"]),
-        "quasi_vacuum_energy_bound": quasi_vacuum_energy_bound(inputs),
+        "excitation_bound": _positive_finite(
+            lambda: excitation_bound(inputs, omega, scalars["t"]), "excitation_bound"),
+        "quasi_vacuum_energy_bound": _positive_finite(
+            lambda: quasi_vacuum_energy_bound(inputs), "quasi_vacuum_energy_bound"),
     }
     text = json.dumps(report, indent=1, sort_keys=True) + "\n"
     if args.out:

@@ -55,12 +55,12 @@ class EnvelopeDomainError(ValueError):
 def _energy_and_beta_sq(state: SpectralState, model: PotentialModel):
     """Energy per particle and |beta|^2 from one synthesis on the integrator's grid.
 
-    The dealiased kernel grid (G >= 4M+2) resolves the density |phi|^2 of
-    the unit-density field without aliasing, so beta = fftn(|phi|^2) / G^3
-    is the exact autocorrelation; |beta|^2 is returned flat, beta(0) first.
+    The kernel grid (G >= 4M+2) resolves the density |phi|^2 of the
+    unit-density field without aliasing, so beta = fftn(|phi|^2) / G^3 is
+    the exact autocorrelation; |beta|^2 is returned flat, beta(0) first.
     """
     lat = state.lattice
-    kernel = _get_kernel(model, lat, True)
+    kernel = _get_kernel(model, lat)
     phi = kernel.field(state.alpha)
     beta = scipy.fft.fftn(phi.real**2 + phi.imag**2, norm="forward")
     beta_sq = beta.real**2 + beta.imag**2
@@ -381,7 +381,7 @@ class BoundInputs:
     n: excitation fraction, e: energy-consistency gap per particle,
     h_xi: quasi-vacuum energy per rho L^3, s_inf and d_inf: sup norms of
     the field and its Laplacian over sqrt(rho), b and v2: potential
-    norms, plus rho and L.
+    norms, plus rho and L.  All are finite and >= 0; rho and b are > 0.
     """
 
     n: float
@@ -400,6 +400,8 @@ class BoundInputs:
             object.__setattr__(self, f.name, v)
             if v < 0.0:
                 raise ValueError(f"BoundInputs.{f.name} must be non-negative")
+            if v == 0.0 and f.name in ("rho", "b"):
+                raise ValueError(f"BoundInputs.{f.name} must be positive")
 
 
 def omega_coefficient(s0: float, t0: float, b: float, v2: float,
@@ -409,6 +411,8 @@ def omega_coefficient(s0: float, t0: float, b: float, v2: float,
     h collects the generator brackets: 4(2b+v2^2) b^2 S^6 + 4 b^2 S^4
     + (16 b + 33 v2^2 / 8) S^2 + 4 (2b+v2^2) T^2 + 6 b S T.
     """
+    if horizon < 0.0:
+        raise ValueError("horizon must be non-negative")
     s = s_envelope(s0, b, horizon)
     tk = t_envelope(s0, t0, b, c, horizon)
     v2sq = v2 * v2

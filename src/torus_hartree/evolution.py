@@ -26,7 +26,7 @@ from numpy.polynomial.legendre import leggauss, legvander
 from . import diagnostics
 from .field import _Kernel  # noqa: F401  (perfbench/tracing.py wraps evolution._Kernel)
 from .field import SpectralState, _get_kernel, autocorrelation, wiener_norm
-from .potential import PotentialModel, as_bool, as_int, as_real, vhat_grid
+from .potential import PotentialModel, as_int, as_real, vhat_grid
 
 __all__ = [
     "IntegratorConfig",
@@ -70,7 +70,6 @@ class ConvergenceError(RuntimeError):
 class IntegratorConfig:
     method: str = "split_strang"
     dt: float = 1e-3
-    dealiasing: bool = True
     picard_tol: float = 1e-10
     picard_tau: float = 1.5
     picard_max_iter: int = 100
@@ -82,8 +81,6 @@ class IntegratorConfig:
                 value = as_int(value, f.name)
             elif type(f.default) is float:  # dt, picard_tol and picard_tau are all > 0
                 value = as_real(value, f.name, positive=True)
-            elif type(f.default) is bool:
-                value = as_bool(value, f.name)
             object.__setattr__(self, f.name, type(f.default)(value))
         if self.method not in ("split_strang", "rk4", "picard"):
             raise ValueError(f"unknown method {self.method!r}")
@@ -96,13 +93,13 @@ class IntegratorConfig:
 def rhs(state: SpectralState, model: PotentialModel, method: str = "fft"):
     """d alpha / dt as a complex array on the lattice.
 
-    'fft' computes the nonlinearity pseudospectrally on the dealiased
+    'fft' computes the nonlinearity pseudospectrally on the padded kernel
     grid; 'direct' performs the explicit double sum through the
     autocorrelation and serves as the oracle.
     """
     lat = state.lattice
     if method == "fft":
-        nl = _get_kernel(model, lat, True).nonlinear(state.alpha)
+        nl = _get_kernel(model, lat).nonlinear(state.alpha)
     elif method == "direct":
         M2 = 2 * lat.M
         coeff = (vhat_grid(model, lat.L, np.arange(-M2, M2 + 1))
@@ -131,10 +128,9 @@ def _check_finite(alpha, t):
         raise InstabilityError(f"non-finite coefficients at t = {t:.9g}")
 
 
-def step_split(state: SpectralState, model: PotentialModel, dt: float,
-               dealias: bool = True) -> SpectralState:
+def step_split(state: SpectralState, model: PotentialModel, dt: float) -> SpectralState:
     """One Strang step: half kinetic phase, exact nonlinear phase, half kinetic."""
-    kernel = _get_kernel(model, state.lattice, dealias)
+    kernel = _get_kernel(model, state.lattice)
     half = kernel.half_kinetic_phase(dt)
     a = half * state.alpha
     phi = kernel.field(a)
@@ -153,10 +149,9 @@ def step_split(state: SpectralState, model: PotentialModel, dt: float,
     return state.with_alpha(a, t=t1)
 
 
-def step_rk4(state: SpectralState, model: PotentialModel, dt: float,
-             dealias: bool = True) -> SpectralState:
+def step_rk4(state: SpectralState, model: PotentialModel, dt: float) -> SpectralState:
     """Classical RK4 on the coefficient ODE; no renormalization applied."""
-    kernel = _get_kernel(model, state.lattice, dealias)
+    kernel = _get_kernel(model, state.lattice)
     omega = state.lattice.omega
 
     def f(a):
@@ -248,7 +243,7 @@ def picard_solve(state: SpectralState, model: PotentialModel, t_target: float,
     _check_guard(state, model, t, "t_target")
 
     lat = state.lattice
-    kernel = _get_kernel(model, lat, True)
+    kernel = _get_kernel(model, lat)
     omega = lat.omega
     w2 = lat.a2_weight
 
@@ -338,17 +333,15 @@ def evolve(state: SpectralState, model: PotentialModel, t_final: float,
     if config.method == "picard":
         _check_guard(state, model, t_final, "t_final")
 
-    if config.method == "split_strang":
-        def step(s, h):
-            return step_split(s, model, h, dealias=config.dealiasing)
-    elif config.method == "rk4":
-        def step(s, h):
-            return step_rk4(s, model, h, dealias=config.dealiasing)
-    else:
         def step(s, h):
             return picard_solve(s, model, h, tau=config.picard_tau,
                                 tol=config.picard_tol,
                                 max_iter=config.picard_max_iter)
+    else:
+        scheme = step_split if config.method == "split_strang" else step_rk4
+
+        def step(s, h):
+            return scheme(s, model, h)
 
     dt = config.dt
     t0 = state.t

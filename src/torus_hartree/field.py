@@ -226,13 +226,12 @@ def _analyze(f, w):
 
 
 class _Kernel:
-    """FFT workspace for one (lattice, model, grid) combination.
+    """FFT workspace for one (lattice, model) combination.
 
-    With dealiasing the grid has at least 4M+2 points per axis, which
-    makes the projected nonlinear term and the quartic energy exact for
-    cutoff-M data; without it the native 2M+1 grid is used and products
-    alias.  Vhat is stored only on |k|_inf <= 2M, the frequencies a
-    cutoff-M density can reach, and is 0 elsewhere.
+    The grid has at least 4M+2 points per axis, which makes the projected
+    nonlinear term and the quartic energy exact for cutoff-M data.  Vhat
+    is stored only on |k|_inf <= 2M, the frequencies a cutoff-M density
+    can reach, and is 0 elsewhere.
 
     field and crop are the module's pruned transforms _synthesize and
     _analyze, which autocorrelation and pointwise_product share.  The
@@ -242,9 +241,9 @@ class _Kernel:
     (Scan worker processes each build their own kernels.)
     """
 
-    def __init__(self, lattice: TorusLattice, model, dealias: bool):
+    def __init__(self, lattice: TorusLattice, model):
         self.lattice = lattice
-        self.G = G = next_fast_len(2 * lattice.size) if dealias else lattice.size
+        self.G = G = next_fast_len(2 * lattice.size)
         self.wrap = lattice.n1d % G
         self.vhat = vhat_grid(model, lattice.L, scipy.fft.fftfreq(G, 1.0 / G),
                               limit=2 * lattice.M)
@@ -276,19 +275,18 @@ class _Kernel:
         return self._phases[key]
 
 
-# model -> {(lattice, dealias): kernel}; an entry lives as long as its model.
+# model -> {lattice: kernel}; an entry lives as long as its model.
 # A library caller's threads may share it, so lookups and builds hold the lock.
 _KERNELS = weakref.WeakKeyDictionary()
 _KERNELS_LOCK = threading.Lock()
 
 
-def _get_kernel(model, lattice: TorusLattice, dealias: bool) -> _Kernel:
-    key = (lattice, bool(dealias))
+def _get_kernel(model, lattice: TorusLattice) -> _Kernel:
     with _KERNELS_LOCK:
         kernels = _KERNELS.setdefault(model, {})
-        if key not in kernels:
-            kernels[key] = _Kernel(lattice, model, dealias)
-        return kernels[key]
+        if lattice not in kernels:
+            kernels[lattice] = _Kernel(lattice, model)
+        return kernels[lattice]
 
 
 def difference_lattice(lattice: TorusLattice) -> TorusLattice:
@@ -445,7 +443,8 @@ def make_state(family: str, lattice: TorusLattice, rho: float, **params) -> Spec
     if family == "two_mode":
         a_exp = as_real(params.pop("escape_exponent"), "escape_exponent")
         _reject_extra(params)
-        n_esc = (int(math.floor(rho**a_exp * lattice.L)), 0, 0)
+        n_esc = (math.floor(_positive_finite(lambda: rho**a_exp * lattice.L,
+                                             "escape mode rho**a * L")), 0, 0)
         if n_esc == k0:
             raise ValueError("escape mode collides with the condensate mode")
         alpha[lattice.index_of(k0)] = math.sqrt(rho / (rho + 1.0))

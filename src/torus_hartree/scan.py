@@ -53,7 +53,6 @@ class ScanPlan:
     kappa: float = 1.0
     stride: int = 1
     master_seed: int = 0
-    dealiasing: bool = True
     write_trajectories: bool = True
     summary_columns: tuple = DEFAULT_SUMMARY_COLUMNS
 
@@ -70,9 +69,8 @@ class ScanPlan:
             raise ValueError(f"cutoff kappa * L = {self.kappa!r} * {self.L_values[-1]!r} "
                              "is beyond the float range")
         # the integrator's own checks, so a bad method fails before any point runs
-        config = self._integrator = IntegratorConfig(method=self.method, dt=self.dt,
-                                                     dealiasing=self.dealiasing)
-        self.method, self.dt, self.dealiasing = config.method, config.dt, config.dealiasing
+        config = self._integrator = IntegratorConfig(method=self.method, dt=self.dt)
+        self.method, self.dt = config.method, config.dt
         self.write_trajectories = as_bool(self.write_trajectories, "write_trajectories")
         self.t_final = as_real(self.t_final, "t_final")
         if self.t_final < 0.0:

@@ -68,6 +68,15 @@ class TestMakeState:
         assert w0 == pytest.approx(16 / 17.0, rel=1e-15)
         assert w1 == pytest.approx(1 / 17.0, rel=1e-15)
 
+    def test_two_mode_escape_overflow(self, tmp_path, capsys):
+        code = run(["make-state", "--family", "two-mode", "--rho", "10",
+                    "--L", "4", "--M", "4", "--escape", "400",
+                    "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: escape mode rho**a * L is beyond the float range for these settings\n"
+        assert not (tmp_path / "x").exists()
+
     def test_two_mode_requires_escape(self, tmp_path, capsys):
         code = run(["make-state", "--family", "two-mode", "--rho", "4",
                     "--L", "4", "--M", "4", "--out", str(tmp_path / "x")])
@@ -182,13 +191,23 @@ class TestSimulate:
         assert f"{key} must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
-    @pytest.mark.parametrize("value", ["no", 0])
-    def test_dealiasing_must_be_boolean(self, tmp_path, capsys, value):
+    @pytest.mark.parametrize("value", [True, False])
+    def test_dealiasing_key_is_unknown(self, tmp_path, capsys, value):
+        # every step is dealiased; the old switch is refused, not ignored
         cfg = write_config(tmp_path, dealiasing=value)
         code = run(["simulate", "--config", str(cfg),
                     "--out", str(tmp_path / "t.csv")])
         assert code == 2
-        assert "dealiasing must be true or false" in capsys.readouterr().err
+        assert "unknown config keys ['dealiasing']" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_two_mode_escape_overflow(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, state={"family": "two_mode", "escape_exponent": 400})
+        code = run(["simulate", "--config", str(cfg),
+                    "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: escape mode rho**a * L is beyond the float range for these settings\n"
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("potential,message", [
@@ -359,6 +378,22 @@ class TestBoundReport:
         assert run(["bound-report", "--inputs", str(path)]) == 2
         assert "missing required key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("rho", 0, "BoundInputs.rho must be positive"),
+        ("b", 0, "BoundInputs.b must be positive"),
+        ("t", 100, "excitation_bound is beyond the float range for these settings"),
+        ("t", 1e308, "excitation_bound must be positive and finite for these settings, got inf"),
+        ("horizon", -1, "horizon must be non-negative")])
+    def test_out_of_range_input(self, tmp_path, capsys, key, value, message):
+        path = self.inputs(tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+        out = tmp_path / "report.json"
+        assert run(["bound-report", "--inputs", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestScan:
     def plan(self, tmp_path, **overrides):
@@ -409,12 +444,13 @@ class TestScan:
         ({"kappa": True}, "kappa must be"),
         ({"dt": "1e-3"}, "dt must be"),
         ({"method": "bogus"}, "unknown method 'bogus'"),
-        ({"dealiasing": "no"}, "dealiasing must be true or false"),
+        ({"dealiasing": False}, "['dealiasing']"),
         ({"write_trajectories": "no"}, "write_trajectories must be true or false"),
         ({"stride": 10**400}, "stride must be an integer"),
         ({"potential": {"family": "gaussian", "sigma": 1e200}},
          "potential integral b is beyond the float range"),
-        ({"kappa": 1e308}, "cutoff kappa * L = 1e+308 * 2.0 is beyond the float range")])
+        ({"kappa": 1e308}, "cutoff kappa * L = 1e+308 * 2.0 is beyond the float range"),
+        ({"dealiasing": True}, "unknown plan keys ['dealiasing']")])
     def test_invalid_plan_writes_nothing(self, tmp_path, capsys, overrides, message):
         assert run(["scan", "--plan", str(self.plan(tmp_path, **overrides)),
                     "--out", str(tmp_path / "scan")]) == 2
@@ -465,7 +501,9 @@ class TestScan:
         capsys.readouterr()
 
 
-# Hostile values substituted for one top-level key at a time.
+# Hostile values substituted for one key at a time: a top-level key of a
+# simulate config, scan plan or bound-report input, a potential or snapshot
+# key, a key of the simulate state block or of the plan's family_params.
 HOSTILE = (None, True, "x", [], {}, [1], -1, 0, 1e308, 1e-308, 5e-324,
            math.nan, math.inf, -math.inf)
 GAUSSIAN = {"family": "gaussian", "amplitude": 1.0, "sigma": 1.0,
@@ -473,33 +511,56 @@ GAUSSIAN = {"family": "gaussian", "amplitude": 1.0, "sigma": 1.0,
 SIMULATE = {"potential": GAUSSIAN,
             "state": {"family": "perturbed", "eps": 0.05, "s": 6.0, "seed": 11},
             "rho": 10.0, "L": 4.0, "M": 1, "dt": 1e-3, "t_final": 2e-3, "stride": 1,
-            "method": "split_strang", "dealiasing": True, "picard_tol": 1e-10,
+            "method": "split_strang", "picard_tol": 1e-10,
             "picard_tau": 1.5, "picard_max_iter": 100}
 PLAN = {"potential": GAUSSIAN, "rho_values": [10.0], "L_values": [2.0],
         "family": "perturbed", "family_params": {"eps0": 0.1, "s": 6.0},
         "t_final": 1e-3, "dt": 1e-3, "method": "split_strang", "kappa": 0.5,
-        "stride": 1, "master_seed": 0, "dealiasing": True,
+        "stride": 1, "master_seed": 0,
         "write_trajectories": False, "summary_columns": ["beta_gap"]}
+BOUND = {"n": 5.0, "e": 0.0, "h_xi": 0.0, "s_inf": 0.0, "d_inf": 0.0,
+         "b": 15.749609945722419, "v2": 2.366, "rho": 100.0, "L": 8.0,
+         "S0": 1.0, "T0": 0.1, "C": 16.0, "horizon": 1e-3, "t": 0.0}
 SNAPSHOT_KEYS = ("format", "version", "L", "M", "rho", "t", "family", "seed",
                  "encoding", "order", "data")
 SLOTS = ([("simulate", k) for k in SIMULATE] + [("plan", k) for k in PLAN]
+         + [("bound", k) for k in BOUND]
          + [("potential", k) for k in (*GAUSSIAN, "C")]
-         + [("snapshot", k) for k in SNAPSHOT_KEYS])
+         + [("snapshot", k) for k in SNAPSHOT_KEYS]
+         + [("state", k) for k in ("family", "eps", "s", "seed", "theta", "k0")]
+         + [("family_params", k) for k in ("eps0", "s", "eps_rule", "k0", "theta")])
 # A tiny positive dt is left out: t_final / dt steps of it is a valid request
 # for an unbounded run (about 1e305 steps at dt = 1e-308), not a defect.
 HOSTILE_CASES = [(doc, key, value) for doc, key in SLOTS for value in HOSTILE
                  if not (key == "dt" and value in (1e-308, 5e-324))]
 
 
-def _run_hostile(tmp, doc, key, value):
-    if doc == "plan":
-        path = os.path.join(tmp, "plan.json")
-        with open(path, "w") as fh:
-            json.dump({**PLAN, key: value}, fh)
+def _run_input(tmp, command, doc):
+    """Write doc as the JSON input of a simulate, scan or bound-report run
+    in tmp and return the exit code."""
+    path = os.path.join(tmp, "input.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    if command == "simulate":
+        return run(["simulate", "--config", path, "--out", os.path.join(tmp, "t.csv")])
+    if command == "scan":
         return run(["scan", "--plan", path, "--out", os.path.join(tmp, "scan")])
+    return run(["bound-report", "--inputs", path])
+
+
+def _run_hostile(tmp, doc, key, value):
+    if doc == "bound":
+        return _run_input(tmp, "bound-report", {**BOUND, key: value})
+    if doc == "plan":
+        return _run_input(tmp, "scan", {**PLAN, key: value})
+    if doc == "family_params":
+        return _run_input(tmp, "scan", {**PLAN, "family_params":
+                                        {**PLAN["family_params"], key: value}})
     cfg = dict(SIMULATE)
     if doc == "potential":
         cfg["potential"] = {**GAUSSIAN, key: value}
+    elif doc == "state":
+        cfg["state"] = {**SIMULATE["state"], key: value}
     elif doc == "simulate":
         cfg[key] = value
     else:
@@ -510,17 +571,24 @@ def _run_hostile(tmp, doc, key, value):
         with open(snap, "w") as fh:
             json.dump({**header, key: value}, fh)
         cfg["state"] = {"snapshot": snap}
-    path = os.path.join(tmp, "run.json")
-    with open(path, "w") as fh:
-        json.dump(cfg, fh)
-    return run(["simulate", "--config", path, "--out", os.path.join(tmp, "t.csv")])
+    return _run_input(tmp, "simulate", cfg)
+
+
+@pytest.mark.parametrize("command,doc", [("simulate", SIMULATE), ("scan", PLAN),
+                                         ("bound-report", BOUND)],
+                         ids=["simulate", "scan", "bound-report"])
+def test_hostile_templates_run(tmp_path, capsys, command, doc):
+    """Unsubstituted, each template succeeds, so a refusal in the fuzz below
+    comes from the substituted value."""
+    assert _run_input(str(tmp_path), command, doc) == 0
+    assert capsys.readouterr().err == ""
 
 
 # The draw space is finite, so one example per case enumerates every case.
 @settings(max_examples=len(HOSTILE_CASES))
 @given(case=st.sampled_from(HOSTILE_CASES))
 def test_hostile_value_exits_cleanly(case):
-    """Any one hostile top-level value exits 0, 2 or 3, never with a traceback;
+    """Any one hostile value exits 0, 2 or 3, never with a traceback;
     a refusal is one error line."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \

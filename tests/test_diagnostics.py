@@ -248,18 +248,6 @@ class TestRecordOracle:
         assert abs(rec.beta_gap - gap) <= 1e-14
         assert rec.energy_per_particle == pytest.approx(epp, rel=1e-12, abs=0.0)
 
-    def test_undealiased_run_records_dealiased_energy(self, gaussian):
-        # the integrator steps on the aliasing 2M+1 grid, but every record
-        # measures on the G >= 4M+2 grid, so it still matches the oracle
-        st = make_state("perturbed", TorusLattice(4.0, 3), 10.0,
-                        eps=0.3, s=1.0, seed=5)
-        traj = evolve(st, gaussian, 3e-3, IntegratorConfig(dt=1e-3, dealiasing=False))
-        assert len(traj.records) == 4
-        for rec, state in zip(traj.records, traj.states):
-            epp, gap = direct_route(state, gaussian)
-            assert rec.energy_per_particle == pytest.approx(epp, rel=1e-12, abs=0.0)
-            assert abs(rec.beta_gap - gap) <= 1e-14
-
 
 class TestEnvelopeAudit:
     def test_quasi_condensate_run_passes(self, gaussian):
@@ -406,6 +394,11 @@ class TestBoundCalculators:
                              b=1.0, v2=0.0, rho=1.0, L=1.0)
         with pytest.raises(ValueError):
             excitation_bound(inputs, 1.0, -1.0)
+        for key in ("rho", "b"):
+            with pytest.raises(ValueError, match=f"BoundInputs.{key} must be positive"):
+                BoundInputs(**{**inputs.__dict__, key: 0.0})
+        with pytest.raises(ValueError, match="horizon must be non-negative"):
+            omega_coefficient(1.0, 0.0, 1.0, 0.0, 1.0, -1.0)
 
     @pytest.mark.parametrize("key,value", [
         ("n", math.nan), ("s_inf", math.inf), ("rho", True), ("L", "4"), ("b", None)])

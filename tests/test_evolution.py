@@ -61,7 +61,7 @@ def picard_per_node(state, model, t, tau=1.5, tol=1e-10, max_iter=100):
     """picard_solve's fixed point with one array per node and explicit
     sums over nodes: the reference for its stacked node algebra."""
     lat = state.lattice
-    kernel = _get_kernel(model, lat, True)
+    kernel = _get_kernel(model, lat)
     omega, w2 = lat.omega, lat.a2_weight
 
     def a2norm(arr):
@@ -168,7 +168,7 @@ class TestSplitStep:
         # the step builds exp(-i dt V) as cos + i sin of a real angle
         st = quasi_condensate(m=3, eps=0.3, s=2.0)
         dt = 1e-2
-        kernel = _get_kernel(gaussian, st.lattice, True)
+        kernel = _get_kernel(gaussian, st.lattice)
         half = kernel.half_kinetic_phase(dt)
         phi = kernel.field(half * st.alpha)
         phi = phi * np.exp(-1j * dt * kernel.convolved_density(phi))
@@ -185,7 +185,7 @@ class TestSplitStep:
         # the cropped (2M+1)^3 at M >= 13)
         st = quasi_condensate(m=m, L=float(m))
         dt = 1e-3
-        kernel = _get_kernel(gaussian, st.lattice, True)
+        kernel = _get_kernel(gaussian, st.lattice)
         half = kernel.half_kinetic_phase(dt)
         alpha = st.alpha
         a = half * alpha
@@ -199,12 +199,6 @@ class TestSplitStep:
         cropped = kernel.crop(turned)
         expected = half * cropped
         np.testing.assert_array_equal(step_split(st, gaussian, dt).alpha, expected)
-
-    def test_aliasing_toggle_changes_result(self, gaussian):
-        st = quasi_condensate(m=2, eps=0.3, s=2.0)
-        a = step_split(st, gaussian, 1e-2, dealias=True)
-        b = step_split(st, gaussian, 1e-2, dealias=False)
-        assert l2_dist(a, b) > 0.0
 
 
 class TestRk4:
@@ -475,21 +469,6 @@ class TestEvolve:
             with pytest.raises(ValueError, match="t_final / dt .* beyond the float range"):
                 evolve(st, gaussian, t_final, IntegratorConfig(dt=dt))
 
-    @pytest.mark.parametrize("method,step", [("split_strang", step_split),
-                                             ("rk4", step_rk4)])
-    def test_forwards_dealiasing(self, gaussian, method, step):
-        st = quasi_condensate(m=2, eps=0.3, s=2.0)
-        dt = 2.0**-7
-        cfg = IntegratorConfig(method=method, dt=dt, dealiasing=False)
-        aliased = evolve(st, gaussian, 3 * dt, cfg, keep_states=False).final_state
-        cur = st
-        for _ in range(3):
-            cur = step(cur, gaussian, dt, dealias=False)
-        np.testing.assert_array_equal(aliased.alpha, cur.alpha)
-        dealiased = evolve(st, gaussian, 3 * dt, IntegratorConfig(method=method, dt=dt),
-                           keep_states=False).final_state
-        assert l2_dist(aliased, dealiased) > 0.0
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             IntegratorConfig(method="leapfrog")
@@ -512,10 +491,6 @@ class TestEvolve:
                     IntegratorConfig(**{name: bad})
         with pytest.raises(ValueError, match="picard_max_iter must be an integer"):
             IntegratorConfig(picard_max_iter=10**400)
-        for bad in ("no", "false", 0, 1, None, [True]):
-            with pytest.raises(ValueError, match="dealiasing must be true or false"):
-                IntegratorConfig(dealiasing=bad)
-        assert IntegratorConfig(dealiasing=False).dealiasing is False
 
     def test_config_coerces_json_numbers(self):
         cfg = IntegratorConfig(dt=1, picard_tau=2, picard_max_iter=50.0)
@@ -526,16 +501,15 @@ class TestEvolve:
 class TestKernelCache:
     def test_kernel_is_shared_per_model_and_lattice(self, gaussian):
         lat = TorusLattice(4.0, 2)
-        kernel = _get_kernel(gaussian, lat, True)
-        assert _get_kernel(gaussian, TorusLattice(4.0, 2), True) is kernel
-        assert _get_kernel(gaussian, lat, False) is not kernel
-        assert _get_kernel(GaussianPotential(), lat, True) is not kernel
+        kernel = _get_kernel(gaussian, lat)
+        assert _get_kernel(gaussian, TorusLattice(4.0, 2)) is kernel
+        assert _get_kernel(GaussianPotential(), lat) is not kernel
 
     def test_kernel_dies_with_its_model(self):
         model = GaussianPotential()
         st = quasi_condensate()
         step_split(st, model, 1e-3)
-        ref = weakref.ref(_get_kernel(model, st.lattice, True))
+        ref = weakref.ref(_get_kernel(model, st.lattice))
         del model
         gc.collect()
         assert ref() is None
@@ -553,7 +527,7 @@ class TestKernelCache:
 
                     def lookup(_):
                         barrier.wait()
-                        return _get_kernel(model, lat, True)
+                        return _get_kernel(model, lat)
 
                     kernels = list(pool.map(lookup, range(workers), timeout=30))
                     assert all(k is kernels[0] for k in kernels)
@@ -563,7 +537,7 @@ class TestKernelCache:
     def test_threads_share_one_kernel(self, gaussian):
         # a kernel holds no scratch buffers, so concurrent calls cannot mix
         lat = TorusLattice(4.0, 3)
-        kernel = _get_kernel(gaussian, lat, True)
+        kernel = _get_kernel(gaussian, lat)
         inputs = [random_state(lat, seed=seed).alpha for seed in range(12)]
         serial = [kernel.nonlinear(a) for a in inputs]
         old_interval = sys.getswitchinterval()
@@ -588,7 +562,6 @@ def test_hot_path_uses_no_full_grid_numpy_fft(monkeypatch):
     st = quasi_condensate(m=3)
     step_split(st, model, 1e-3)
     step_rk4(st, model, 1e-3)
-    step_split(st, model, 1e-3, dealias=False)
     context = diagnostics.TrajectoryContext.from_state(st, model)
     diagnostics.make_record(st, model, context)
     autocorrelation(st)

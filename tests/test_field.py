@@ -368,9 +368,9 @@ def assert_rel_close(actual, expected, rel=1e-13):
 class TestKernel:
     """The pruned transforms against the full-cube numpy reference."""
 
-    def check(self, M, dealias, seed):
+    def check(self, M, seed):
         lat = TorusLattice(float(M), M)
-        kernel = _Kernel(lat, GaussianPotential(), dealias)
+        kernel = _Kernel(lat, GaussianPotential())
         alpha = random_state(lat, seed=seed).alpha
         phi_ref, conv_ref, nl_ref = full_grid_reference(kernel, alpha)
         phi = kernel.field(alpha)
@@ -384,18 +384,16 @@ class TestKernel:
                          np.fft.fftn(grid)[lat.embed_indexer(kernel.G)] / kernel.G**3)
         return kernel
 
-    @pytest.mark.parametrize("dealias", [True, False])
     @pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 8])
-    def test_matches_full_grid(self, M, dealias):
-        # The native grid 2M+1 is always odd; M = 8 gives the odd dealiased G = 35.
-        kernel = self.check(M, dealias, seed=M)
-        assert kernel.G == (next_fast_len(4 * M + 2) if dealias else 2 * M + 1)
+    def test_matches_full_grid(self, M):
+        # M = 8 gives the odd grid G = 35.
+        kernel = self.check(M, seed=M)
+        assert kernel.G == next_fast_len(4 * M + 2)
 
     @settings(max_examples=20, deadline=None)
-    @given(M=st.integers(1, 6), dealias=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
-    def test_matches_full_grid_property(self, M, dealias, seed):
-        self.check(M, dealias, seed)
+    @given(M=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_matches_full_grid_property(self, M, seed):
+        self.check(M, seed)
 
 
 class TestPointwiseProduct:

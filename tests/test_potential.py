@@ -250,7 +250,7 @@ class TestMomentumGrid:
         assert full[0, 0, 0] == gaussian.b
 
     def test_kernel_vhat_stops_at_twice_the_cutoff(self, gaussian):
-        kernel = _get_kernel(gaussian, TorusLattice(4.0, 2), True)
+        kernel = _get_kernel(gaussian, TorusLattice(4.0, 2))
         assert kernel.G >= 10
         assert np.count_nonzero(kernel.vhat) == 9**3
 
