@@ -10,6 +10,7 @@ failure of the run (instability, Picard contraction or convergence).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -356,6 +357,23 @@ _DISPATCH = {
 }
 
 
+def _keep_freed_heap():
+    """Let glibc keep freed step temporaries (2-5 MB grids at M=16) in the heap.
+
+    By default it maps such arrays with mmap and trims freed heap, so every
+    Strang step faulted its memory in again page by page.  Here arrays up to
+    32 MiB come from the heap and up to 256 MiB of freed heap stays with the
+    process; forked scan workers inherit this.  Without glibc it does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -363,6 +381,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits itself on --help and flag errors
         code = exc.code
         return 0 if code is None else int(code)
+    _keep_freed_heap()
     try:
         return _DISPATCH[args.command](args)
     except (ConfigError, ValueError, KeyError) as exc:

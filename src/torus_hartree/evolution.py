@@ -134,13 +134,17 @@ def step_split(state: SpectralState, model: PotentialModel, dt: float) -> Spectr
     half = kernel.half_kinetic_phase(dt)
     a = half * state.alpha
     phi = kernel.field(a)
-    theta = -dt * kernel.convolved_density(phi)
-    # Complex products are explicit ufunc calls in the written order: numpy
-    # computes x * temporary as temporary * x once the temporary has 256 KiB,
-    # and a complex multiply is not bitwise commutative.  The product goes
-    # into the phase buffer, as the elided form did; writing it into phi
-    # instead made 6x the page faults and a 10% slower step at M=16.
-    phase = np.cos(theta) + 1j * np.sin(theta)
+    theta = kernel.convolved_density(phi)
+    np.multiply(theta, -dt, out=theta)
+    # exp(i theta) goes straight into the real and imaginary halves of one
+    # buffer, so the phase costs no G^3 temporaries; its bits are those of
+    # cos(theta) + 1j*sin(theta).  Complex products are explicit ufunc calls
+    # in the written order: numpy computes x * temporary as temporary * x once
+    # the temporary has 256 KiB, and a complex multiply is not bitwise
+    # commutative.
+    phase = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=phase.real)
+    np.sin(theta, out=phase.imag)
     phi = np.multiply(phi, phase, out=phase)
     a = kernel.crop(phi)
     np.multiply(half, a, out=a)

@@ -259,9 +259,13 @@ class _Kernel:
         return _analyze(phi, self.wrap)
 
     def convolved_density(self, phi):
-        """(V_L * |phi|^2)(x) on the grid; phi is the unit-density field."""
-        dens = phi.real**2 + phi.imag**2
-        return scipy.fft.irfftn(scipy.fft.rfftn(dens) * self.vhat_half, s=dens.shape)
+        """(V_L * |phi|^2)(x) on the grid, as a new array the caller may
+        overwrite; phi is the unit-density field."""
+        dens = np.square(phi.real)
+        dens += np.square(phi.imag)
+        spec = scipy.fft.rfftn(dens)
+        spec *= self.vhat_half
+        return scipy.fft.irfftn(spec, s=dens.shape, overwrite_x=True)
 
     def nonlinear(self, alpha):
         """Projected convolution term P_M[(V_L * |phi|^2) phi] in coefficients."""
@@ -537,11 +541,12 @@ def load_state(path) -> SpectralState:
     buf = np.frombuffer(base64.b64decode(doc["data"]), dtype="<f8")
     if buf.size != 2 * lat.size**3:
         raise ValueError(f"{path}: coefficient block has wrong length")
-    flat = buf[0::2] + 1j * buf[1::2]
+    if not np.all(np.isfinite(buf)):
+        raise ValueError(f"{path}: coefficient block has non-finite values")
     alpha = np.empty(lat.size**3, dtype=complex)
-    alpha[lat.order] = flat
+    alpha[lat.order] = buf.view("<c16")  # the (re, im) pairs, bit for bit
     state = SpectralState(lat, as_real(doc["rho"], "rho", positive=True),
                           as_real(doc["t"], "t"), alpha.reshape(lat.shape))
-    if abs(state.mass - 1.0) > 1e-9:
+    if not abs(state.mass - 1.0) <= 1e-9:  # a NaN mass fails too
         raise ValueError(f"{path}: snapshot mass {state.mass!r} deviates from 1")
     return state

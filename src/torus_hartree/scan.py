@@ -88,9 +88,20 @@ class ScanPlan:
         if "seed" in self.family_params:
             raise ValueError("per-point seeds come from master_seed; "
                              "remove 'seed' from family_params")
-        if "k0" in self.family_params:
-            k0 = as_mode(self.family_params["k0"], "family_params.k0")
-            self.family_params = {**self.family_params, "k0": k0}
+        params = dict(self.family_params)
+        if "k0" in params:
+            params["k0"] = as_mode(params["k0"], "family_params.k0")
+        for key in ("eps0", "s", "theta"):
+            if key in params:
+                params[key] = as_real(params[key], f"family_params.{key}",
+                                      positive=key == "s")
+        if "eps_rule" in params:
+            if params["eps_rule"] not in ("inv_sqrt_rho", "fixed"):
+                raise ValueError(f"unknown eps_rule {params['eps_rule']!r}; "
+                                 "known: inv_sqrt_rho, fixed")
+            if "eps0" not in params:
+                raise ValueError("eps_rule requires eps0")
+        self.family_params = params
         numeric = [f.name for f in fields(ScanRecord) if f.type in ("float", "int")]
         if (not isinstance(self.summary_columns, (list, tuple))
                 or any(c not in numeric for c in self.summary_columns)):
@@ -103,18 +114,10 @@ class ScanPlan:
     def resolve_params(self, rho: float) -> dict:
         """Apply per-point parameter rules (currently the eps rule)."""
         params = dict(self.family_params)
-        rule = params.pop("eps_rule", None)
+        rule = params.pop("eps_rule", "inv_sqrt_rho")
         if "eps0" in params:
-            eps0 = as_real(params.pop("eps0"), "eps0")
-            rule = rule or "inv_sqrt_rho"
-            if rule == "inv_sqrt_rho":
-                params["eps"] = eps0 / math.sqrt(rho)
-            elif rule == "fixed":
-                params["eps"] = eps0
-            else:
-                raise ValueError(f"unknown eps_rule {rule!r}")
-        elif rule is not None:
-            raise ValueError("eps_rule requires eps0")
+            eps0 = params.pop("eps0")
+            params["eps"] = eps0 / math.sqrt(rho) if rule == "inv_sqrt_rho" else eps0
         return params
 
 

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line frontend, run in process."""
 
+import base64
 import contextlib
 import csv
 import io
@@ -9,7 +10,9 @@ import multiprocessing
 import os
 import tempfile
 import threading
+import types
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +112,13 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def with_coefficient(doc, value):
+    """A snapshot document with its eighth stored float set to value."""
+    data = np.frombuffer(base64.b64decode(doc["data"]), dtype="<f8").copy()
+    data[7] = value
+    return {**doc, "data": base64.b64encode(data).decode("ascii")}
 
 
 class TestSimulate:
@@ -309,7 +319,11 @@ class TestSimulate:
         (lambda doc: {**doc, "L": 1e308}, "4 pi^2 / L^2 at L = 1e+308 is beyond"),
         (lambda doc: [doc], "not a state snapshot"),
         (lambda doc: {**doc, "data": None}, "data must be a base64 string"),
-        (lambda doc: {**doc, "data": [1]}, "data must be a base64 string")])
+        (lambda doc: {**doc, "data": [1]}, "data must be a base64 string"),
+        (lambda doc: with_coefficient(doc, math.nan),
+         "in.state: coefficient block has non-finite values"),
+        (lambda doc: with_coefficient(doc, -math.inf),
+         "in.state: coefficient block has non-finite values")])
     def test_bad_snapshot_header(self, tmp_path, capsys, edit, message):
         snap = tmp_path / "in.state"
         save_state(make_state("plane_wave", TorusLattice(4.0, 1), 10.0), snap)
@@ -327,6 +341,42 @@ class TestSimulate:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: 4 pi^2 / L^2 at L = 1e+308")
         assert not (tmp_path / "s").exists()
+
+
+class TestHeapPolicy:
+    """cli.main sets glibc's allocator policy; without mallopt it runs unchanged."""
+
+    def simulate(self, tmp_path, name):
+        out = tmp_path / name
+        out.mkdir()
+        assert run(["simulate", "--config", str(write_config(out)),
+                    "--out", str(out / "t.csv"), "--audit", str(out / "audit.json"),
+                    "--final-state", str(out / "final.state")]) == 0
+        return [(out / f).read_bytes() for f in ("t.csv", "audit.json", "final.state")]
+
+    def test_sets_mmap_and_trim_thresholds(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(cli.ctypes, "CDLL",
+                            lambda name: types.SimpleNamespace(mallopt=mallopt))
+        cli._keep_freed_heap()
+        assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
+
+    def test_runs_without_mallopt(self, tmp_path, capsys, monkeypatch):
+        expected = self.simulate(tmp_path, "glibc")
+
+        def no_library(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", no_library)
+        assert self.simulate(tmp_path, "no_library") == expected
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        assert self.simulate(tmp_path, "no_mallopt") == expected
+        capsys.readouterr()
 
 
 class TestVerify:
@@ -450,7 +500,21 @@ class TestScan:
         ({"potential": {"family": "gaussian", "sigma": 1e200}},
          "potential integral b is beyond the float range"),
         ({"kappa": 1e308}, "cutoff kappa * L = 1e+308 * 2.0 is beyond the float range"),
-        ({"dealiasing": True}, "unknown plan keys ['dealiasing']")])
+        ({"dealiasing": True}, "unknown plan keys ['dealiasing']"),
+        ({"family_params": {"eps0": None, "s": 6.0}}, "family_params.eps0 must be"),
+        ({"family_params": {"eps0": "x", "s": 6.0}}, "family_params.eps0 must be"),
+        ({"family_params": {"eps0": math.nan, "s": 6.0}}, "family_params.eps0 must be"),
+        ({"family_params": {"eps0": 0.2, "s": 0}}, "family_params.s must be positive"),
+        ({"family_params": {"eps0": 0.2, "s": 6.0, "theta": [1]}},
+         "family_params.theta must be"),
+        ({"family_params": {"eps0": 0.2, "s": 6.0, "eps_rule": []}}, "unknown eps_rule []"),
+        ({"family_params": {"eps0": 0.2, "s": 6.0, "eps_rule": {}}}, "unknown eps_rule {}"),
+        ({"family_params": {"eps0": 0.2, "s": 6.0, "eps_rule": 0}}, "unknown eps_rule 0"),
+        ({"family_params": {"eps0": 0.2, "s": 6.0, "eps_rule": None}},
+         "unknown eps_rule None"),
+        ({"family_params": {"eps0": 0.2, "s": 6.0, "eps_rule": True}},
+         "unknown eps_rule True"),
+        ({"family_params": {"s": 6.0, "eps_rule": "fixed"}}, "eps_rule requires eps0")])
     def test_invalid_plan_writes_nothing(self, tmp_path, capsys, overrides, message):
         assert run(["scan", "--plan", str(self.plan(tmp_path, **overrides)),
                     "--out", str(tmp_path / "scan")]) == 2

@@ -3,11 +3,15 @@
 import json
 import math
 import re
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.fft import next_fast_len
 
 from torus_hartree import (
@@ -489,6 +493,29 @@ class TestSnapshots:
         assert loaded.lattice == st_.lattice
         assert loaded.rho == st_.rho
         assert loaded.t == st_.t
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), L=st.floats(1e-3, 1e3), M=st.integers(1, 3),
+           rho=st.floats(0.0, exclude_min=True, allow_infinity=False),
+           t=st.floats(allow_nan=False, allow_infinity=False))
+    def test_round_trip_property(self, data, L, M, rho, t):
+        """save_state then load_state returns every number bit for bit,
+        signed zeros and subnormals included."""
+        lat = TorusLattice(L, M)
+        parts = data.draw(hnp.arrays(float, (2, *lat.shape), elements=st.floats(-1.0, 1.0)))
+        alpha = np.empty(lat.shape, dtype=complex)
+        alpha.real, alpha.imag = parts
+        alpha[lat.index_of((0, 0, 0))] = 1.0  # keeps the mass away from 0
+        alpha = alpha / math.sqrt(SpectralState(lat, 1.0, 0.0, alpha).mass)
+        state = SpectralState(lat, rho, t, alpha)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "state.json"
+            save_state(state, path)
+            loaded = load_state(path)
+        assert loaded.alpha.tobytes() == state.alpha.tobytes()
+        bits = struct.Struct("<3d")
+        assert bits.pack(loaded.rho, loaded.t, loaded.lattice.L) == bits.pack(rho, t, lat.L)
+        assert type(loaded.lattice.M) is int and loaded.lattice.M == M
 
     def test_header_contents(self, tmp_path):
         st_ = make_state("plane_wave", TorusLattice(4.0, 1), 2.0)
