@@ -36,6 +36,7 @@ __all__ = [
     "to_physical",
     "to_spectral",
     "STATE_FAMILIES",
+    "FAMILY_PARAMS",
     "make_state",
     "random_state",
     "time_reversal",
@@ -418,6 +419,28 @@ STATE_FAMILIES = {
     "perturbed": "perturbed_condensate",
 }
 
+# The parameters each canonical state family takes, mapped to whether they
+# are required.  make_state and scan plans both check keys against this table.
+FAMILY_PARAMS = {
+    "plane_wave": {"k0": False, "theta": False},
+    "two_mode": {"k0": False, "escape_exponent": True},
+    "perturbed_condensate": {"k0": False, "theta": False, "eps": True, "s": True,
+                             "seed": True},
+}
+
+
+def check_family_keys(family: str, given, takes=None, where: str = "parameters"):
+    """Refuse keys the canonical family does not take, then missing required
+    ones, naming the keys and the family.  takes defaults to FAMILY_PARAMS[family]."""
+    takes = FAMILY_PARAMS[family] if takes is None else takes
+    extra = sorted(set(given) - set(takes))
+    if extra:
+        raise ValueError(f"state family {family!r} takes no {where} {extra}; "
+                         f"it takes {', '.join(takes)}")
+    missing = [k for k, required in takes.items() if required and k not in given]
+    if missing:
+        raise ValueError(f"state family {family!r} requires {where} {missing}")
+
 
 def make_state(family: str, lattice: TorusLattice, rho: float, **params) -> SpectralState:
     """Construct a normalized initial state.
@@ -434,19 +457,18 @@ def make_state(family: str, lattice: TorusLattice, rho: float, **params) -> Spec
         raise ValueError(f"unknown state family {family!r}; known: "
                          f"{', '.join(dict.fromkeys(STATE_FAMILIES.values()))}")
     family = STATE_FAMILIES[family]
+    check_family_keys(family, params)
     rho = as_real(rho, "rho", positive=True)
-    k0 = as_mode(params.pop("k0", (0, 0, 0)))
+    k0 = as_mode(params.get("k0", (0, 0, 0)))
     alpha = np.zeros(lattice.shape, dtype=complex)
 
     if family == "plane_wave":
-        theta = as_real(params.pop("theta", 0.0), "theta")
-        _reject_extra(params)
+        theta = as_real(params.get("theta", 0.0), "theta")
         alpha[lattice.index_of(k0)] = np.exp(1j * theta)
         return SpectralState(lattice, rho, 0.0, alpha)
 
     if family == "two_mode":
-        a_exp = as_real(params.pop("escape_exponent"), "escape_exponent")
-        _reject_extra(params)
+        a_exp = as_real(params["escape_exponent"], "escape_exponent")
         n_esc = (math.floor(_positive_finite(lambda: rho**a_exp * lattice.L,
                                              "escape mode rho**a * L")), 0, 0)
         if n_esc == k0:
@@ -456,11 +478,10 @@ def make_state(family: str, lattice: TorusLattice, rho: float, **params) -> Spec
         return SpectralState(lattice, rho, 0.0, alpha)
 
     # perturbed_condensate
-    theta = as_real(params.pop("theta", 0.0), "theta")
-    eps = as_real(params.pop("eps"), "eps")
-    s = as_real(params.pop("s"), "s", positive=True)
-    seed = params.pop("seed")
-    _reject_extra(params)
+    theta = as_real(params.get("theta", 0.0), "theta")
+    eps = as_real(params["eps"], "eps")
+    s = as_real(params["s"], "s", positive=True)
+    seed = params["seed"]
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
     idx0 = lattice.index_of(k0)
@@ -475,11 +496,6 @@ def make_state(family: str, lattice: TorusLattice, rho: float, **params) -> Spec
     alpha = eps * (1.0 + dist) ** (-s) * np.exp(1j * phases)
     alpha[idx0] = np.exp(1j * theta)
     return SpectralState(lattice, rho, 0.0, _normalize(alpha, "perturbed_condensate"))
-
-
-def _reject_extra(params):
-    if params:
-        raise ValueError(f"unexpected parameters: {sorted(params)}")
 
 
 def random_state(lattice: TorusLattice, rho: float = 1.0, seed=0) -> SpectralState:

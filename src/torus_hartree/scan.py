@@ -23,7 +23,8 @@ from numpy.random import SeedSequence
 
 from . import diagnostics
 from .evolution import IntegratorConfig, Trajectory, evolve
-from .field import STATE_FAMILIES, TorusLattice, as_mode, make_state
+from .field import (FAMILY_PARAMS, STATE_FAMILIES, TorusLattice, as_mode,
+                    check_family_keys, make_state)
 from .potential import as_bool, as_int, as_real, as_reals, make_potential
 
 __all__ = [
@@ -91,7 +92,7 @@ class ScanPlan:
         params = dict(self.family_params)
         if "k0" in params:
             params["k0"] = as_mode(params["k0"], "family_params.k0")
-        for key in ("eps0", "s", "theta"):
+        for key in ("eps0", "s", "theta", "escape_exponent"):
             if key in params:
                 params[key] = as_real(params[key], f"family_params.{key}",
                                       positive=key == "s")
@@ -101,6 +102,13 @@ class ScanPlan:
                                  "known: inv_sqrt_rho, fixed")
             if "eps0" not in params:
                 raise ValueError("eps_rule requires eps0")
+        # a plan spells eps as eps0 with an optional eps_rule; seeds come from master_seed
+        family = STATE_FAMILIES[self.family]
+        takes = {("eps0" if k == "eps" else k): required
+                 for k, required in FAMILY_PARAMS[family].items() if k != "seed"}
+        if "eps0" in takes:
+            takes["eps_rule"] = False
+        check_family_keys(family, params, takes, "family_params")
         self.family_params = params
         numeric = [f.name for f in fields(ScanRecord) if f.type in ("float", "int")]
         if (not isinstance(self.summary_columns, (list, tuple))

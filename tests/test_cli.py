@@ -514,7 +514,21 @@ class TestScan:
          "unknown eps_rule None"),
         ({"family_params": {"eps0": 0.2, "s": 6.0, "eps_rule": True}},
          "unknown eps_rule True"),
-        ({"family_params": {"s": 6.0, "eps_rule": "fixed"}}, "eps_rule requires eps0")])
+        ({"family_params": {"s": 6.0, "eps_rule": "fixed"}}, "eps_rule requires eps0"),
+        ({"family": "plane_wave", "family_params": {"eps0": 0.2, "s": 6.0}},
+         "state family 'plane_wave' takes no family_params ['eps0', 's']"),
+        ({"family": "two_mode", "family_params": {}},
+         "state family 'two_mode' requires family_params ['escape_exponent']"),
+        ({"family": "two-mode", "family_params": {"escape_exponent": 0.5, "theta": 1.0}},
+         "state family 'two_mode' takes no family_params ['theta']"),
+        ({"family": "two_mode", "family_params": {"escape_exponent": "x"}},
+         "family_params.escape_exponent must be"),
+        ({"family_params": {"eps0": 0.2}},
+         "state family 'perturbed_condensate' requires family_params ['s']"),
+        ({"family_params": {"s": 6.0}},
+         "state family 'perturbed_condensate' requires family_params ['eps0']"),
+        ({"family_params": {"eps": 0.2, "s": 6.0}},
+         "state family 'perturbed_condensate' takes no family_params ['eps']")])
     def test_invalid_plan_writes_nothing(self, tmp_path, capsys, overrides, message):
         assert run(["scan", "--plan", str(self.plan(tmp_path, **overrides)),
                     "--out", str(tmp_path / "scan")]) == 2

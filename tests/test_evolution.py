@@ -318,7 +318,8 @@ class TestPicard:
 
     def test_doubled_passes_start_warm(self, gaussian, monkeypatch):
         # q = 8 sweeps from the free flight; q = 16 starts from its solution
-        # and settles in one sweep: 8 (sweeps + 1) + 16 (1 + 1) kernel calls
+        # and settles in one sweep, and each endpoint reuses its pass's last
+        # sweep: 8 sweeps + 16 * 1 kernel calls
         calls = []
         nonlinear = _Kernel.nonlinear
 
@@ -334,7 +335,7 @@ class TestPicard:
             calls.clear()
             picard_solve(st, gaussian, frac * guard)
             counts.append(len(calls))
-        assert counts == [72, 80, 80, 88]
+        assert counts == [48, 56, 56, 64]
 
     def test_bit_identical_across_blas_threads(self):
         src = os.path.dirname(os.path.dirname(torus_hartree.__file__))
@@ -358,7 +359,7 @@ class TestPicard:
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("m", [1, 2, 3])
-    @pytest.mark.parametrize("frac", [0.1, 0.3])
+    @pytest.mark.parametrize("frac", [0.1, 0.3, 0.6, 0.9])
     def test_matches_per_node_reference(self, gaussian, m, frac):
         lat = TorusLattice(4.0, m)
         states = [quasi_condensate(m=m), random_state(lat, 10.0, seed=m),
@@ -401,6 +402,17 @@ class TestPicard:
             picard_solve(st, gaussian, 1e-3, tau=0.9)
         with pytest.raises(ValueError):
             picard_solve(st, gaussian, 1e-3, tol=0.0)
+        for max_iter in (0, -3, True, 2.5):
+            with pytest.raises(ValueError, match="max_iter must be"):
+                picard_solve(st, gaussian, 1e-3, max_iter=max_iter)
+        for t_target in (math.nan, math.inf, True, "1e-3"):
+            with pytest.raises(ValueError, match="t_target must be"):
+                picard_solve(st, gaussian, t_target)
+        # an infinite tol or tau would return an uncertified result
+        with pytest.raises(ValueError, match="tol must be"):
+            picard_solve(st, gaussian, 1e-3, tol=math.inf)
+        with pytest.raises(ValueError, match="tau must be"):
+            picard_solve(st, gaussian, 1e-3, tau=math.inf)
 
 
 class TestEvolve:

@@ -208,6 +208,18 @@ class TestStates:
             with pytest.raises(ValueError, match=name):
                 make_state("perturbed", lat, 1.0, **params)
 
+    def test_family_keys(self):
+        # each family's keys come from FAMILY_PARAMS, checked before any value
+        lat = TorusLattice(4.0, 1)
+        for family, params, message in (
+                ("two_mode", {}, "'two_mode' requires parameters ['escape_exponent']"),
+                ("perturbed", {"eps": 0.1, "s": 2.0},
+                 "'perturbed_condensate' requires parameters ['seed']"),
+                ("plane-wave", {"eps": "x", "s": None},
+                 "'plane_wave' takes no parameters ['eps', 's']; it takes k0, theta")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                make_state(family, lat, 1.0, **params)
+
     def test_k0_read_as_integers(self):
         lat = TorusLattice(4.0, 1)
         for k0 in ([1.0, 0, -1], np.array([1, 0, -1])):
