@@ -207,7 +207,9 @@ CSV_COLUMNS = [f.name for f in dataclass_fields(DiagnosticsRecord)
 
 @dataclass(frozen=True)
 class TrajectoryContext:
-    """Reference data frozen at t = 0 for envelopes and the comparison wave."""
+    """Reference data frozen at the start time t0 for envelopes and the
+    comparison wave; both are evaluated at the elapsed time t - t0, so a
+    run resumed from a snapshot counts from the snapshot's t."""
 
     s0: float
     t0_kin: float
@@ -216,6 +218,7 @@ class TrajectoryContext:
     k0: tuple
     theta: float
     u0_mass_sq: float
+    t0: float = 0.0
 
     @classmethod
     def from_state(cls, state: SpectralState, model: PotentialModel,
@@ -230,7 +233,7 @@ class TrajectoryContext:
         u0 = lat.ordered_sum(_wave_deviation(lat, state.alpha, k0, theta) ** 2)
         return cls(s0=s_sum(state), t0_kin=t_sum(state), b=model.b,
                    c_decay=model.C, k0=tuple(int(v) for v in np.asarray(k0).reshape(3)),
-                   theta=float(theta), u0_mass_sq=u0)
+                   theta=float(theta), u0_mass_sq=u0, t0=state.t)
 
 
 def _wave_deviation(lattice, alpha, k, phase):
@@ -240,13 +243,14 @@ def _wave_deviation(lattice, alpha, k, phase):
     return np.abs(u)
 
 
-def _comparison_wave(state: SpectralState, k0, theta: float, b: float):
+def _comparison_wave(state: SpectralState, ctx: TrajectoryContext):
     """omega_L = 4 pi^2 |k0|^2 / L^2 + b and the per-site |u|^2 at state.t,
-    where u = alpha - exp(i (theta - omega_L t)) delta_k0."""
+    where u = alpha - exp(i (theta - omega_L (t - t0))) delta_k0."""
     lat = state.lattice
-    k0 = np.asarray(k0)
-    omega_l = 4.0 * math.pi**2 * float(k0 @ k0) / lat.L**2 + b
-    return omega_l, _wave_deviation(lat, state.alpha, k0, theta - omega_l * state.t) ** 2
+    k0 = np.asarray(ctx.k0)
+    omega_l = 4.0 * math.pi**2 * float(k0 @ k0) / lat.L**2 + ctx.b
+    phase = ctx.theta - omega_l * (state.t - ctx.t0)
+    return omega_l, _wave_deviation(lat, state.alpha, k0, phase) ** 2
 
 
 def _argmax_mode(lattice, a_abs):
@@ -279,15 +283,16 @@ def make_record(state: SpectralState, model: PotentialModel,
 
     s_env = t_env = u_env = u_mass = math.nan
     if context is not None:
+        elapsed = state.t - context.t0
         try:
-            s_env = s_envelope(context.s0, context.b, state.t)
+            s_env = s_envelope(context.s0, context.b, elapsed)
             t_env = t_envelope(context.s0, context.t0_kin, context.b,
-                               context.c_decay, state.t)
+                               context.c_decay, elapsed)
             u_env = u_mass_envelope(context.u0_mass_sq, context.s0,
-                                    context.b, state.t)
+                                    context.b, elapsed)
         except EnvelopeDomainError:
             pass  # past blow-up the envelopes carry no information
-        _, uabs2 = _comparison_wave(state, context.k0, context.theta, context.b)
+        _, uabs2 = _comparison_wave(state, context)
         u_mass = lat.ordered_sum(uabs2)
 
     return DiagnosticsRecord(
@@ -318,20 +323,22 @@ def envelope_audit(trajectory, tolerance_base: float = 1e-6) -> dict:
 
     The per-record tolerance is tolerance_base plus the reported
     truncation tail (truncated sums underestimate the full ones), and
-    both raw and tail-corrected margins are reported.  Records at or
-    beyond blow-up are skipped.
+    both raw and tail-corrected margins are reported.  The envelopes run
+    from the context's start time t0, so blowup_time, on the record clock,
+    is t0 + 1 / (2 S0^2 b); records at or beyond it are skipped.
     """
     ctx = trajectory.context
-    blowup = 1.0 / (2.0 * ctx.s0**2 * ctx.b)
+    lifespan = 1.0 / (2.0 * ctx.s0**2 * ctx.b)
     entries = []
     flags = 0
     for rec in trajectory.records:
-        if rec.t >= blowup:
+        elapsed = rec.t - ctx.t0
+        if elapsed >= lifespan:
             entries.append({"t": rec.t, "in_domain": False})
             continue
         tol = tolerance_base + rec.tail_half_M
-        s_margin = s_envelope(ctx.s0, ctx.b, rec.t) - rec.S
-        t_margin = t_envelope(ctx.s0, ctx.t0_kin, ctx.b, ctx.c_decay, rec.t) - rec.T
+        s_margin = s_envelope(ctx.s0, ctx.b, elapsed) - rec.S
+        t_margin = t_envelope(ctx.s0, ctx.t0_kin, ctx.b, ctx.c_decay, elapsed) - rec.T
         s_flag = s_margin < -tol
         t_flag = t_margin < -tol
         flags += int(s_flag) + int(t_flag)
@@ -341,7 +348,7 @@ def envelope_audit(trajectory, tolerance_base: float = 1e-6) -> dict:
             "t_margin": t_margin, "t_margin_corrected": t_margin + tol,
             "s_flag": s_flag, "t_flag": t_flag,
         })
-    return {"passed": flags == 0, "flags": flags, "blowup_time": blowup,
+    return {"passed": flags == 0, "flags": flags, "blowup_time": ctx.t0 + lifespan,
             "records": entries}
 
 
@@ -351,7 +358,8 @@ def plane_wave_comparison(trajectory, k0, theta: float, model: PotentialModel) -
     The comparison wave is sqrt(rho) exp(i (2 pi k0 x / L - omega_L t + theta))
     with omega_L = 4 pi^2 |k0|^2 / L^2 + b.  Returns per-time arrays of
     the squared mass and gradient of u = Psi - Phi (per rho L^3) and the
-    Gronwall mass envelope seeded by the first record.
+    Gronwall mass envelope seeded by the first state; t in both counts
+    from the first state's time.
     """
     states = trajectory.states
     if not states:
@@ -361,11 +369,11 @@ def plane_wave_comparison(trajectory, k0, theta: float, model: PotentialModel) -
 
     ts, masses, grads, envs = [], [], [], []
     for st in states:
-        omega_l, uabs2 = _comparison_wave(st, ctx.k0, ctx.theta, ctx.b)
+        omega_l, uabs2 = _comparison_wave(st, ctx)
         ts.append(st.t)
         masses.append(lat.ordered_sum(uabs2))
         grads.append(lat.ordered_sum(lat.omega * uabs2))
-        envs.append(u_mass_envelope(ctx.u0_mass_sq, ctx.s0, ctx.b, st.t))
+        envs.append(u_mass_envelope(ctx.u0_mass_sq, ctx.s0, ctx.b, st.t - ctx.t0))
     return {"t": np.array(ts), "u_mass_sq": np.array(masses),
             "u_grad_sq": np.array(grads), "mass_envelope": np.array(envs),
             "omega_l": omega_l, "u0_mass_sq": ctx.u0_mass_sq}

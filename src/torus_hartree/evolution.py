@@ -333,8 +333,10 @@ def evolve(state: SpectralState, model: PotentialModel, t_final: float,
     """Advance by fixed steps, emitting a record every ``stride`` steps.
 
     The first and final instants are always recorded; a shortened final
-    step covers any remainder of t_final.  Record times are k * dt
-    computed from the step index, not accumulated.
+    step covers any remainder of t_final.  Record times are t0 + k * dt,
+    computed from the step index, not accumulated, where t0 is the state's
+    time; a t0 so large that a step would not advance them raises
+    ValueError before the first step.
     """
     if config is None:
         config = IntegratorConfig()
@@ -364,6 +366,17 @@ def evolve(state: SpectralState, model: PotentialModel, t_final: float,
     remainder = t_final - n_full * dt
     n_steps = n_full + (remainder > 1e-12 * dt)  # step n_full + 1 is the shortened one
 
+    def record_time(k):
+        return t0 + (t_final if k > n_full else k * dt)
+
+    # t0 + k dt is monotone in k and its float spacing is widest where it is
+    # largest in magnitude, at the first or the last step: if those advance,
+    # every step does.
+    for k in {1, n_full, n_steps}:
+        if 0 < k <= n_steps and not record_time(k) > record_time(k - 1):
+            raise ValueError(f"the record clock cannot advance from t = {t0!r} "
+                             f"by steps of dt = {dt!r}")
+
     context = diagnostics.TrajectoryContext.from_state(state, model)
     records = [diagnostics.make_record(state, model, context)]
     states = [state] if keep_states else None
@@ -372,7 +385,7 @@ def evolve(state: SpectralState, model: PotentialModel, t_final: float,
     for k in range(1, n_steps + 1):
         short = k > n_full
         current = step(current, remainder if short else dt)
-        current = current.with_alpha(current.alpha, t=t0 + (t_final if short else k * dt))
+        current = current.with_alpha(current.alpha, t=record_time(k))
         if k % stride == 0 or k == n_steps:
             records.append(diagnostics.make_record(current, model, context))
             if keep_states:

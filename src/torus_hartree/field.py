@@ -203,27 +203,54 @@ class AutoCorrelation:
         object.__setattr__(self, "beta", b)
 
 
-def _synthesize(alpha, w, G):
-    """G^3 ifftn of the (n, n, n) array alpha embedded at grid indices w.
+def _dft_matrices(M: int, G: int):
+    """The pruned DFT pair between the modes |k| <= M and a size-G grid.
 
-    Pruned (FFTW's "pruned FFTs"): one axis at a time, so each 1-D pass
-    runs only over rows that can be nonzero.  With w = lattice.n1d % G
-    this is the unit-density field of alpha on the grid x_j = j L / G.
+    F[j, k] = exp(2 pi i ((j k) mod G) / G), of shape (G, 2M+1), maps a
+    mode axis to grid points x_j = j L / G; A = conj(F).T / G maps back.
+    Entries are taken from one table of the G roots of unity, made
+    conjugate-symmetric (roots[G - m] = conj(roots[m])), and indexed by
+    j k reduced mod G.  The unreduced phase 2 pi j k / G reaches 99 rad at
+    M = 16, G = 66, and a synthesis through it was off from np.fft by
+    8e-15 of max |phi|, against 7e-16 with the reduced one.  Both
+    matrices are read-only.
     """
-    f = alpha
-    for axis in range(3):
-        grid = np.zeros(f.shape[:axis] + (G,) + f.shape[axis + 1:], dtype=complex)
-        grid[(slice(None),) * axis + (w,)] = f
-        f = scipy.fft.ifft(grid, axis=axis, norm="forward", overwrite_x=True)
-    return f
+    half = np.exp((2j * math.pi / G) * np.arange(G // 2 + 1))
+    if G % 2 == 0:
+        half[-1] = -1.0  # its own conjugate
+    roots = np.concatenate([half, np.conj(half[(G + 1) // 2 - 1:0:-1])])
+    F = roots[np.outer(np.arange(G), np.arange(-M, M + 1)) % G]
+    A = np.conj(F.T) / G
+    F.setflags(write=False)
+    A.setflags(write=False)
+    return F, A
 
 
-def _analyze(f, w):
-    """fftn(f)[w, w, w] / G^3 for a G^3 grid array f, pruned like _synthesize."""
-    for axis in (2, 1, 0):  # only the first pass reads the caller's array
-        f = scipy.fft.fft(f, axis=axis, norm="forward", overwrite_x=axis < 2)
-        f = f[(slice(None),) * axis + (w,)]
-    return f
+def _synthesize(alpha, F):
+    """G^3 ifftn of the (n, n, n) array alpha embedded at its modes' grid
+    indices, for the (G, n) synthesis matrix F of _dft_matrices.
+
+    Pruned (FFTW's "pruned FFTs"): one axis at a time, each a matrix
+    product (BLAS zgemm) that maps only the n = 2M+1 rows that can be
+    nonzero.  At these sizes three products beat three pocketfft passes:
+    each scipy.fft call costs ~15-20 us of overhead even on a 14^3 grid,
+    and each pass would transform rows of which about half are padding.
+    With F from the lattice's M this is the unit-density field of alpha
+    on the grid x_j = j L / G.
+    """
+    G, n = F.shape
+    f = (F @ alpha.reshape(n, n * n)).reshape(G, n, n)
+    f = np.matmul(F, f)  # (G, G, n): F times each (n, n) slab
+    return (f.reshape(G * G, n) @ F.T).reshape(G, G, G)
+
+
+def _analyze(f, A):
+    """fftn(f)[modes] / G^3 for a G^3 grid array f and the (n, G) analysis
+    matrix A of _dft_matrices: _synthesize's products in mirror order."""
+    n, G = A.shape
+    f = (np.reshape(f, (G * G, G)) @ A.T).reshape(G, G, n)
+    f = np.matmul(A, f)  # (G, n, n): A times each (G, n) slab
+    return (A @ f.reshape(G, n * n)).reshape(n, n, n)
 
 
 class _Kernel:
@@ -235,17 +262,20 @@ class _Kernel:
     can reach, and is 0 elsewhere.
 
     field and crop are the module's pruned transforms _synthesize and
-    _analyze, which autocorrelation and pointwise_product share.  The
-    density is real, so its convolution with V uses rfftn and the
-    half-spectrum vhat_half.  The kernel keeps no scratch buffers, so
-    threads of one process may share it: each call allocates its own.
-    (Scan worker processes each build their own kernels.)
+    _analyze, three BLAS matrix products each against the read-only DFT
+    pair (F, A) of _dft_matrices, built here once per kernel; they map
+    only the 2M+1 modes of each axis, so no call pays for padding rows or
+    per-axis FFT overhead.  The density is real, so its convolution with
+    V uses scipy.fft.rfftn and the half-spectrum vhat_half.  The kernel
+    keeps no scratch buffers, so threads of one process may share it:
+    each call allocates its own.  (Scan worker processes each build
+    their own kernels.)
     """
 
     def __init__(self, lattice: TorusLattice, model):
         self.lattice = lattice
         self.G = G = next_fast_len(2 * lattice.size)
-        self.wrap = lattice.n1d % G
+        self.F, self.A = _dft_matrices(lattice.M, G)
         self.vhat = vhat_grid(model, lattice.L, scipy.fft.fftfreq(G, 1.0 / G),
                               limit=2 * lattice.M)
         self.vhat_half = self.vhat[:, :, :G // 2 + 1]  # the rfftn half-spectrum
@@ -253,11 +283,11 @@ class _Kernel:
 
     def field(self, alpha):
         """Unit-density field on the G^3 grid: G^3 ifftn of the embedded alpha."""
-        return _synthesize(alpha, self.wrap, self.G)
+        return _synthesize(alpha, self.F)
 
     def crop(self, phi):
         """Lattice coefficients of a grid field: fftn(phi)[lattice] / G^3."""
-        return _analyze(phi, self.wrap)
+        return _analyze(phi, self.A)
 
     def convolved_density(self, phi):
         """(V_L * |phi|^2)(x) on the grid, as a new array the caller may
@@ -311,8 +341,9 @@ def autocorrelation(state: SpectralState, method: str = "fft") -> AutoCorrelatio
     diff = difference_lattice(lat)
     if method == "fft":
         G = next_fast_len(4 * M + 1)
-        phi = _synthesize(state.alpha, lat.n1d % G, G)
-        return AutoCorrelation(diff, _analyze(phi.real**2 + phi.imag**2, diff.n1d % G))
+        phi = _synthesize(state.alpha, _dft_matrices(M, G)[0])
+        return AutoCorrelation(diff, _analyze(phi.real**2 + phi.imag**2,
+                                              _dft_matrices(diff.M, G)[1]))
     if method == "direct":
         a = state.alpha
         n = lat.size
@@ -396,10 +427,10 @@ def pointwise_product(a: SpectralState, b: SpectralState) -> SpectralState:
         raise ValueError("operands must share a lattice")
     lat = a.lattice
     G = next_fast_len(2 * lat.size - 1)
-    w = lat.n1d % G
-    prod = _synthesize(a.alpha, w, G) * _synthesize(b.alpha, w, G)
+    F = _dft_matrices(lat.M, G)[0]
+    prod = _synthesize(a.alpha, F) * _synthesize(b.alpha, F)
     diff = difference_lattice(lat)
-    return SpectralState(diff, a.rho, a.t, _analyze(prod, diff.n1d % G))
+    return SpectralState(diff, a.rho, a.t, _analyze(prod, _dft_matrices(diff.M, G)[1]))
 
 
 def _normalize(alpha, where: str):

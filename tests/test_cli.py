@@ -161,6 +161,26 @@ class TestSimulate:
         assert float(rows[-1]["condensate_fraction"]) == pytest.approx(
             1.0, abs=1e-12)
 
+    def test_resumed_snapshot_envelopes_count_from_its_t(self, tmp_path, capsys):
+        snap = tmp_path / "in.state"
+        state = make_state("plane_wave", TorusLattice(4.0, 2), 10.0, k0=(1, 0, 0))
+        save_state(state.with_alpha(state.alpha, t=1e6), snap)
+        cfg = write_config(tmp_path, state={"snapshot": str(snap)})
+        out, audit = tmp_path / "traj.csv", tmp_path / "audit.json"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out),
+                    "--audit", str(audit)]) == 0
+        assert capsys.readouterr().err == ""
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert float(rows[0]["t"]) == 1e6
+        # the clock resolves 2**-33 s at t = 1e6, which dephases the wave by ~1e-9
+        assert max(float(r["u_mass_sq"]) for r in rows) <= 1e-16
+        assert all(math.isfinite(float(r["s_envelope"])) for r in rows)
+        doc = json.loads(audit.read_text())
+        assert doc["passed"] is True
+        assert all(e["in_domain"] for e in doc["records"])
+        assert doc["blowup_time"] > 1e6
+
     def test_missing_config_key(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         doc = json.loads(write_config(tmp_path).read_text())
@@ -323,7 +343,9 @@ class TestSimulate:
         (lambda doc: with_coefficient(doc, math.nan),
          "in.state: coefficient block has non-finite values"),
         (lambda doc: with_coefficient(doc, -math.inf),
-         "in.state: coefficient block has non-finite values")])
+         "in.state: coefficient block has non-finite values"),
+        (lambda doc: {**doc, "t": 1e16},
+         "the record clock cannot advance from t = 1e+16 by steps of dt = 0.001")])
     def test_bad_snapshot_header(self, tmp_path, capsys, edit, message):
         snap = tmp_path / "in.state"
         save_state(make_state("plane_wave", TorusLattice(4.0, 1), 10.0), snap)

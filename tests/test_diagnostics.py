@@ -340,6 +340,37 @@ class TestPlaneWaveComparison:
             plane_wave_comparison(traj, (0, 0, 0), 0.0, gaussian)
 
 
+class TestResumedRun:
+    """A run that starts at t0 > 0 evaluates its envelopes, blow-up test and
+    comparison wave at the elapsed time t - t0."""
+
+    def test_plane_wave_resumed_at_half(self, gaussian):
+        st = make_state("plane_wave", TorusLattice(4.0, 2), 10.0, k0=(1, 0, 0))
+        cfg = IntegratorConfig(dt=1e-3)
+        ref = evolve(st, gaussian, 0.004, cfg)
+        traj = evolve(st.with_alpha(st.alpha, t=0.5), gaussian, 0.004, cfg)
+        assert traj.context.t0 == 0.5 and ref.context.t0 == 0.0
+        assert [r.t for r in traj.records] == [0.5 + r.t for r in ref.records]
+        assert max(r.u_mass_sq for r in traj.records) <= 1e-28
+        for name in ("s_envelope", "t_envelope", "u_mass_envelope"):
+            got = [getattr(r, name) for r in traj.records]
+            assert all(math.isfinite(v) for v in got)
+            np.testing.assert_allclose(got, [getattr(r, name) for r in ref.records],
+                                       rtol=1e-12, atol=0.0)
+        audit, ref_audit = envelope_audit(traj), envelope_audit(ref)
+        assert audit["passed"]
+        assert all(e["in_domain"] for e in audit["records"])
+        assert audit["blowup_time"] == 0.5 + ref_audit["blowup_time"]
+        for e, e_ref in zip(audit["records"], ref_audit["records"]):
+            assert e["s_margin"] == pytest.approx(e_ref["s_margin"], rel=1e-12, abs=1e-15)
+        cmp = plane_wave_comparison(traj, (1, 0, 0), 0.0, gaussian)
+        assert np.max(cmp["u_mass_sq"]) <= 1e-28
+        np.testing.assert_allclose(
+            cmp["mass_envelope"],
+            plane_wave_comparison(ref, (1, 0, 0), 0.0, gaussian)["mass_envelope"],
+            rtol=1e-12)
+
+
 class TestBoundCalculators:
     def test_omega_at_zero_horizon(self):
         # S = s0 = 1, T = t0 = 0, v2 = 0, b = 1:

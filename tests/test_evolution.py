@@ -3,6 +3,7 @@
 import gc
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -35,7 +36,7 @@ from torus_hartree import (
     time_reversal,
 )
 import torus_hartree
-from torus_hartree import diagnostics
+from torus_hartree import diagnostics, evolution
 from numpy.polynomial.legendre import leggauss
 
 from torus_hartree.evolution import (
@@ -341,21 +342,27 @@ class TestPicard:
         src = os.path.dirname(os.path.dirname(torus_hartree.__file__))
         code = textwrap.dedent("""
             import hashlib
-            from torus_hartree import (GaussianPotential, TorusLattice, lifespan_guard,
-                                       make_state, picard_solve)
+            from torus_hartree import (GaussianPotential, TorusLattice, autocorrelation,
+                                       lifespan_guard, make_state, picard_solve, step_split)
             model = GaussianPotential()
             for m in (3, 8):
                 st = make_state("perturbed", TorusLattice(4.0, m), 10.0, eps=0.05, s=6.0, seed=1)
                 for frac in (0.05, 0.3):
                     out = picard_solve(st, model, frac * lifespan_guard(st, model).guard)
                     print(m, frac, hashlib.sha256(out.alpha.tobytes()).hexdigest())
+            st = make_state("perturbed", TorusLattice(8.0, 8), 10.0, eps=0.2, s=3.0, seed=2)
+            print("beta", hashlib.sha256(autocorrelation(st).beta.tobytes()).hexdigest())
+            st = make_state("perturbed", TorusLattice(16.0, 16), 10.0, eps=0.2, s=3.0, seed=3)
+            for _ in range(3):
+                st = step_split(st, model, 1e-3)
+            print("strang", hashlib.sha256(st.alpha.tobytes()).hexdigest())
             """)
         path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
         outputs = [subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                                   text=True, env=dict(os.environ, PYTHONPATH=path,
                                                       OPENBLAS_NUM_THREADS=threads)).stdout
                    for threads in ("1", "2")]
-        assert len(outputs[0].splitlines()) == 4
+        assert len(outputs[0].splitlines()) == 6
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -480,6 +487,21 @@ class TestEvolve:
         for t_final, dt in ((1e308, 1e-3), (1.0, 5e-324)):
             with pytest.raises(ValueError, match="t_final / dt .* beyond the float range"):
                 evolve(st, gaussian, t_final, IntegratorConfig(dt=dt))
+
+    def test_refuses_a_record_clock_that_cannot_advance(self, gaussian, monkeypatch):
+        steps = []
+        monkeypatch.setattr(evolution, "step_split",
+                            lambda *args: steps.append(None) or step_split(*args))
+        st = quasi_condensate()
+        # at 2**40 the float spacing is 2**-12: a 1e-3 step advances the
+        # clock, the shortened 5e-5 last step does not
+        for t0, t_final in ((1e16, 5e-3), (1e308, 5e-3), (2.0**40, 1.05e-3)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"the record clock cannot advance from t = {t0!r} by steps of dt = 0.001")):
+                evolve(st.with_alpha(st.alpha, t=t0), gaussian, t_final)
+        assert steps == []
+        traj = evolve(st.with_alpha(st.alpha, t=2.0**40), gaussian, 2e-3)
+        assert len(steps) == 2 and len(traj.records) == 3
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

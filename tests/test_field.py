@@ -32,7 +32,7 @@ from torus_hartree import (
     to_spectral,
     wiener_norm,
 )
-from torus_hartree.field import _Kernel
+from torus_hartree.field import _analyze, _dft_matrices, _Kernel, _synthesize
 
 
 class TestLattice:
@@ -391,7 +391,7 @@ class TestKernel:
         phi_ref, conv_ref, nl_ref = full_grid_reference(kernel, alpha)
         phi = kernel.field(alpha)
         assert_rel_close(phi, phi_ref)
-        assert_rel_close(kernel.crop(phi), alpha)
+        assert np.max(np.abs(kernel.crop(phi) - alpha)) <= 1e-14
         assert_rel_close(kernel.convolved_density(phi), conv_ref)
         assert_rel_close(kernel.nonlinear(alpha), nl_ref)
         grid = np.random.default_rng(seed).normal(size=(kernel.G,) * 3 + (2,))
@@ -410,6 +410,28 @@ class TestKernel:
     @given(M=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     def test_matches_full_grid_property(self, M, seed):
         self.check(M, seed)
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 5])
+    def test_transforms_on_kernel_and_odd_grids(self, M):
+        # the kernel's grid (even for M <= 5), an odd padded one and the
+        # unpadded odd one, against the full numpy transforms
+        lat = TorusLattice(4.0, M)
+        alpha = random_state(lat, seed=60 + M).alpha
+        rng = np.random.default_rng(M)
+        for G in (next_fast_len(4 * M + 2), 4 * M + 3, lat.size):
+            F, A = _dft_matrices(M, G)
+            assert not F.flags.writeable and not A.flags.writeable
+            assert np.array_equal(F[:, ::-1], np.conj(F))  # conjugate-symmetric roots
+            assert np.array_equal(A, np.conj(F.T) / G)
+            idx = lat.embed_indexer(G)
+            cube = np.zeros((G, G, G), dtype=complex)
+            cube[idx] = alpha
+            phi = _synthesize(alpha, F)
+            assert_rel_close(phi, G**3 * np.fft.ifftn(cube))
+            assert np.max(np.abs(_analyze(phi, A) - alpha)) <= 1e-14
+            grid = rng.normal(size=(G, G, G)) + 1j * rng.normal(size=(G, G, G))
+            assert_rel_close(_analyze(grid, A), np.fft.fftn(grid)[idx] / G**3)
+            assert_rel_close(_analyze(grid.real, A), np.fft.fftn(grid.real)[idx] / G**3)
 
 
 class TestPointwiseProduct:
