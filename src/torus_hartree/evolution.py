@@ -335,7 +335,7 @@ def evolve(state: SpectralState, model: PotentialModel, t_final: float,
     The first and final instants are always recorded; a shortened final
     step covers any remainder of t_final.  Record times are t0 + k * dt,
     computed from the step index, not accumulated, where t0 is the state's
-    time; a t0 so large that a step would not advance them raises
+    time; a t0 so large that a step might not advance them raises
     ValueError before the first step.
     """
     if config is None:
@@ -369,13 +369,14 @@ def evolve(state: SpectralState, model: PotentialModel, t_final: float,
     def record_time(k):
         return t0 + (t_final if k > n_full else k * dt)
 
-    # t0 + k dt is monotone in k and its float spacing is widest where it is
-    # largest in magnitude, at the first or the last step: if those advance,
-    # every step does.
-    for k in {1, n_full, n_steps}:
-        if 0 < k <= n_steps and not record_time(k) > record_time(k - 1):
-            raise ValueError(f"the record clock cannot advance from t = {t0!r} "
-                             f"by steps of dt = {dt!r}")
+    # Every k dt and t0 + k dt lies within |t0| + t_final, where the float
+    # spacing is at most s: rounding k dt costs each increment up to s and
+    # rounding the sum needs a gap above s, so increments above 2 s make
+    # every record time, the shortened step's included, advance.
+    s = np.spacing(abs(t0) + t_final)
+    if not (dt > 2 * s and (n_steps == n_full or remainder > 2 * s)):
+        raise ValueError(f"the record clock cannot advance from t = {t0!r} "
+                         f"by steps of dt = {dt!r}")
 
     context = diagnostics.TrajectoryContext.from_state(state, model)
     records = [diagnostics.make_record(state, model, context)]

@@ -203,32 +203,37 @@ class AutoCorrelation:
         object.__setattr__(self, "beta", b)
 
 
-def _dft_matrices(M: int, G: int):
-    """The pruned DFT pair between the modes |k| <= M and a size-G grid.
+def _dft_synthesis(M: int, G: int):
+    """The read-only (G, 2M+1) pruned DFT matrix from the modes |k| <= M
+    to a size-G grid: F[j, k] = exp(2 pi i ((j k) mod G) / G).
 
-    F[j, k] = exp(2 pi i ((j k) mod G) / G), of shape (G, 2M+1), maps a
-    mode axis to grid points x_j = j L / G; A = conj(F).T / G maps back.
-    Entries are taken from one table of the G roots of unity, made
-    conjugate-symmetric (roots[G - m] = conj(roots[m])), and indexed by
-    j k reduced mod G.  The unreduced phase 2 pi j k / G reaches 99 rad at
-    M = 16, G = 66, and a synthesis through it was off from np.fft by
-    8e-15 of max |phi|, against 7e-16 with the reduced one.  Both
-    matrices are read-only.
+    It maps a mode axis to grid points x_j = j L / G.  Entries are taken
+    from one table of the G roots of unity, made conjugate-symmetric
+    (roots[G - m] = conj(roots[m])), and indexed by j k reduced mod G.
+    The unreduced phase 2 pi j k / G reaches 99 rad at M = 16, G = 66, and
+    a synthesis through it was off from np.fft by 8e-15 of max |phi|,
+    against 7e-16 with the reduced one.
     """
     half = np.exp((2j * math.pi / G) * np.arange(G // 2 + 1))
     if G % 2 == 0:
         half[-1] = -1.0  # its own conjugate
     roots = np.concatenate([half, np.conj(half[(G + 1) // 2 - 1:0:-1])])
     F = roots[np.outer(np.arange(G), np.arange(-M, M + 1)) % G]
-    A = np.conj(F.T) / G
     F.setflags(write=False)
+    return F
+
+
+def _dft_analysis(F):
+    """The read-only (2M+1, G) analysis matrix A = conj(F).T / G that maps
+    a size-G grid axis back to the modes of the synthesis matrix F."""
+    A = np.conj(F.T) / F.shape[0]
     A.setflags(write=False)
-    return F, A
+    return A
 
 
 def _synthesize(alpha, F):
     """G^3 ifftn of the (n, n, n) array alpha embedded at its modes' grid
-    indices, for the (G, n) synthesis matrix F of _dft_matrices.
+    indices, for the (G, n) synthesis matrix F of _dft_synthesis.
 
     Pruned (FFTW's "pruned FFTs"): one axis at a time, each a matrix
     product (BLAS zgemm) that maps only the n = 2M+1 rows that can be
@@ -246,7 +251,7 @@ def _synthesize(alpha, F):
 
 def _analyze(f, A):
     """fftn(f)[modes] / G^3 for a G^3 grid array f and the (n, G) analysis
-    matrix A of _dft_matrices: _synthesize's products in mirror order."""
+    matrix A of _dft_analysis: _synthesize's products in mirror order."""
     n, G = A.shape
     f = (np.reshape(f, (G * G, G)) @ A.T).reshape(G, G, n)
     f = np.matmul(A, f)  # (G, n, n): A times each (G, n) slab
@@ -263,9 +268,9 @@ class _Kernel:
 
     field and crop are the module's pruned transforms _synthesize and
     _analyze, three BLAS matrix products each against the read-only DFT
-    pair (F, A) of _dft_matrices, built here once per kernel; they map
-    only the 2M+1 modes of each axis, so no call pays for padding rows or
-    per-axis FFT overhead.  The density is real, so its convolution with
+    pair F = _dft_synthesis(M, G), A = _dft_analysis(F), built here once
+    per kernel; they map only the 2M+1 modes of each axis, so no call
+    pays for padding rows or per-axis FFT overhead.  The density is real, so its convolution with
     V uses scipy.fft.rfftn and the half-spectrum vhat_half.  The kernel
     keeps no scratch buffers, so threads of one process may share it:
     each call allocates its own.  (Scan worker processes each build
@@ -275,7 +280,8 @@ class _Kernel:
     def __init__(self, lattice: TorusLattice, model):
         self.lattice = lattice
         self.G = G = next_fast_len(2 * lattice.size)
-        self.F, self.A = _dft_matrices(lattice.M, G)
+        self.F = _dft_synthesis(lattice.M, G)
+        self.A = _dft_analysis(self.F)
         self.vhat = vhat_grid(model, lattice.L, scipy.fft.fftfreq(G, 1.0 / G),
                               limit=2 * lattice.M)
         self.vhat_half = self.vhat[:, :, :G // 2 + 1]  # the rfftn half-spectrum
@@ -341,9 +347,9 @@ def autocorrelation(state: SpectralState, method: str = "fft") -> AutoCorrelatio
     diff = difference_lattice(lat)
     if method == "fft":
         G = next_fast_len(4 * M + 1)
-        phi = _synthesize(state.alpha, _dft_matrices(M, G)[0])
-        return AutoCorrelation(diff, _analyze(phi.real**2 + phi.imag**2,
-                                              _dft_matrices(diff.M, G)[1]))
+        phi = _synthesize(state.alpha, _dft_synthesis(M, G))
+        A = _dft_analysis(_dft_synthesis(diff.M, G))
+        return AutoCorrelation(diff, _analyze(phi.real**2 + phi.imag**2, A))
     if method == "direct":
         a = state.alpha
         n = lat.size
@@ -427,10 +433,11 @@ def pointwise_product(a: SpectralState, b: SpectralState) -> SpectralState:
         raise ValueError("operands must share a lattice")
     lat = a.lattice
     G = next_fast_len(2 * lat.size - 1)
-    F = _dft_matrices(lat.M, G)[0]
+    F = _dft_synthesis(lat.M, G)
     prod = _synthesize(a.alpha, F) * _synthesize(b.alpha, F)
     diff = difference_lattice(lat)
-    return SpectralState(diff, a.rho, a.t, _analyze(prod, _dft_matrices(diff.M, G)[1]))
+    A = _dft_analysis(_dft_synthesis(diff.M, G))
+    return SpectralState(diff, a.rho, a.t, _analyze(prod, A))
 
 
 def _normalize(alpha, where: str):

@@ -494,11 +494,14 @@ class TestEvolve:
                             lambda *args: steps.append(None) or step_split(*args))
         st = quasi_condensate()
         # at 2**40 the float spacing is 2**-12: a 1e-3 step advances the
-        # clock, the shortened 5e-5 last step does not
-        for t0, t_final in ((1e16, 5e-3), (1e308, 5e-3), (2.0**40, 1.05e-3)):
+        # clock, the shortened 5e-5 last step does not, and steps of 1.5e-4
+        # (between half a spacing and one) advance on some steps only
+        for t0, t_final, dt in ((1e16, 5e-3, 1e-3), (1e308, 5e-3, 1e-3),
+                                (2.0**40, 1.05e-3, 1e-3), (2.0**40, 4.5e-4, 1.5e-4)):
             with pytest.raises(ValueError, match=re.escape(
-                    f"the record clock cannot advance from t = {t0!r} by steps of dt = 0.001")):
-                evolve(st.with_alpha(st.alpha, t=t0), gaussian, t_final)
+                    f"the record clock cannot advance from t = {t0!r} by steps of dt = {dt!r}")):
+                evolve(st.with_alpha(st.alpha, t=t0), gaussian, t_final,
+                       IntegratorConfig(dt=dt))
         assert steps == []
         traj = evolve(st.with_alpha(st.alpha, t=2.0**40), gaussian, 2e-3)
         assert len(steps) == 2 and len(traj.records) == 3

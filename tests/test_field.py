@@ -32,7 +32,8 @@ from torus_hartree import (
     to_spectral,
     wiener_norm,
 )
-from torus_hartree.field import _analyze, _dft_matrices, _Kernel, _synthesize
+from torus_hartree.field import (_analyze, _dft_analysis, _dft_synthesis, _Kernel,
+                                 _synthesize)
 
 
 class TestLattice:
@@ -391,6 +392,7 @@ class TestKernel:
         phi_ref, conv_ref, nl_ref = full_grid_reference(kernel, alpha)
         phi = kernel.field(alpha)
         assert_rel_close(phi, phi_ref)
+        assert_rel_close(kernel.crop(phi), alpha)
         assert np.max(np.abs(kernel.crop(phi) - alpha)) <= 1e-14
         assert_rel_close(kernel.convolved_density(phi), conv_ref)
         assert_rel_close(kernel.nonlinear(alpha), nl_ref)
@@ -419,7 +421,8 @@ class TestKernel:
         alpha = random_state(lat, seed=60 + M).alpha
         rng = np.random.default_rng(M)
         for G in (next_fast_len(4 * M + 2), 4 * M + 3, lat.size):
-            F, A = _dft_matrices(M, G)
+            F = _dft_synthesis(M, G)
+            A = _dft_analysis(F)
             assert not F.flags.writeable and not A.flags.writeable
             assert np.array_equal(F[:, ::-1], np.conj(F))  # conjugate-symmetric roots
             assert np.array_equal(A, np.conj(F.T) / G)
