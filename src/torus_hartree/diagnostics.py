@@ -52,25 +52,40 @@ class EnvelopeDomainError(ValueError):
 # ---------------------------------------------------------------------------
 # energy
 
-def _energy_and_beta_sq(state: SpectralState, model: PotentialModel):
-    """Energy per particle and |beta|^2 from one synthesis on the integrator's grid.
+def _energy_and_beta_gap(state: SpectralState, model: PotentialModel):
+    """Energy per particle and beta_gap from one synthesis on the integrator's grid.
 
     The kernel grid (G >= 4M+2) resolves the density |phi|^2 of the
     unit-density field without aliasing, so beta = fftn(|phi|^2) / G^3 is
-    the exact autocorrelation; |beta|^2 is returned flat, beta(0) first.
+    the exact autocorrelation.  The density is real, so beta is taken on
+    the rfftn half spectrum and its sums are weighted by Hermitian symmetry.
     """
     lat = state.lattice
     kernel = _get_kernel(model, lat)
     phi = kernel.field(state.alpha)
-    beta = scipy.fft.fftn(phi.real**2 + phi.imag**2, norm="forward")
-    beta_sq = beta.real**2 + beta.imag**2
+    dens = np.square(phi.real)
+    dens += np.square(phi.imag)
+    del phi  # free the G^3 complex field before rfftn allocates
+    beta = scipy.fft.rfftn(dens, norm="forward")
+    beta_sq = np.square(beta.real)
+    beta_sq += np.square(beta.imag)
+    # each k3 plane of the half spectrum stands for itself and its mirror
+    # except k3 = 0 and, for even G, k3 = G / 2: halving those two (exactly)
+    # makes every full-spectrum sum twice the half-spectrum sum
+    beta_sq[:, :, 0] *= 0.5
+    if kernel.G % 2 == 0:
+        beta_sq[:, :, -1] *= 0.5
     kinetic = lat.ordered_sum(lat.omega * np.abs(state.alpha) ** 2)
-    return kinetic + 0.5 * float(np.sum(kernel.vhat * beta_sq)), beta_sq.ravel()
+    interaction = float(np.sum(kernel.vhat_half * beta_sq))
+    beta0_sq = 2.0 * float(beta_sq[0, 0, 0])
+    beta_sq[0, 0, 0] = 0.0
+    gap = 2.0 * float(np.sum(beta_sq)) + abs(beta0_sq - 1.0)
+    return kinetic + interaction, gap
 
 
 def energy_per_particle(state: SpectralState, model: PotentialModel) -> float:
     """E / (rho L^3): kinetic sum plus half the Vhat-weighted |beta|^2 sum."""
-    return _energy_and_beta_sq(state, model)[0]
+    return _energy_and_beta_gap(state, model)[0]
 
 
 def energy(state: SpectralState, model: PotentialModel) -> float:
@@ -277,9 +292,8 @@ def make_record(state: SpectralState, model: PotentialModel,
     tail_half = tail_sum(state, math.ceil(lat.M / 2))
     ktail = kinetic_tail(state, 1.0)
 
-    epp, beta_sq = _energy_and_beta_sq(state, model)
+    epp, beta_gap = _energy_and_beta_gap(state, model)
     e_total = state.rho * lat.L**3 * epp
-    beta_gap = float(np.sum(beta_sq[1:]) + abs(beta_sq[0] - 1.0))
 
     s_env = t_env = u_env = u_mass = math.nan
     if context is not None:

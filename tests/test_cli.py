@@ -181,6 +181,17 @@ class TestSimulate:
         assert all(e["in_domain"] for e in doc["records"])
         assert doc["blowup_time"] > 1e6
 
+    def test_t_final_below_the_rounding_slack_is_one_step(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, t_final=1e-16)
+        out, final = tmp_path / "traj.csv", tmp_path / "final.state"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out),
+                    "--final-state", str(final)]) == 0
+        capsys.readouterr()
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["t"]) for r in rows] == [0.0, 1e-16]
+        assert load_state(final).t == 1e-16
+
     def test_missing_config_key(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         doc = json.loads(write_config(tmp_path).read_text())

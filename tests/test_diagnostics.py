@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from torus_hartree import (
     BoundInputs,
@@ -42,6 +43,7 @@ from torus_hartree.diagnostics import (
     make_record,
     write_trajectory_csv,
 )
+from torus_hartree.field import _get_kernel
 
 from conftest import B_GAUSS
 
@@ -216,7 +218,28 @@ def direct_route(state, model):
     return kinetic + 0.5 * float(np.sum(vhat * g2)), gap
 
 
+def full_spectrum_route(state, model):
+    """Energy per particle and beta_gap from the complex fftn of the density
+    on the kernel grid, summed over the whole spectrum."""
+    lat = state.lattice
+    kernel = _get_kernel(model, lat)
+    phi = kernel.field(state.alpha)
+    beta_sq = np.abs(scipy.fft.fftn(np.abs(phi) ** 2, norm="forward")).ravel() ** 2
+    kinetic = lat.ordered_sum(lat.omega * np.abs(state.alpha) ** 2)
+    gap = float(np.sum(beta_sq[1:]) + abs(beta_sq[0] - 1.0))
+    return kinetic + 0.5 * float(np.sum(kernel.vhat.ravel() * beta_sq)), gap
+
+
 class TestRecordOracle:
+    @pytest.mark.parametrize("m", [2, 3, 6, 8, 16])  # G = 10, 14, 27, 35, 66
+    def test_half_spectrum_matches_full_spectrum(self, gaussian, m):
+        st = make_state("perturbed", TorusLattice(float(m), m), 10.0,
+                        eps=0.2, s=3.0, seed=m)
+        epp, gap = full_spectrum_route(st, gaussian)
+        rec = make_record(st, gaussian)
+        assert rec.energy_per_particle == pytest.approx(epp, rel=1e-14, abs=0.0)
+        assert rec.beta_gap == pytest.approx(gap, rel=1e-14, abs=0.0)
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("rho", [1.0, 10.0, 1e3, 1e6])
     def test_random_state_matches_direct_route(self, gaussian, m, rho):

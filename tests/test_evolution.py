@@ -192,14 +192,40 @@ class TestSplitStep:
         a = half * alpha
         phi = kernel.field(a)
         density = kernel.convolved_density(phi)
-        theta = -dt * density
-        cos, sin = np.cos(theta), np.sin(theta)
+        half_theta = -0.5 * dt * density
+        tan = np.tan(half_theta)
+        tan_sq = tan * tan
+        one_minus = 1.0 - tan_sq
+        one_plus = tan_sq + 1.0
+        cos = one_minus / one_plus
+        two_tan = tan + tan
+        sin = two_tan / one_plus
         isin = 1j * sin
         phase = cos + isin
         turned = phi * phase
         cropped = kernel.crop(turned)
         expected = half * cropped
         np.testing.assert_array_equal(step_split(st, gaussian, dt).alpha, expected)
+
+    def test_tangent_phase_matches_cos_and_sin(self):
+        # the step's phase for prescribed angles: a unit field, a density
+        # of -theta at dt = 1, and a crop that keeps what it is given
+        model = GaussianPotential()
+        st = make_state("plane_wave", TorusLattice(4.0, 1), 10.0)
+        kernel = _get_kernel(model, st.lattice)
+        listed = [s * x for x in (1e-4, 1.0, math.pi / 2, math.pi, 1e3, 1e6) for s in (1, -1)]
+        spread = np.random.default_rng(5).choice([-1.0, 1.0], kernel.G**3 - len(listed))
+        spread *= 10.0 ** np.linspace(-8.0, 6.0, spread.size)
+        theta = np.concatenate([listed, spread]).reshape((kernel.G,) * 3)
+        phases = []
+        kernel.field = lambda a: np.ones(theta.shape, dtype=complex)
+        kernel.convolved_density = lambda phi: -theta
+        kernel.crop = lambda phi: phases.append(phi.copy()) or np.zeros(st.lattice.shape, complex)
+        step_split(st, model, 1.0)
+        phase, = phases
+        assert np.max(np.abs(phase.real - np.cos(theta))) <= 4.5e-16
+        assert np.max(np.abs(phase.imag - np.sin(theta))) <= 4.5e-16
+        assert np.max(np.abs(phase.real**2 + phase.imag**2 - 1.0)) <= 1e-15
 
 
 class TestRk4:
@@ -344,6 +370,7 @@ class TestPicard:
             import hashlib
             from torus_hartree import (GaussianPotential, TorusLattice, autocorrelation,
                                        lifespan_guard, make_state, picard_solve, step_split)
+            from torus_hartree.diagnostics import make_record
             model = GaussianPotential()
             for m in (3, 8):
                 st = make_state("perturbed", TorusLattice(4.0, m), 10.0, eps=0.05, s=6.0, seed=1)
@@ -356,13 +383,15 @@ class TestPicard:
             for _ in range(3):
                 st = step_split(st, model, 1e-3)
             print("strang", hashlib.sha256(st.alpha.tobytes()).hexdigest())
+            record = make_record(st, model)
+            print("record", repr(record.energy_per_particle), repr(record.beta_gap))
             """)
         path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
         outputs = [subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                                   text=True, env=dict(os.environ, PYTHONPATH=path,
                                                       OPENBLAS_NUM_THREADS=threads)).stdout
                    for threads in ("1", "2")]
-        assert len(outputs[0].splitlines()) == 6
+        assert len(outputs[0].splitlines()) == 7
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -505,6 +534,21 @@ class TestEvolve:
         assert steps == []
         traj = evolve(st.with_alpha(st.alpha, t=2.0**40), gaussian, 2e-3)
         assert len(steps) == 2 and len(traj.records) == 3
+
+    def test_t_final_below_the_rounding_slack_is_one_step(self, gaussian):
+        # the 1e-12 dt slack absorbs the rounding of t_final / dt; it must
+        # not swallow a t_final shorter than the slack itself
+        st = quasi_condensate()
+        cfg = IntegratorConfig(dt=1e-3)
+        traj = evolve(st, gaussian, 1e-16, cfg)
+        assert [r.t for r in traj.records] == [0.0, 1e-16]
+        assert traj.final_state.t == 1e-16 and traj.final_state is not st
+        # within the slack of a multiple of dt, no extra step is taken
+        traj = evolve(st, gaussian, 2e-3 + 1e-16, cfg)
+        assert [r.t for r in traj.records] == [0.0, 1e-3, 2e-3]
+        # and the one step is held to the record-clock check
+        with pytest.raises(ValueError, match="the record clock cannot advance"):
+            evolve(st.with_alpha(st.alpha, t=1.0), gaussian, 1e-16, cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
