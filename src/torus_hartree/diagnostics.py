@@ -100,10 +100,10 @@ def energy_physical(state: SpectralState, model: PotentialModel, g: int = 2) -> 
     g-times oversampled collocation grid (g = 2 is alias-free for the
     quartic term).
     """
+    psi = to_physical(state, g)  # reads g with as_int
     lat = state.lattice
-    G = int(g) * lat.size
+    G = psi.shape[0]
     idx = lat.embed_indexer(G)
-    psi = to_physical(state, g)
 
     grad_sq = np.zeros(psi.shape, dtype=float)
     scale = math.sqrt(state.rho) * G**3

@@ -270,11 +270,17 @@ class _Kernel:
     _analyze, three BLAS matrix products each against the read-only DFT
     pair F = _dft_synthesis(M, G), A = _dft_analysis(F), built here once
     per kernel; they map only the 2M+1 modes of each axis, so no call
-    pays for padding rows or per-axis FFT overhead.  The density is real, so its convolution with
-    V uses scipy.fft.rfftn and the half-spectrum vhat_half.  The kernel
-    keeps no scratch buffers, so threads of one process may share it:
-    each call allocates its own.  (Scan worker processes each build
-    their own kernels.)
+    pays for padding rows or per-axis FFT overhead.
+
+    For a Gaussian, Vhat(2 pi k / L) = b g(k1) g(k2) g(k3), and the box
+    |k|_inf <= 2M factors by axis too, so the density convolution is
+    b (C x C x C) applied to the density: three real matrix products
+    against the symmetric circulant C whose first column is ifft(g).  By
+    Maxwell's theorem no other radial Vhat factors by axis, so every other
+    model convolves through scipy.fft.rfftn and the half-spectrum
+    vhat_half.  The kernel keeps no scratch buffers, so threads of one
+    process may share it: each call allocates its own.  (Scan worker
+    processes each build their own kernels.)
     """
 
     def __init__(self, lattice: TorusLattice, model):
@@ -285,7 +291,18 @@ class _Kernel:
         self.vhat = vhat_grid(model, lattice.L, scipy.fft.fftfreq(G, 1.0 / G),
                               limit=2 * lattice.M)
         self.vhat_half = self.vhat[:, :, :G // 2 + 1]  # the rfftn half-spectrum
-        self._phases = {}
+        self.C = self.bC = None
+        if model.family == "gaussian":
+            # g(f) = Vhat(2 pi |f| / L) / b on the grid frequencies, 0 beyond 2M
+            column = np.fft.ifft(self.vhat[:, 0, 0] / model.b).real
+            # g is even, so its column is too; mirror it exactly so C = C.T bit for bit
+            column[G // 2 + 1:] = column[1:(G + 1) // 2][::-1]
+            # the circulant C[j, m] = column[(j - m) mod G]
+            self.C = column[np.subtract.outer(np.arange(G), np.arange(G)) % G]
+            self.bC = model.b * self.C
+            self.C.setflags(write=False)
+            self.bC.setflags(write=False)
+        self._phases = ()
 
     def field(self, alpha):
         """Unit-density field on the G^3 grid: G^3 ifftn of the embedded alpha."""
@@ -300,9 +317,17 @@ class _Kernel:
         overwrite; phi is the unit-density field."""
         dens = np.square(phi.real)
         dens += np.square(phi.imag)
-        spec = scipy.fft.rfftn(dens)
-        spec *= self.vhat_half
-        return scipy.fft.irfftn(spec, s=dens.shape, overwrite_x=True)
+        if self.C is None:
+            spec = scipy.fft.rfftn(dens)
+            spec *= self.vhat_half
+            return scipy.fft.irfftn(spec, s=dens.shape, overwrite_x=True)
+        # Axis 0, then 2, then 1, ping-ponging between two G^3 buffers: one
+        # C @ dens.reshape(G, G^2) gives bits that vary with the BLAS
+        # thread count at G >= 35, this order does not (checked to G = 98).
+        G = self.G
+        y = np.matmul(self.bC, dens.transpose(1, 0, 2))  # (j, i', k)
+        np.matmul(y.reshape(G * G, G), self.C, out=dens.reshape(G * G, G))  # (j, i', k')
+        return np.matmul(self.C, dens.transpose(1, 0, 2), out=y)  # (i', j', k')
 
     def nonlinear(self, alpha):
         """Projected convolution term P_M[(V_L * |phi|^2) phi] in coefficients."""
@@ -310,10 +335,16 @@ class _Kernel:
         return self.crop(self.convolved_density(phi) * phi)
 
     def half_kinetic_phase(self, dt):
+        """exp(-i dt omega / 2) on the lattice.  The last two step sizes
+        are kept, which covers evolve's dt and its shortened last step; the
+        cache is one tuple, replaced whole, so threads may share it."""
         key = float(dt)
-        if key not in self._phases:
-            self._phases[key] = np.exp(-0.5j * key * self.lattice.omega)
-        return self._phases[key]
+        for k, phase in self._phases:
+            if k == key:
+                return phase
+        phase = np.exp(-0.5j * key * self.lattice.omega)
+        self._phases = self._phases[-1:] + ((key, phase),)
+        return phase
 
 
 # model -> {lattice: kernel}; an entry lives as long as its model.
@@ -399,7 +430,7 @@ def to_physical(state: SpectralState, g: int = 2) -> np.ndarray:
     Grid points are x_j = j L / G.  g = 2 is alias-free for quartic
     quantities.  Returns the physical-scale field (includes sqrt(rho)).
     """
-    g = int(g)
+    g = as_int(g, "g")
     if g < 1:
         raise ValueError("grid factor g must be >= 1")
     lat = state.lattice

@@ -406,10 +406,8 @@ def potential_l1(model: PotentialModel, L) -> float:
 
 def potential_l2(model: PotentialModel, L, M) -> float:
     """Truncated-Parseval L2 norm sqrt((1/L^3) sum_{|k|_inf<=M} Vhat(2 pi k/L)^2)."""
-    L = float(L)
-    M = int(M)
-    if L <= 0.0:
-        raise ValueError("L must be positive")
+    L = as_real(L, "L", positive=True)
+    M = as_int(M, "M")
     if M < 0:
         raise ValueError("M must be >= 0")
     vhat = vhat_grid(model, L, np.arange(-M, M + 1))

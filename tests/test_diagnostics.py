@@ -75,6 +75,12 @@ class TestEnergy:
         grid = energy_physical(st, gaussian)
         assert spectral == pytest.approx(grid, rel=1e-10)
 
+    @pytest.mark.parametrize("g", [True, 2.5, math.nan, 0])
+    def test_grid_route_rejects_bad_grid_factor(self, gaussian, g):
+        st = random_state(TorusLattice(4.0, 1), rho=10.0, seed=44)
+        with pytest.raises(ValueError):
+            energy_physical(st, gaussian, g)
+
     def test_interaction_scales_inversely_with_density(self, gaussian):
         lat = TorusLattice(4.0, 2)
         a = make_state("plane_wave", lat, 10.0)

@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from torus_hartree import (
     ContractionError,
@@ -21,6 +22,7 @@ from torus_hartree import (
     InstabilityError,
     IntegratorConfig,
     LifespanGuardError,
+    TabulatedRadialPotential,
     TorusLattice,
     autocorrelation,
     evolve,
@@ -47,6 +49,15 @@ from torus_hartree.evolution import (
 )
 
 from conftest import B_GAUSS
+
+
+@pytest.fixture(scope="module")
+def models(gaussian):
+    # a tabulated unit Gaussian: its p_max covers 2 pi sqrt(3) 2M / L up to M = 6 at L = 4
+    r = np.linspace(0.0, 8.0, 321)
+    return {"gaussian": gaussian,
+            "tabulated_radial": TabulatedRadialPotential(r, np.exp(-r**2 / 2), p_max=40.0,
+                                                         fourier_samples=1025)}
 
 
 def quasi_condensate(m=2, L=4.0, rho=10.0, eps=0.1, s=6.0, seed=1):
@@ -111,11 +122,30 @@ class TestRhs:
             np.testing.assert_allclose(rhs(st, gaussian, method), expected,
                                        atol=1e-12)
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_direct_matches_fft(self, gaussian, m):
+    # the Gaussian cases keep their plain ids [1], [2], ...
+    @pytest.mark.parametrize("family, m", [
+        pytest.param(family, m, id=f"{m}" if family == "gaussian" else f"{family}-{m}")
+        for family in ("gaussian", "tabulated_radial") for m in (1, 2, 3, 6)])
+    def test_direct_matches_fft(self, models, family, m):
+        # the kernel's two convolution routes, the circulant products of a
+        # Gaussian and rfftn/irfftn for a table; M = 6 gives the odd G = 27
         st = random_state(TorusLattice(4.0, m), rho=10.0, seed=m)
-        np.testing.assert_allclose(rhs(st, gaussian, "direct"),
-                                   rhs(st, gaussian, "fft"), atol=1e-12)
+        model = models[family]
+        assert (_get_kernel(model, st.lattice).C is None) == (family != "gaussian")
+        np.testing.assert_allclose(rhs(st, model, "direct"),
+                                   rhs(st, model, "fft"), atol=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 3, 6, 8, 16])
+    def test_gaussian_convolution_matches_half_spectrum(self, gaussian, m):
+        kernel = _get_kernel(gaussian, TorusLattice(float(m), m))
+        assert not kernel.C.flags.writeable and not kernel.bC.flags.writeable
+        assert np.array_equal(kernel.C, kernel.C.T)
+        phi = kernel.field(random_state(kernel.lattice, seed=m).alpha)
+        dens = np.abs(phi) ** 2
+        ref = scipy.fft.irfftn(scipy.fft.rfftn(dens) * kernel.vhat_half, s=dens.shape)
+        got = kernel.convolved_density(phi)
+        assert got.flags.c_contiguous
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_unknown_method(self, gaussian):
         with pytest.raises(ValueError):
@@ -390,9 +420,9 @@ class TestPicard:
         outputs = [subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                                   text=True, env=dict(os.environ, PYTHONPATH=path,
                                                       OPENBLAS_NUM_THREADS=threads)).stdout
-                   for threads in ("1", "2")]
+                   for threads in ("1", "2", "4")]
         assert len(outputs[0].splitlines()) == 7
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("frac", [0.1, 0.3, 0.6, 0.9])
@@ -580,6 +610,32 @@ class TestEvolve:
 
 
 class TestKernelCache:
+    def test_phase_cache_keeps_two_step_sizes(self, gaussian):
+        # evolve needs dt and its shortened last step; a caller looping
+        # over step sizes must not grow the cache without limit
+        kernel = _get_kernel(gaussian, TorusLattice(4.0, 2))
+        for k in range(1000):
+            kernel.half_kinetic_phase(1e-3 * (1 + k))
+        assert len(kernel._phases) <= 2
+        first = kernel.half_kinetic_phase(1e-3)
+        assert kernel.half_kinetic_phase(1e-3) is first
+        np.testing.assert_array_equal(first, np.exp(-0.5j * 1e-3 * kernel.lattice.omega))
+
+    def test_threads_share_the_phase_cache(self, gaussian):
+        # a lost update only costs a recomputation: every phase stays right
+        kernel = _get_kernel(gaussian, TorusLattice(4.0, 1))
+        steps = [1e-3 * (1 + k % 5) for k in range(400)]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                got = list(pool.map(kernel.half_kinetic_phase, steps, timeout=30))
+        finally:
+            sys.setswitchinterval(old_interval)
+        for dt, phase in zip(steps, got):
+            np.testing.assert_array_equal(phase, np.exp(-0.5j * dt * kernel.lattice.omega))
+        assert len(kernel._phases) <= 2
+
     def test_kernel_is_shared_per_model_and_lattice(self, gaussian):
         lat = TorusLattice(4.0, 2)
         kernel = _get_kernel(gaussian, lat)

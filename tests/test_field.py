@@ -366,6 +366,12 @@ class TestPhysicalSpace:
         psi = to_physical(st_)
         np.testing.assert_allclose(np.abs(psi) ** 2, 7.0, rtol=1e-12)
 
+    @pytest.mark.parametrize("g", [2.9, True, math.nan, math.inf, "2", 0])
+    def test_rejects_bad_grid_factor(self, g):
+        st_ = random_state(TorusLattice(4.0, 1), seed=8)
+        with pytest.raises(ValueError):
+            to_physical(st_, g)
+
 
 def full_grid_reference(kernel, alpha):
     """Unpruned numpy route through the kernel's G^3 grid: phi, V*|phi|^2, P_M term."""

@@ -239,6 +239,12 @@ class TestMomentumGrid:
         with pytest.raises(ValueError):
             potential_l2(gaussian, 4.0, -1)
 
+    @pytest.mark.parametrize("L, M", [(math.nan, 2), (math.inf, 2), (True, 2),
+                                      (4.0, 2.7), (4.0, math.nan), (4.0, True)])
+    def test_l2_rejects_non_finite_and_non_integral(self, gaussian, L, M):
+        with pytest.raises(ValueError):
+            potential_l2(gaussian, L, M)
+
 
     def test_vhat_grid_limit_zeroes_outer_frequencies(self, gaussian):
         k1 = np.fft.fftfreq(10, 1.0 / 10)
