@@ -1,10 +1,8 @@
 """Pair potentials on the torus.
 
 A whole-space radial profile V(r) with radial Fourier transform Vhat(p)
-is wrapped onto the box [-L/2, L/2)^3 in two equivalent ways: sampling
-Vhat at the discrete momenta 2*pi*k/L (the defining Fourier series) or
-summing translated images V(x + n*L) (Poisson summation).  Both routes
-are implemented and cross-checked; the Fourier route is authoritative.
+is wrapped onto the box [-L/2, L/2)^3 by sampling Vhat at the discrete
+momenta 2*pi*k/L (the defining Fourier series).
 
 Every model carries decay constants (C, delta1, delta2) certifying
 
@@ -12,9 +10,9 @@ Every model carries decay constants (C, delta1, delta2) certifying
     0 <= Vhat(p) <= C / (1 + |p|)**(3 + delta2)   for all p,
 
 on which the well-posedness guards downstream rely.  delta2 > 4 is
-required and enforced at construction.  When C is not supplied it is
-set to the smallest constant satisfying both envelopes, so that
-``check_decay`` passes by construction.
+required and enforced at construction.  The constructor computes the
+smallest constant satisfying both envelopes; it is C when none is
+supplied, and a supplied C below it is refused.
 """
 
 from __future__ import annotations
@@ -32,12 +30,7 @@ __all__ = [
     "make_potential",
     "fourier_profile",
     "vhat_grid",
-    "periodized_eval",
-    "potential_l1",
     "potential_l2",
-    "check_decay",
-    "DecayViolationError",
-    "ConsistencyError",
     "TableRangeError",
 ]
 
@@ -100,14 +93,6 @@ def as_reals(value, name: str, positive: bool = False) -> list:
     return [as_real(v, name, positive) for v in value]
 
 
-class DecayViolationError(ValueError):
-    """A decay envelope C/(1+r)**(3+delta) fails at a sampled point."""
-
-
-class ConsistencyError(RuntimeError):
-    """Fourier-series and image-sum evaluations of V_L disagree."""
-
-
 class TableRangeError(ValueError):
     """A tabulated profile was queried beyond its sampled range."""
 
@@ -116,9 +101,10 @@ class PotentialModel:
     """Base class: radial pair potential with certified decay data.
 
     Subclasses implement ``_integral`` (b, the integral of V, equal to
-    Vhat(0)), ``profile`` and ``fourier_profile_radial``; b and C must
-    come out positive and finite.  ``p_limit`` is None for analytic
-    families and the largest admissible |p| for tabulated ones.
+    Vhat(0)), ``_tight_decay_constant``, ``profile`` and
+    ``fourier_profile_radial``; b and C must come out positive and
+    finite.  ``p_limit`` is None for analytic families and the largest
+    admissible |p| for tabulated ones.
     """
 
     family = "abstract"
@@ -131,10 +117,11 @@ class PotentialModel:
             # the contraction estimates need summable p^2 * Vhat tails
             raise ValueError(f"delta2 must exceed 4, got {self.delta2}")
         self.b = _positive_finite(self._integral, "potential integral b")
-        self.C = as_real(c, "C") if c is not None else _positive_finite(
-            self._tight_decay_constant, "decay constant C")
-        if self.C <= 0.0:
-            raise ValueError("decay constant C must be positive")
+        tight = _positive_finite(self._tight_decay_constant, "decay constant C")
+        self.C = tight if c is None else as_real(c, "C")
+        if self.C < tight:
+            raise ValueError(f"decay constant C = {self.C!r} is below the tight "
+                             f"constant {tight!r} for these settings")
 
     def profile(self, r):
         """Real-space radial profile V(|y|); vectorized in r."""
@@ -288,9 +275,10 @@ def make_potential(config: dict) -> PotentialModel:
     """Build a model from a JSON-style mapping with a ``family`` key.
 
     Gaussian block: {"family": "gaussian", "amplitude": 1.0, "sigma": 1.0,
-    "C": 16.0, "delta1": 5.0, "delta2": 5.0}; C is optional (tight value
-    computed when absent).  Tabulated block replaces amplitude/sigma with
-    "radii" and "values" arrays plus optional "p_max".
+    "delta1": 5.0, "delta2": 5.0}; an optional "C" must be at least the
+    tight constant, which is used when C is absent.  Tabulated block
+    replaces amplitude/sigma with "radii" and "values" arrays plus
+    optional "p_max".
     """
     if not isinstance(config, dict) or "family" not in config:
         raise ValueError("potential config must be a mapping with a 'family' key")
@@ -340,70 +328,6 @@ def vhat_grid(model: PotentialModel, L, k1, limit=None):
     return out
 
 
-def _fourier_tail_bound(model, L, trunc):
-    d2 = model.delta2
-    return (26.0 * model.C / L**3) * (L / (2.0 * math.pi)) ** (3.0 + d2) \
-        / (d2 * trunc**d2)
-
-
-def _image_tail_bound(model, L, shells):
-    d1 = model.delta1
-    return 26.0 * model.C * 2.0 ** (3.0 + d1) / (L ** (3.0 + d1) * d1 * shells**d1)
-
-
-def periodized_eval(model: PotentialModel, x, L, truncation=None, image_shells=3):
-    """Pointwise value of the periodized potential V_L at position ``x``.
-
-    Evaluates the truncated Fourier series (the definition) and the
-    truncated image sum and requires agreement within the analytic tail
-    bound implied by the decay constants (floored at 1e-10); returns the
-    Fourier value.  ``x`` is wrapped into the fundamental box first.
-    """
-    x = np.asarray(x, dtype=float).reshape(3)
-    L = float(L)
-    if L <= 0.0:
-        raise ValueError("L must be positive")
-    if truncation is None:
-        truncation = 2 * math.ceil(L)
-    truncation = int(truncation)
-    image_shells = int(image_shells)
-    if truncation < 1 or image_shells < 1:
-        raise ValueError("truncation and image_shells must be >= 1")
-    x = (x + 0.5 * L) % L - 0.5 * L
-
-    k1 = np.arange(-truncation, truncation + 1)
-    vhat = vhat_grid(model, L, k1)
-    ph = [np.exp((2j * math.pi / L) * k1 * xi) for xi in x]
-    series = float(np.einsum("ijk,i,j,k->", vhat, ph[0], ph[1], ph[2]).real) / L**3
-
-    s1 = np.arange(-image_shells, image_shells + 1) * L
-    dist = np.sqrt((x[0] + s1[:, None, None]) ** 2
-                   + (x[1] + s1[None, :, None]) ** 2
-                   + (x[2] + s1[None, None, :]) ** 2)
-    images = float(np.sum(model.profile(dist)))
-
-    tol = max(1e-10, _fourier_tail_bound(model, L, truncation)
-              + _image_tail_bound(model, L, image_shells))
-    if abs(series - images) > tol:
-        raise ConsistencyError(
-            f"V_L({tuple(x)}) routes disagree: series {series:.12g} vs "
-            f"images {images:.12g}, tolerance {tol:.3g}; increase truncation")
-    if series < -tol:
-        raise ConsistencyError(f"V_L({tuple(x)}) = {series:.3g} < 0 beyond tolerance")
-    return series
-
-
-def potential_l1(model: PotentialModel, L) -> float:
-    """L1 norm of V_L over the box.
-
-    V >= 0 makes V_L >= 0, so the norm equals the integral, which is the
-    zero-momentum Fourier coefficient b regardless of L.
-    """
-    if float(L) <= 0.0:
-        raise ValueError("L must be positive")
-    return model.b
-
-
 def potential_l2(model: PotentialModel, L, M) -> float:
     """Truncated-Parseval L2 norm sqrt((1/L^3) sum_{|k|_inf<=M} Vhat(2 pi k/L)^2)."""
     L = as_real(L, "L", positive=True)
@@ -412,52 +336,3 @@ def potential_l2(model: PotentialModel, L, M) -> float:
         raise ValueError("M must be >= 0")
     vhat = vhat_grid(model, L, np.arange(-M, M + 1))
     return float(math.sqrt(np.sum(vhat * vhat) / L**3))
-
-
-def check_decay(model: PotentialModel, r_max=20.0, p_max=None, num=4001) -> dict:
-    """Scan both decay envelopes on radial grids and report worst margins.
-
-    Margins are envelope minus value; any negative margin (or a negative
-    profile value) raises DecayViolationError naming the offending point.
-    For tabulated models the momentum grid is clipped to the table range.
-    """
-    if p_max is None:
-        p_max = 20.0
-    if model.p_limit is not None:
-        p_max = min(float(p_max), model.p_limit)
-    num = int(num)
-    if num < 2:
-        raise ValueError("need at least 2 grid points")
-
-    rr = np.linspace(0.0, float(r_max), num)
-    vals_r = np.asarray(model.profile(rr), dtype=float)
-    margins_r = model.C / (1.0 + rr) ** (3.0 + model.delta1) - vals_r
-    if np.any(vals_r < 0.0):
-        bad = rr[int(np.argmin(vals_r))]
-        raise DecayViolationError(f"V({bad:.6g}) < 0")
-    i = int(np.argmin(margins_r))
-    if margins_r[i] < 0.0:
-        raise DecayViolationError(
-            f"real-space decay violated at |y| = {rr[i]:.6g}: "
-            f"V = {vals_r[i]:.6g} exceeds envelope by {-margins_r[i]:.3g}")
-
-    pp = np.linspace(0.0, float(p_max), num)
-    vals_p = np.asarray(model.fourier_profile_radial(pp), dtype=float)
-    margins_p = model.C / (1.0 + pp) ** (3.0 + model.delta2) - vals_p
-    j = int(np.argmin(margins_p))
-    if margins_p[j] < 0.0:
-        raise DecayViolationError(
-            f"Fourier decay violated at |p| = {pp[j]:.6g}: "
-            f"Vhat = {vals_p[j]:.6g} exceeds envelope by {-margins_p[j]:.3g}")
-
-    return {
-        "passed": True,
-        "C": model.C,
-        "delta1": model.delta1,
-        "delta2": model.delta2,
-        "real_margin_min": float(margins_r[i]),
-        "real_argmin": float(rr[i]),
-        "fourier_margin_min": float(margins_p[j]),
-        "fourier_argmin": float(pp[j]),
-        "points": num,
-    }

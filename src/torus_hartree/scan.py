@@ -315,8 +315,6 @@ def iterated_limit_summary(records, columns=DEFAULT_SUMMARY_COLUMNS) -> dict:
         proxies = []
         for rho in rhos:
             rows = [r for r in ok if r.rho == rho]
-            if not rows:
-                continue
             best = max(rows, key=lambda r: r.L)
             proxies.append({"rho": rho, "L": best.L,
                             "value": getattr(best, col)})

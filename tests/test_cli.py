@@ -274,6 +274,17 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
+    def test_decay_constant_below_tight(self, tmp_path, capsys):
+        # a too-small C would print envelopes that bound nothing
+        cfg = write_config(tmp_path, potential={"family": "gaussian", "C": 1e-3})
+        code = run(["simulate", "--config", str(cfg),
+                    "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: decay constant C = 0.001 is below the tight constant")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "t.csv").exists()
+
     @pytest.mark.parametrize("k0", [5, [1.5, 0, 0], [1, 2]])
     def test_bad_state_k0(self, tmp_path, capsys, k0):
         cfg = write_config(tmp_path, state={"family": "plane_wave", "k0": k0})
@@ -567,6 +578,15 @@ class TestScan:
                     "--out", str(tmp_path / "scan")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "scan").exists()
+
+    def test_decay_constant_below_tight(self, tmp_path, capsys):
+        plan = self.plan(tmp_path, potential={"family": "gaussian", "C": 1e-3})
+        out = tmp_path / "scan"
+        assert run(["scan", "--plan", str(plan), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: decay constant C = 0.001 is below the tight constant")
+        assert err.count("\n") == 1
+        assert not (out / "table.csv").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one(self, tmp_path, capsys, workers):

@@ -1,7 +1,8 @@
-"""Potential models: Fourier profiles, periodization, decay certificates."""
+"""Potential models: Fourier profiles, periodization, decay constants."""
 
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -13,19 +14,14 @@ from scipy import integrate
 
 import torus_hartree
 from torus_hartree import (
-    ConsistencyError,
-    DecayViolationError,
     GaussianPotential,
     TableRangeError,
     TabulatedRadialPotential,
     TorusLattice,
-    check_decay,
     fourier_profile,
     make_potential,
     make_state,
     make_record,
-    periodized_eval,
-    potential_l1,
     potential_l2,
     step_split,
 )
@@ -56,8 +52,6 @@ class TestGaussian:
         # (2 pi sigma^2)^{3/2} A at A = sigma = 1
         assert gaussian.b == pytest.approx((2 * math.pi) ** 1.5, abs=1e-14)
         assert gaussian.b == pytest.approx(B_GAUSS, abs=1e-12)
-        assert potential_l1(gaussian, 4.0) == gaussian.b
-        assert potential_l1(gaussian, 32.0) == gaussian.b  # L-independent
 
     def test_fourier_profile_closed_form(self, gaussian):
         p = np.array([0.0, 0.5, 1.0, 2.0, 7.0])
@@ -142,20 +136,29 @@ class TestDecayEnvelope:
         p = np.linspace(0.0, 12.0, 2_000_001)
         scanned = np.max((1.0 + p) ** 8 * fourier_profile(gaussian, p))
         assert gaussian.C == pytest.approx(scanned, rel=1e-8)
-        report = check_decay(gaussian)
-        assert report["passed"]
-        assert report["fourier_margin_min"] >= 0.0
 
     def test_small_constant_fails_fourier_side(self):
         # C = 16 parses but cannot dominate the transform (sup is ~1.6e4)
-        model = GaussianPotential(c=16.0)
-        with pytest.raises(DecayViolationError, match="decay violated"):
-            check_decay(model)
+        with pytest.raises(ValueError, match="C = 16.0 is below the tight constant"):
+            GaussianPotential(c=16.0)
 
     def test_tiny_constant_fails_at_origin(self):
-        model = GaussianPotential(c=0.1)
-        with pytest.raises(DecayViolationError):
-            check_decay(model)
+        # V(0) = 1 alone exceeds C = 0.1
+        with pytest.raises(ValueError, match="C = 0.1 is below the tight constant"):
+            GaussianPotential(c=0.1)
+
+    @pytest.mark.parametrize("family", ["gaussian", "tabulated_radial"])
+    def test_constant_just_below_tight_is_refused(self, family):
+        r = np.linspace(0.0, 8.0, 161)
+        build = {"gaussian": GaussianPotential,
+                 "tabulated_radial": lambda c=None: TabulatedRadialPotential(
+                     r, np.exp(-r**2 / 2), c=c, p_max=22.0)}[family]
+        tight = build().C
+        below = np.nextafter(tight, 0.0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"C = {float(below)!r} is below the tight constant {tight!r}")):
+            build(c=below)
+        assert build(c=tight).C == tight
 
     def test_integrability_exponent_is_validated(self):
         with pytest.raises(ValueError):
@@ -165,14 +168,15 @@ class TestDecayEnvelope:
         GaussianPotential(delta2=4.0 + 1e-12)  # boundary is open
 
 
-class _WrongProfileGaussian(GaussianPotential):
-    """Image route lies by a factor 2; only used to arm the cross-check."""
-
-    def profile(self, r):
-        return 2.0 * super().profile(r)
-
-
 class TestPeriodization:
+    """V_L as the Fourier series of vhat_grid, the kernel's route, against
+    the image sum of the whole-space profile (Poisson summation)."""
+
+    def fourier_series(self, model, x, L):
+        k1 = np.arange(-2 * math.ceil(L), 2 * math.ceil(L) + 1)
+        ph = [np.exp((2j * math.pi / L) * k1 * xi) for xi in x]
+        return float(np.einsum("ijk,i,j,k->", vhat_grid(model, L, k1), *ph).real) / L**3
+
     def image_sum_oracle(self, x, L, window=4):
         shifts = np.arange(-window, window + 1) * L
         total = 0.0
@@ -190,31 +194,13 @@ class TestPeriodization:
         (1.9, 1.9, -1.9),
     ])
     def test_routes_agree_on_gaussian(self, gaussian, x, L):
-        val = periodized_eval(gaussian, x, L)
+        val = self.fourier_series(gaussian, x, L)
         assert val == pytest.approx(self.image_sum_oracle(x, L), rel=1e-9)
-
-    def test_periodicity(self, gaussian):
-        x = np.array([0.4, -1.1, 0.9])
-        shifted = x + np.array([4.0, -8.0, 12.0])
-        assert periodized_eval(gaussian, x, 4.0) == pytest.approx(
-            periodized_eval(gaussian, shifted, 4.0), rel=1e-13)
-
-    def test_route_disagreement_raises(self):
-        # at L = 6 the certified tails are small enough that a factor-2
-        # lie in the image route must be caught
-        with pytest.raises(ConsistencyError):
-            periodized_eval(_WrongProfileGaussian(), (0.0, 0.0, 0.0), 6.0)
-
-    def test_argument_validation(self, gaussian):
-        with pytest.raises(ValueError):
-            periodized_eval(gaussian, (0.0, 0.0, 0.0), 4.0, image_shells=0)
-        with pytest.raises(ValueError):
-            periodized_eval(gaussian, (0.0, 0.0, 0.0), -4.0)
 
     def test_positive_on_sample(self, gaussian):
         rng = np.random.default_rng(7)
         for x in rng.uniform(-2.0, 2.0, size=(10, 3)):
-            assert periodized_eval(gaussian, x, 4.0) > 0.0
+            assert self.fourier_series(gaussian, x, 4.0) > 0.0
 
 
 class TestMomentumGrid:
@@ -343,8 +329,8 @@ class TestFactory:
         assert model.amplitude == 2.0 and model.sigma == 1.5
 
     def test_explicit_decay_constant_is_forwarded(self):
-        model = make_potential({"family": "gaussian", "C": 16.0})
-        assert model.C == 16.0
+        model = make_potential({"family": "gaussian", "C": 2e4})
+        assert model.C == 2e4
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
