@@ -9,14 +9,13 @@ observed drift order.
 import math
 
 from torus_hartree import (GaussianPotential, IntegratorConfig, TorusLattice,
-                           evolve, make_state)
+                           evolve, make_state, run_report)
 
 
 def drift_for(state, model, horizon, dt):
     traj = evolve(state, model, horizon, IntegratorConfig(dt=dt),
                   stride=5, keep_states=False)
-    e0 = traj.records[0].energy
-    return traj, max(abs(r.energy - e0) / abs(e0) for r in traj.records)
+    return traj, run_report(traj).max_energy_drift
 
 
 def main():

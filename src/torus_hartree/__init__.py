@@ -31,8 +31,8 @@ from .diagnostics import (BoundInputs, DiagnosticsRecord, EnvelopeDomainError,
                           envelope_audit, excitation_bound, kinetic_tail,
                           make_record, omega_coefficient,
                           plane_wave_comparison, quasi_vacuum_energy_bound,
-                          s_envelope, t_envelope, tail_sum, u_mass_envelope,
-                          write_trajectory_csv)
+                          RunReport, run_report, s_envelope, t_envelope,
+                          tail_sum, u_mass_envelope, write_trajectory_csv)
 from .scan import (SCAN_COLUMNS, ScanPlan, ScanRecord,
                    iterated_limit_summary, load_plan, run_scan)
 

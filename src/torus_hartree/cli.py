@@ -18,9 +18,9 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 
 from . import diagnostics
-from .diagnostics import (BoundInputs, envelope_audit, excitation_bound,
-                          format_float, omega_coefficient,
-                          quasi_vacuum_energy_bound, write_trajectory_csv)
+from .diagnostics import (BoundInputs, excitation_bound, format_float,
+                          omega_coefficient, quasi_vacuum_energy_bound,
+                          run_report, write_trajectory_csv)
 from .evolution import (ContractionError, ConvergenceError, InstabilityError,
                         IntegratorConfig, evolve, lifespan_guard,
                         picard_solve, rhs, step_split)
@@ -133,7 +133,7 @@ def _cmd_simulate(args):
     write_trajectory_csv(traj.records, args.out)
     if args.audit:
         with open(args.audit, "w", encoding="ascii") as fh:
-            json.dump(envelope_audit(traj), fh, indent=1, sort_keys=True)
+            json.dump(run_report(traj).audit, fh, indent=1, sort_keys=True)
             fh.write("\n")
     if args.final_state:
         save_state(traj.final_state, args.final_state)
@@ -207,14 +207,13 @@ def _suite_conservation():
     model = GaussianPotential()
     state = make_state("perturbed_condensate", TorusLattice(4.0, 3), 10.0,
                        eps=0.05, s=6.0, seed=11)
-    traj = evolve(state, model, 0.02, IntegratorConfig(dt=1e-3), stride=4,
-                  keep_states=False)
-    mass_dev, drift = diagnostics._drift(traj.records)
+    report = run_report(evolve(state, model, 0.02, IntegratorConfig(dt=1e-3),
+                               stride=4, keep_states=False))
     return [
-        ("mass conservation", mass_dev <= 1e-9,
-         f"max |mass - 1| = {mass_dev:.3e}"),
-        ("energy conservation", drift <= 1e-6,
-         f"max relative energy drift = {drift:.3e}"),
+        ("mass conservation", report.max_mass_dev <= 1e-9,
+         f"max |mass - 1| = {report.max_mass_dev:.3e}"),
+        ("energy conservation", report.max_energy_drift <= 1e-6,
+         f"max relative energy drift = {report.max_energy_drift:.3e}"),
     ]
 
 
@@ -242,13 +241,11 @@ def _suite_envelopes():
     model = GaussianPotential()
     state = make_state("perturbed_condensate", TorusLattice(4.0, 3), 10.0,
                        eps=0.05, s=6.0, seed=7)
-    traj = evolve(state, model, 0.1 / model.b, IntegratorConfig(dt=2.5e-4),
-                  stride=5, keep_states=False)
-    audit = envelope_audit(traj)
-    margins = [e["s_margin"] for e in audit["records"] if e.get("in_domain")]
+    report = run_report(evolve(state, model, 0.1 / model.b, IntegratorConfig(dt=2.5e-4),
+                               stride=5, keep_states=False))
     return [
-        ("S/T Gronwall envelopes", audit["passed"],
-         f"{audit['flags']} flags, min S margin = {min(margins):.3e}"),
+        ("S/T Gronwall envelopes", report.audit["passed"],
+         f"{report.audit['flags']} flags, min S margin = {report.min_s_margin:.3e}"),
     ]
 
 

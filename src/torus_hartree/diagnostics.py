@@ -30,7 +30,10 @@ __all__ = [
     "s_envelope",
     "t_envelope",
     "u_mass_envelope",
+    "AUDIT_TOLERANCE",
     "envelope_audit",
+    "RunReport",
+    "run_report",
     "plane_wave_comparison",
     "omega_coefficient",
     "excitation_bound",
@@ -251,6 +254,18 @@ class TrajectoryContext:
                    theta=float(theta), u0_mass_sq=u0, t0=state.t)
 
 
+def _envelopes(ctx: TrajectoryContext, t: float):
+    """The (S, T, u-mass) envelopes at record time t, counted from ctx.t0, or
+    all NaN at or past blow-up: the one test of the envelopes' domain."""
+    elapsed = t - ctx.t0
+    try:
+        return (s_envelope(ctx.s0, ctx.b, elapsed),
+                t_envelope(ctx.s0, ctx.t0_kin, ctx.b, ctx.c_decay, elapsed),
+                u_mass_envelope(ctx.u0_mass_sq, ctx.s0, ctx.b, elapsed))
+    except EnvelopeDomainError:
+        return math.nan, math.nan, math.nan
+
+
 def _wave_deviation(lattice, alpha, k, phase):
     """|alpha - exp(i phase) delta_k| per site: distance to a plane wave."""
     u = alpha.copy()
@@ -297,15 +312,7 @@ def make_record(state: SpectralState, model: PotentialModel,
 
     s_env = t_env = u_env = u_mass = math.nan
     if context is not None:
-        elapsed = state.t - context.t0
-        try:
-            s_env = s_envelope(context.s0, context.b, elapsed)
-            t_env = t_envelope(context.s0, context.t0_kin, context.b,
-                               context.c_decay, elapsed)
-            u_env = u_mass_envelope(context.u0_mass_sq, context.s0,
-                                    context.b, elapsed)
-        except EnvelopeDomainError:
-            pass  # past blow-up the envelopes carry no information
+        s_env, t_env, u_env = _envelopes(context, state.t)
         _, uabs2 = _comparison_wave(state, context)
         u_mass = lat.ordered_sum(uabs2)
 
@@ -319,42 +326,32 @@ def make_record(state: SpectralState, model: PotentialModel,
     )
 
 
-def _drift(records):
-    """(max |mass - 1|, max relative energy drift) over a record stream; the
-    drift is NaN when the first energy is 0 or not finite."""
-    e0 = records[0].energy
-    drift = math.nan
-    if math.isfinite(e0) and e0 != 0.0:
-        drift = max(abs(r.energy - e0) / abs(e0) for r in records)
-    return max(abs(r.mass - 1.0) for r in records), drift
-
-
 # ---------------------------------------------------------------------------
-# envelope audit and comparison wave
+# envelope audit, run report and comparison wave
 
-def envelope_audit(trajectory, tolerance_base: float = 1e-6) -> dict:
+AUDIT_TOLERANCE = 1e-6
+
+
+def envelope_audit(trajectory) -> dict:
     """Compare recorded S, T against their envelopes.
 
-    The per-record tolerance is tolerance_base plus the reported
+    The per-record tolerance is AUDIT_TOLERANCE plus the reported
     truncation tail (truncated sums underestimate the full ones), and
     both raw and tail-corrected margins are reported.  The envelopes run
     from the context's start time t0, so blowup_time, on the record clock,
-    is t0 + 1 / (2 S0^2 b); records at or beyond it are skipped.
+    is t0 + 1 / (2 S0^2 b); records whose envelopes are NaN are skipped.
     """
     ctx = trajectory.context
-    lifespan = 1.0 / (2.0 * ctx.s0**2 * ctx.b)
     entries = []
     flags = 0
     for rec in trajectory.records:
-        elapsed = rec.t - ctx.t0
-        if elapsed >= lifespan:
+        s_env, t_env, _ = _envelopes(ctx, rec.t)
+        if math.isnan(s_env):
             entries.append({"t": rec.t, "in_domain": False})
             continue
-        tol = tolerance_base + rec.tail_half_M
-        s_margin = s_envelope(ctx.s0, ctx.b, elapsed) - rec.S
-        t_margin = t_envelope(ctx.s0, ctx.t0_kin, ctx.b, ctx.c_decay, elapsed) - rec.T
-        s_flag = s_margin < -tol
-        t_flag = t_margin < -tol
+        tol = AUDIT_TOLERANCE + rec.tail_half_M
+        s_margin, t_margin = s_env - rec.S, t_env - rec.T
+        s_flag, t_flag = s_margin < -tol, t_margin < -tol
         flags += int(s_flag) + int(t_flag)
         entries.append({
             "t": rec.t, "in_domain": True, "tolerance": tol,
@@ -362,8 +359,35 @@ def envelope_audit(trajectory, tolerance_base: float = 1e-6) -> dict:
             "t_margin": t_margin, "t_margin_corrected": t_margin + tol,
             "s_flag": s_flag, "t_flag": t_flag,
         })
-    return {"passed": flags == 0, "flags": flags, "blowup_time": ctx.t0 + lifespan,
-            "records": entries}
+    return {"passed": flags == 0, "flags": flags, "records": entries,
+            "blowup_time": ctx.t0 + 1.0 / (2.0 * ctx.s0**2 * ctx.b)}
+
+
+@dataclass(frozen=True)
+class RunReport:
+    """Run-wide numbers of one trajectory.  The energy drift is relative to
+    the first energy, NaN when that is 0 or not finite; the min margins are
+    NaN when no record is in the envelopes' domain; audit is envelope_audit's."""
+
+    max_mass_dev: float
+    max_energy_drift: float
+    min_s_margin: float
+    min_t_margin: float
+    audit: dict
+
+
+def run_report(trajectory) -> RunReport:
+    """Drift, envelope margins and the envelope audit, from one audit pass."""
+    records = trajectory.records
+    e0 = records[0].energy
+    drift = math.nan
+    if math.isfinite(e0) and e0 != 0.0:
+        drift = max(abs(r.energy - e0) / abs(e0) for r in records)
+    audit = envelope_audit(trajectory)
+    scored = [e for e in audit["records"] if "s_margin" in e]
+    return RunReport(max(abs(r.mass - 1.0) for r in records), drift,
+                     min((e["s_margin"] for e in scored), default=math.nan),
+                     min((e["t_margin"] for e in scored), default=math.nan), audit)
 
 
 def plane_wave_comparison(trajectory, k0, theta: float, model: PotentialModel) -> dict:

@@ -207,25 +207,18 @@ def _run_point(plan: ScanPlan, model, i_rho: int, i_L: int, out_dir) -> ScanReco
             traj = Trajectory(records=[diagnostics.make_record(state, model, ctx)],
                               final_state=state, context=ctx)
 
-        records = traj.records
-        final = records[-1]
-        for name in SCAN_COLUMNS:
-            if name in diagnostics.DiagnosticsRecord.__dataclass_fields__:
-                setattr(rec, name, getattr(final, name))
+        final = traj.records[-1]
+        for source in (final, diagnostics.run_report(traj)):
+            for name in SCAN_COLUMNS:
+                if name in source.__dataclass_fields__:
+                    setattr(rec, name, getattr(source, name))
         rec.n_particles = rho * L**3
         rec.final_t = final.t
         rec.energy_gap = abs(final.energy_per_particle - 0.5 * model.b)
-        rec.max_mass_dev, rec.max_energy_drift = diagnostics._drift(records)
-        audit = diagnostics.envelope_audit(traj)
-        s_margins = [e["s_margin"] for e in audit["records"] if e.get("in_domain")]
-        t_margins = [e["t_margin"] for e in audit["records"] if e.get("in_domain")]
-        if s_margins:
-            rec.min_s_margin = min(s_margins)
-            rec.min_t_margin = min(t_margins)
 
         if out_dir is not None and plan.write_trajectories:
             diagnostics.write_trajectory_csv(
-                records, os.path.join(out_dir, _trajectory_filename(rho, L)))
+                traj.records, os.path.join(out_dir, _trajectory_filename(rho, L)))
     except Exception as exc:  # failure isolation: the scan must continue
         rec.status = f"failed: {type(exc).__name__}: {exc}"
     rec.runtime_s = time.perf_counter() - started

@@ -31,6 +31,7 @@ from torus_hartree import (
     plane_wave_comparison,
     quasi_vacuum_energy_bound,
     random_state,
+    run_report,
     s_envelope,
     t_envelope,
     tail_sum,
@@ -38,7 +39,6 @@ from torus_hartree import (
 )
 from torus_hartree.diagnostics import (
     CSV_COLUMNS,
-    _drift,
     format_float,
     make_record,
     write_trajectory_csv,
@@ -201,12 +201,20 @@ class TestRecord:
             float(np.sum(np.abs(st.alpha))), rel=1e-13)
 
     def test_drift(self):
-        recs = [SimpleNamespace(mass=m, energy=e)
-                for m, e in ((1.0, 2.0), (1.25, 2.5), (0.5, 1.0))]
-        assert _drift(recs) == (0.5, 0.5)
+        # every record sits past blow-up (1/(2b) ~ 0.032), so only the drift is read
+        ctx = TrajectoryContext(s0=1.0, t0_kin=0.0, b=B_GAUSS, c_decay=16.0,
+                                k0=(0, 0, 0), theta=0.0, u0_mass_sq=0.0)
+
+        def report(recs):
+            return run_report(Trajectory(records=recs, final_state=None, context=ctx))
+
+        recs = [SimpleNamespace(t=t, mass=m, energy=e)
+                for t, m, e in ((1.0, 1.0, 2.0), (2.0, 1.25, 2.5), (3.0, 0.5, 1.0))]
+        got = report(recs)
+        assert (got.max_mass_dev, got.max_energy_drift) == (0.5, 0.5)
         for e0 in (0.0, math.nan, math.inf):
-            mass_dev, drift = _drift([SimpleNamespace(mass=1.0, energy=e0), *recs])
-            assert mass_dev == 0.5 and math.isnan(drift)
+            got = report([SimpleNamespace(t=0.5, mass=1.0, energy=e0), *recs])
+            assert got.max_mass_dev == 0.5 and math.isnan(got.max_energy_drift)
 
 
 
@@ -290,6 +298,10 @@ class TestEnvelopeAudit:
         assert all(e["in_domain"] for e in audit["records"])
         assert audit["blowup_time"] == pytest.approx(
             1.0 / (2.0 * traj.context.s0**2 * B_GAUSS), rel=1e-13)
+        report = run_report(traj)
+        assert report.audit == audit
+        assert report.min_s_margin == min(e["s_margin"] for e in audit["records"])
+        assert report.min_t_margin == min(e["t_margin"] for e in audit["records"])
 
     def synthetic_trajectory(self, records):
         st = make_state("plane_wave", TorusLattice(4.0, 1), 1.0)
@@ -330,6 +342,31 @@ class TestEnvelopeAudit:
         audit = envelope_audit(traj)
         assert audit["passed"]
         assert audit["records"][1]["in_domain"] is False
+
+    def test_report_margins_are_nan_past_blowup(self):
+        traj = self.synthetic_trajectory([
+            self.fake_record(1.0, 99.0),
+            self.fake_record(2.0, 99.0),
+        ])
+        report = run_report(traj)
+        assert math.isnan(report.min_s_margin) and math.isnan(report.min_t_margin)
+        assert report.max_mass_dev == 0.0
+        assert report.audit["passed"]
+        assert [e["in_domain"] for e in report.audit["records"]] == [False, False]
+
+    def test_record_one_ulp_before_blowup_is_out_of_domain(self, gaussian):
+        # 1 - 2 S0^2 b t rounds to 0 one ulp below 1/(2 S0^2 b): the record
+        # and the audit must agree that the envelopes are undefined there
+        ctx = TrajectoryContext(s0=1.694260211794545, b=3.201084487995624,
+                                t0_kin=0.0, c_decay=16.0, k0=(0, 0, 0),
+                                theta=0.0, u0_mass_sq=0.0)
+        t = math.nextafter(1.0 / (2.0 * ctx.s0**2 * ctx.b), 0.0)
+        st = make_state("plane_wave", TorusLattice(4.0, 1), 1.0)
+        rec = make_record(st.with_alpha(st.alpha, t=t), gaussian, ctx)
+        assert math.isnan(rec.s_envelope)
+        audit = envelope_audit(Trajectory(records=[rec], final_state=st, context=ctx))
+        assert audit["passed"]
+        assert audit["records"] == [{"t": t, "in_domain": False}]
 
 
 class TestPlaneWaveComparison:

@@ -6,14 +6,23 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
+from numpy.random import SeedSequence
 
 from torus_hartree import scan
 from torus_hartree import (
     SCAN_COLUMNS,
     ScanPlan,
     ScanRecord,
+    TorusLattice,
+    Trajectory,
+    TrajectoryContext,
+    evolve,
     iterated_limit_summary,
     load_plan,
+    make_potential,
+    make_record,
+    make_state,
+    run_report,
     run_scan,
 )
 from torus_hartree.scan import _trajectory_filename, write_scan_csv
@@ -286,6 +295,26 @@ class TestRunScan:
         cols = summary["columns"]
         assert cols["beta_gap"]["trend"] == "decreasing"
         assert cols["condensate_fraction"]["trend"] == "increasing"
+
+    @pytest.mark.parametrize("t_final", [0.0, 5e-3])
+    def test_run_level_columns_are_the_run_report(self, t_final):
+        plan = small_plan(rho_values=[4.0], t_final=t_final)
+        (row,) = run_scan(plan, workers=1)
+        assert row.status == "ok"
+        # the point's trajectory, built independently of scan._run_point
+        model = make_potential(POTENTIAL)
+        state = make_state(plan.family, TorusLattice(2.0, 2), 4.0,
+                           seed=SeedSequence([0, 0, 0]), **plan.resolve_params(4.0))
+        if t_final > 0.0:
+            traj = evolve(state, model, t_final, plan._integrator, keep_states=False)
+        else:
+            ctx = TrajectoryContext.from_state(state, model)
+            traj = Trajectory(records=[make_record(state, model, ctx)],
+                              final_state=state, context=ctx)
+        report = run_report(traj)
+        for name in ("max_mass_dev", "max_energy_drift", "min_s_margin", "min_t_margin"):
+            assert getattr(row, name) == getattr(report, name), name
+            assert math.isfinite(getattr(row, name)), name
 
     def test_write_trajectories_toggle(self, tmp_path):
         plan = small_plan(write_trajectories=False)
