@@ -13,7 +13,6 @@ import math
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
 
 import numpy as np
-import scipy.fft
 
 from .field import SpectralState, _get_kernel, s_sum, t_sum, to_physical
 from .potential import PotentialModel, as_real, vhat_grid
@@ -60,29 +59,24 @@ def _energy_and_beta_gap(state: SpectralState, model: PotentialModel):
 
     The kernel grid (G >= 4M+2) resolves the density |phi|^2 of the
     unit-density field without aliasing, so beta = fftn(|phi|^2) / G^3 is
-    the exact autocorrelation.  The density is real, so beta is taken on
-    the rfftn half spectrum and its sums are weighted by Hermitian symmetry.
+    the exact autocorrelation, and no spectrum is needed.  The interaction
+    takes the step's own convolution: half sum_k Vhat |beta|^2 is
+    sum(|phi|^2 conv) / (2 G^3).  By Parseval, beta(0) = sum |phi|^2 / G^3
+    and sum_{k != 0} |beta|^2 = sum (|phi|^2 - beta(0))^2 / G^3.
     """
     lat = state.lattice
     kernel = _get_kernel(model, lat)
     phi = kernel.field(state.alpha)
+    conv = kernel.convolved_density(phi)
     dens = np.square(phi.real)
-    dens += np.square(phi.imag)
-    del phi  # free the G^3 complex field before rfftn allocates
-    beta = scipy.fft.rfftn(dens, norm="forward")
-    beta_sq = np.square(beta.real)
-    beta_sq += np.square(beta.imag)
-    # each k3 plane of the half spectrum stands for itself and its mirror
-    # except k3 = 0 and, for even G, k3 = G / 2: halving those two (exactly)
-    # makes every full-spectrum sum twice the half-spectrum sum
-    beta_sq[:, :, 0] *= 0.5
-    if kernel.G % 2 == 0:
-        beta_sq[:, :, -1] *= 0.5
+    dens += np.square(phi.imag, out=phi.imag)  # phi is ours: square in place
+    n = dens.size
+    conv *= dens
+    interaction = 0.5 * float(np.sum(conv)) / n
+    beta0 = float(np.sum(dens)) / n
+    dens -= beta0
+    gap = float(np.sum(np.square(dens, out=dens))) / n + abs(beta0 * beta0 - 1.0)
     kinetic = lat.ordered_sum(lat.omega * np.abs(state.alpha) ** 2)
-    interaction = float(np.sum(kernel.vhat_half * beta_sq))
-    beta0_sq = 2.0 * float(beta_sq[0, 0, 0])
-    beta_sq[0, 0, 0] = 0.0
-    gap = 2.0 * float(np.sum(beta_sq)) + abs(beta0_sq - 1.0)
     return kinetic + interaction, gap
 
 
@@ -253,10 +247,18 @@ class TrajectoryContext:
                    c_decay=model.C, k0=tuple(int(v) for v in np.asarray(k0).reshape(3)),
                    theta=float(theta), u0_mass_sq=u0, t0=state.t)
 
+    @property
+    def blowup_time(self) -> float:
+        """The envelopes' blow-up time on the record clock, t0 + 1 / (2 S0^2 b)."""
+        return self.t0 + 1.0 / (2.0 * self.s0**2 * self.b)
+
 
 def _envelopes(ctx: TrajectoryContext, t: float):
     """The (S, T, u-mass) envelopes at record time t, counted from ctx.t0, or
-    all NaN at or past blow-up: the one test of the envelopes' domain."""
+    all NaN at or past blow-up: the one test of the envelopes' domain.  At
+    blowup_time 1 - 2 S0^2 b (t - t0) can round above 0, so t is tested first."""
+    if t >= ctx.blowup_time:
+        return math.nan, math.nan, math.nan
     elapsed = t - ctx.t0
     try:
         return (s_envelope(ctx.s0, ctx.b, elapsed),
@@ -338,8 +340,8 @@ def envelope_audit(trajectory) -> dict:
     The per-record tolerance is AUDIT_TOLERANCE plus the reported
     truncation tail (truncated sums underestimate the full ones), and
     both raw and tail-corrected margins are reported.  The envelopes run
-    from the context's start time t0, so blowup_time, on the record clock,
-    is t0 + 1 / (2 S0^2 b); records whose envelopes are NaN are skipped.
+    from the context's start time t0; the reported blowup_time is the
+    context's, and records at or past it (NaN envelopes) are skipped.
     """
     ctx = trajectory.context
     entries = []
@@ -360,7 +362,7 @@ def envelope_audit(trajectory) -> dict:
             "s_flag": s_flag, "t_flag": t_flag,
         })
     return {"passed": flags == 0, "flags": flags, "records": entries,
-            "blowup_time": ctx.t0 + 1.0 / (2.0 * ctx.s0**2 * ctx.b)}
+            "blowup_time": ctx.blowup_time}
 
 
 @dataclass(frozen=True)

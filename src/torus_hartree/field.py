@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 from numpy.random import Generator, Philox, SeedSequence
-from scipy.fft import next_fast_len
 
 from .potential import _positive_finite, as_int, as_real, vhat_grid
 
@@ -203,6 +201,19 @@ class AutoCorrelation:
         object.__setattr__(self, "beta", b)
 
 
+def _fast_len(n: int) -> int:
+    """The least 11-smooth integer >= n, as scipy.fft.next_fast_len(n)."""
+    n = max(n, 1)
+    while True:
+        k = n
+        for p in (2, 3, 5, 7, 11):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
+
+
 def _dft_synthesis(M: int, G: int):
     """The read-only (G, 2M+1) pruned DFT matrix from the modes |k| <= M
     to a size-G grid: F[j, k] = exp(2 pi i ((j k) mod G) / G).
@@ -278,17 +289,19 @@ class _Kernel:
     against the symmetric circulant C whose first column is ifft(g).  By
     Maxwell's theorem no other radial Vhat factors by axis, so every other
     model convolves through scipy.fft.rfftn and the half-spectrum
-    vhat_half.  The kernel keeps no scratch buffers, so threads of one
-    process may share it: each call allocates its own.  (Scan worker
-    processes each build their own kernels.)
+    vhat_half; scipy is imported only there, so a Gaussian run loads none
+    of it.  The step and the record's energy both take this convolution.
+    The kernel keeps no scratch buffers, so threads of one process may
+    share it: each call allocates its own.  (Scan worker processes each
+    build their own kernels.)
     """
 
     def __init__(self, lattice: TorusLattice, model):
         self.lattice = lattice
-        self.G = G = next_fast_len(2 * lattice.size)
+        self.G = G = _fast_len(2 * lattice.size)
         self.F = _dft_synthesis(lattice.M, G)
         self.A = _dft_analysis(self.F)
-        self.vhat = vhat_grid(model, lattice.L, scipy.fft.fftfreq(G, 1.0 / G),
+        self.vhat = vhat_grid(model, lattice.L, np.fft.fftfreq(G, 1.0 / G),
                               limit=2 * lattice.M)
         self.vhat_half = self.vhat[:, :, :G // 2 + 1]  # the rfftn half-spectrum
         self.C = self.bC = None
@@ -318,6 +331,7 @@ class _Kernel:
         dens = np.square(phi.real)
         dens += np.square(phi.imag)
         if self.C is None:
+            import scipy.fft  # only tabulated potentials load scipy
             spec = scipy.fft.rfftn(dens)
             spec *= self.vhat_half
             return scipy.fft.irfftn(spec, s=dens.shape, overwrite_x=True)
@@ -377,7 +391,7 @@ def autocorrelation(state: SpectralState, method: str = "fft") -> AutoCorrelatio
     M = lat.M
     diff = difference_lattice(lat)
     if method == "fft":
-        G = next_fast_len(4 * M + 1)
+        G = _fast_len(4 * M + 1)
         phi = _synthesize(state.alpha, _dft_synthesis(M, G))
         A = _dft_analysis(_dft_synthesis(diff.M, G))
         return AutoCorrelation(diff, _analyze(phi.real**2 + phi.imag**2, A))
@@ -463,7 +477,7 @@ def pointwise_product(a: SpectralState, b: SpectralState) -> SpectralState:
     if a.lattice != b.lattice:
         raise ValueError("operands must share a lattice")
     lat = a.lattice
-    G = next_fast_len(2 * lat.size - 1)
+    G = _fast_len(2 * lat.size - 1)
     F = _dft_synthesis(lat.M, G)
     prod = _synthesize(a.alpha, F) * _synthesize(b.alpha, F)
     diff = difference_lattice(lat)

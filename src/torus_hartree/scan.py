@@ -252,7 +252,7 @@ def run_scan(plan: ScanPlan, out_dir=None, workers: int = 1) -> list:
     put back in plan order.  A worker that dies raises
     ``concurrent.futures.process.BrokenProcessPool`` and nothing more is
     written.  Fork is required: a spawned worker would pay the package
-    import (~0.35 s) again.  Fork copies only the calling thread, so no
+    import (~0.2 s, mostly numpy's) again.  Fork copies only the calling thread, so no
     other thread of the caller may hold a lock the points take (the
     kernel cache's, say) while the pool starts.
     """

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -244,15 +245,32 @@ def full_spectrum_route(state, model):
     return kinetic + 0.5 * float(np.sum(kernel.vhat.ravel() * beta_sq)), gap
 
 
+def exact_parseval_gap(state, model):
+    """beta_gap of the kernel grid's density by Parseval, summed exactly.
+
+    Each density value is an integer times 2^-k, so with s1 and s2 the
+    integer sums of those integers and of their squares, beta(0) is
+    s1 / (n 2^k) and the k != 0 sum of |beta|^2 is (n s2 - s1^2) / (n 2^k)^2.
+    """
+    phi = _get_kernel(model, state.lattice).field(state.alpha)
+    dens = (phi.real**2 + phi.imag**2).ravel()
+    k = 53 - int(np.min(np.frexp(dens)[1]))
+    ints = [int(v) for v in np.ldexp(dens, k).tolist()]
+    n, s1, s2 = len(ints), sum(ints), sum(i * i for i in ints)
+    beta0 = Fraction(s1, n << k)
+    return float(Fraction(n * s2 - s1 * s1, (n << k) ** 2) + abs(beta0 * beta0 - 1))
+
+
 class TestRecordOracle:
     @pytest.mark.parametrize("m", [2, 3, 6, 8, 16])  # G = 10, 14, 27, 35, 66
-    def test_half_spectrum_matches_full_spectrum(self, gaussian, m):
+    def test_grid_route_matches_full_spectrum(self, gaussian, m):
         st = make_state("perturbed", TorusLattice(float(m), m), 10.0,
                         eps=0.2, s=3.0, seed=m)
-        epp, gap = full_spectrum_route(st, gaussian)
+        epp, _ = full_spectrum_route(st, gaussian)
         rec = make_record(st, gaussian)
         assert rec.energy_per_particle == pytest.approx(epp, rel=1e-14, abs=0.0)
-        assert rec.beta_gap == pytest.approx(gap, rel=1e-14, abs=0.0)
+        assert rec.beta_gap == pytest.approx(exact_parseval_gap(st, gaussian),
+                                             rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("rho", [1.0, 10.0, 1e3, 1e6])
@@ -366,6 +384,21 @@ class TestEnvelopeAudit:
         assert math.isnan(rec.s_envelope)
         audit = envelope_audit(Trajectory(records=[rec], final_state=st, context=ctx))
         assert audit["passed"]
+        assert audit["records"] == [{"t": t, "in_domain": False}]
+
+    def test_record_at_blowup_time_is_out_of_domain(self, gaussian):
+        # here 1 - 2 S0^2 b t rounds to 1.1e-16 > 0 at t = blowup_time
+        ctx = TrajectoryContext(s0=4.726171232503297, b=3.873921953113303,
+                                t0_kin=0.0, c_decay=16.0, k0=(0, 0, 0),
+                                theta=0.0, u0_mass_sq=0.0)
+        t = ctx.blowup_time
+        assert 1.0 - 2.0 * ctx.s0 * ctx.s0 * ctx.b * t > 0.0
+        st = make_state("plane_wave", TorusLattice(4.0, 1), 1.0)
+        rec = make_record(st.with_alpha(st.alpha, t=t), gaussian, ctx)
+        assert math.isnan(rec.s_envelope) and math.isnan(rec.t_envelope)
+        assert math.isnan(rec.u_mass_envelope)
+        audit = envelope_audit(Trajectory(records=[rec], final_state=st, context=ctx))
+        assert audit["passed"] and audit["blowup_time"] == t
         assert audit["records"] == [{"t": t, "in_domain": False}]
 
 

@@ -32,8 +32,8 @@ from torus_hartree import (
     to_spectral,
     wiener_norm,
 )
-from torus_hartree.field import (_analyze, _dft_analysis, _dft_synthesis, _Kernel,
-                                 _synthesize)
+from torus_hartree.field import (_analyze, _dft_analysis, _dft_synthesis, _fast_len,
+                                 _Kernel, _synthesize)
 
 
 class TestLattice:
@@ -413,6 +413,10 @@ class TestKernel:
         # M = 8 gives the odd grid G = 35.
         kernel = self.check(M, seed=M)
         assert kernel.G == next_fast_len(4 * M + 2)
+
+    def test_fast_len_is_scipy_next_fast_len(self):
+        n = range(1, 2001)
+        assert [_fast_len(k) for k in n] == [next_fast_len(k) for k in n]
 
     @settings(max_examples=20, deadline=None)
     @given(M=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))

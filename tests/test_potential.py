@@ -1,5 +1,7 @@
 """Potential models: Fourier profiles, periodization, decay constants."""
 
+import hashlib
+import json
 import math
 import os
 import re
@@ -341,14 +343,58 @@ class TestFactory:
             make_potential({"family": "gaussian", "sigm": 1.0})
 
 
-def test_package_import_leaves_out_quadrature_modules():
-    # scipy.integrate/interpolate load only when a tabulated model is built
+def run_python(code, *args):
+    """Run code in a fresh interpreter on this package; its stdout's last line."""
     src = os.path.dirname(os.path.dirname(torus_hartree.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return out.strip().splitlines()[-1]
+
+
+def test_package_import_leaves_out_quadrature_modules():
+    # scipy.integrate/interpolate load only when a tabulated model is built
     code = ("import sys, torus_hartree; "
             "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate') "
             "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert run_python(code) == "[]"
+
+
+LOADED_SCIPY = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
+class TestGaussianRunsLoadNoScipy:
+    """Only a tabulated potential imports scipy; a Gaussian run never does."""
+
+    def test_cli_import(self):
+        assert run_python("import sys, torus_hartree.cli; " + LOADED_SCIPY) == "[]"
+
+    def test_simulate_with_audit(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "potential": {"family": "gaussian"},
+            "state": {"family": "perturbed", "eps": 0.05, "s": 6.0, "seed": 11},
+            "rho": 10.0, "L": 4.0, "M": 2, "dt": 1e-3, "t_final": 3e-3}))
+        code = ("import sys; from torus_hartree import cli; "
+                "assert cli.main(sys.argv[1:]) == 0; " + LOADED_SCIPY)
+        assert run_python(code, "simulate", "--config", str(cfg),
+                          "--out", str(tmp_path / "traj.csv"),
+                          "--audit", str(tmp_path / "audit.json")) == "[]"
+        assert json.loads((tmp_path / "audit.json").read_text())["passed"]
+
+    def test_tabulated_model_steps(self):
+        # the tabulated convolution imports scipy.fft itself, and keeps its bits
+        r = np.linspace(0.0, 8.0, 161)
+        model = TabulatedRadialPotential(r, np.exp(-r**2 / 2), p_max=22.0)
+        st = make_state("perturbed", TorusLattice(4.0, 2), 10.0, eps=0.05, s=6.0, seed=1)
+        digest = hashlib.sha256(step_split(st, model, 1e-3).alpha.tobytes()).hexdigest()
+        code = ("import sys, hashlib, numpy as np, torus_hartree as th; "
+                "r = np.linspace(0.0, 8.0, 161); "
+                "model = th.TabulatedRadialPotential(r, np.exp(-r**2 / 2), p_max=22.0); "
+                "st = th.make_state('perturbed', th.TorusLattice(4.0, 2), 10.0, "
+                "eps=0.05, s=6.0, seed=1); "
+                "after = th.step_split(st, model, 1e-3); "
+                "print('scipy.fft' in sys.modules, "
+                "hashlib.sha256(after.alpha.tobytes()).hexdigest())")
+        assert run_python(code) == f"True {digest}"
