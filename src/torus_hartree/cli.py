@@ -35,18 +35,14 @@ EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 
 
-class ConfigError(Exception):
-    """Invalid flag combination or config/plan content."""
-
-
 def _parse_k0(text):
     parts = text.split(",")
     if len(parts) != 3:
-        raise ConfigError(f"--k0 expects three comma-separated integers, got {text!r}")
+        raise ValueError(f"--k0 expects three comma-separated integers, got {text!r}")
     try:
         return tuple(int(p) for p in parts)
     except ValueError as exc:
-        raise ConfigError(f"--k0 expects integers: {exc}") from None
+        raise ValueError(f"--k0 expects integers: {exc}") from None
 
 
 def _load_json(path):
@@ -54,12 +50,12 @@ def _load_json(path):
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+            raise ValueError(f"{path}: invalid JSON ({exc})") from None
 
 
 def _require(doc, key, where):
     if key not in doc:
-        raise ConfigError(f"{where}: missing required key {key!r}")
+        raise ValueError(f"{where}: missing required key {key!r}")
     return doc[key]
 
 
@@ -71,13 +67,13 @@ def _cmd_make_state(args):
     params = {"k0": _parse_k0(args.k0)}
     if args.family == "two-mode":
         if args.escape is None:
-            raise ConfigError("--family two-mode requires --escape")
+            raise ValueError("--family two-mode requires --escape")
         params["escape_exponent"] = args.escape
     else:
         params["theta"] = args.theta
     if args.family == "perturbed":
         if args.eps is None or args.s is None or args.seed is None:
-            raise ConfigError("--family perturbed requires --eps, --s, --seed")
+            raise ValueError("--family perturbed requires --eps, --s, --seed")
         params.update(eps=args.eps, s=args.s, seed=args.seed)
     state = make_state(args.family, lattice, args.rho, **params)
     save_state(state, args.out, family=args.family, seed=args.seed)
@@ -102,17 +98,17 @@ def _cmd_make_state(args):
 def _cmd_simulate(args):
     cfg = _load_json(args.config)
     if not isinstance(cfg, dict):
-        raise ConfigError(f"{args.config}: config must be a JSON object")
+        raise ValueError(f"{args.config}: config must be a JSON object")
     integrator_keys = IntegratorConfig.__dataclass_fields__.keys()
     extra = set(cfg) - {"potential", "state", "rho", "L", "M", "t_final",
                         "stride"} - integrator_keys
     if extra:
-        raise ConfigError(f"{args.config}: unknown config keys {sorted(extra)}")
+        raise ValueError(f"{args.config}: unknown config keys {sorted(extra)}")
     model = make_potential(_require(cfg, "potential", args.config))
 
     sblock = _require(cfg, "state", args.config)
     if not isinstance(sblock, dict):
-        raise ConfigError(f"{args.config}: state must be a JSON object")
+        raise ValueError(f"{args.config}: state must be a JSON object")
     if "snapshot" in sblock:
         state = load_state(sblock["snapshot"])
     else:
@@ -121,7 +117,7 @@ def _cmd_simulate(args):
         params = dict(sblock)
         family = params.pop("family", None)
         if family is None:
-            raise ConfigError(f"{args.config}: state block needs 'family' or 'snapshot'")
+            raise ValueError(f"{args.config}: state block needs 'family' or 'snapshot'")
         state = make_state(family, lattice, _require(cfg, "rho", args.config),
                            **params)
 
@@ -149,7 +145,7 @@ def _cmd_simulate(args):
 def _cmd_bound_report(args):
     doc = _load_json(args.inputs)
     if not isinstance(doc, dict):
-        raise ConfigError(f"{args.inputs}: inputs must be a JSON object")
+        raise ValueError(f"{args.inputs}: inputs must be a JSON object")
     scalars = {}
     for key in ("n", "e", "h_xi", "s_inf", "d_inf", "b", "v2", "rho", "L",
                 "S0", "T0", "C", "horizon", "t"):
@@ -381,7 +377,7 @@ def main(argv=None) -> int:
     _keep_freed_heap()
     try:
         return _DISPATCH[args.command](args)
-    except (ConfigError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (InstabilityError, ContractionError, ConvergenceError) as exc:

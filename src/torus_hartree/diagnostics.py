@@ -15,7 +15,7 @@ from dataclasses import MISSING, dataclass, fields as dataclass_fields
 import numpy as np
 
 from .field import SpectralState, _get_kernel, s_sum, t_sum, to_physical
-from .potential import PotentialModel, as_real, vhat_grid
+from .potential import PotentialModel, _positive_finite, as_real, vhat_grid
 
 __all__ = [
     "DiagnosticsRecord",
@@ -235,6 +235,7 @@ class TrajectoryContext:
     @classmethod
     def from_state(cls, state: SpectralState, model: PotentialModel,
                    k0=None, theta=None) -> "TrajectoryContext":
+        s0 = _positive_finite(lambda: s_sum(state), "S0 = sum |alpha|")
         lat = state.lattice
         a = np.abs(state.alpha)
         if k0 is None:
@@ -243,7 +244,7 @@ class TrajectoryContext:
         if theta is None:
             theta = float(np.angle(state.alpha[idx]))
         u0 = lat.ordered_sum(_wave_deviation(lat, state.alpha, k0, theta) ** 2)
-        return cls(s0=s_sum(state), t0_kin=t_sum(state), b=model.b,
+        return cls(s0=s0, t0_kin=t_sum(state), b=model.b,
                    c_decay=model.C, k0=tuple(int(v) for v in np.asarray(k0).reshape(3)),
                    theta=float(theta), u0_mass_sq=u0, t0=state.t)
 
@@ -398,8 +399,8 @@ def plane_wave_comparison(trajectory, k0, theta: float, model: PotentialModel) -
     The comparison wave is sqrt(rho) exp(i (2 pi k0 x / L - omega_L t + theta))
     with omega_L = 4 pi^2 |k0|^2 / L^2 + b.  Returns per-time arrays of
     the squared mass and gradient of u = Psi - Phi (per rho L^3) and the
-    Gronwall mass envelope seeded by the first state; t in both counts
-    from the first state's time.
+    Gronwall mass envelope seeded by the first state, NaN at and after its
+    blow-up as in the records; t in both counts from the first state's time.
     """
     states = trajectory.states
     if not states:
@@ -413,7 +414,7 @@ def plane_wave_comparison(trajectory, k0, theta: float, model: PotentialModel) -
         ts.append(st.t)
         masses.append(lat.ordered_sum(uabs2))
         grads.append(lat.ordered_sum(lat.omega * uabs2))
-        envs.append(u_mass_envelope(ctx.u0_mass_sq, ctx.s0, ctx.b, st.t - ctx.t0))
+        envs.append(_envelopes(ctx, st.t)[2])
     return {"t": np.array(ts), "u_mass_sq": np.array(masses),
             "u_grad_sq": np.array(grads), "mass_envelope": np.array(envs),
             "omega_l": omega_l, "u0_mass_sq": ctx.u0_mass_sq}
@@ -457,10 +458,12 @@ def omega_coefficient(s0: float, t0: float, b: float, v2: float,
     """Gronwall rate max(1, h) with the envelope values at the horizon.
 
     h collects the generator brackets: 4(2b+v2^2) b^2 S^6 + 4 b^2 S^4
-    + (16 b + 33 v2^2 / 8) S^2 + 4 (2b+v2^2) T^2 + 6 b S T.
+    + (16 b + 33 v2^2 / 8) S^2 + 4 (2b+v2^2) T^2 + 6 b S T.  S0, T0, C and
+    the horizon must be non-negative.
     """
-    if horizon < 0.0:
-        raise ValueError("horizon must be non-negative")
+    for name, value in (("S0", s0), ("T0", t0), ("C", c), ("horizon", horizon)):
+        if value < 0.0:
+            raise ValueError(f"{name} must be non-negative")
     s = s_envelope(s0, b, horizon)
     tk = t_envelope(s0, t0, b, c, horizon)
     v2sq = v2 * v2

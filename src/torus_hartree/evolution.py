@@ -26,7 +26,7 @@ from numpy.polynomial.legendre import leggauss, legvander
 from . import diagnostics
 from .field import _Kernel  # noqa: F401  (perfbench/tracing.py wraps evolution._Kernel)
 from .field import SpectralState, _get_kernel, autocorrelation, wiener_norm
-from .potential import PotentialModel, as_int, as_real, vhat_grid
+from .potential import PotentialModel, _positive_finite, as_int, as_real, vhat_grid
 
 __all__ = [
     "IntegratorConfig",
@@ -202,9 +202,10 @@ def lifespan_guard(state: SpectralState, model: PotentialModel) -> Lifespan:
     reference horizon t_star = 1/(12 b).
 
     The physical A^2 norm is sqrt(rho) times the coefficient norm, so rho
-    cancels and the guard is 1 / (12 b wiener_norm(state, 2)^2).
+    cancels and the guard is 1 / (12 b wiener_norm(state, 2)^2); a state
+    whose W2 is not positive and finite, such as all zeros, is refused.
     """
-    w2 = wiener_norm(state, 2)
+    w2 = _positive_finite(lambda: wiener_norm(state, 2), "W2 = wiener_norm(state, 2)")
     return Lifespan(guard=lifespan_guard_value(state.rho, model.b, state.rho * w2 * w2),
                     t_star=1.0 / (12.0 * model.b))
 

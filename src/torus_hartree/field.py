@@ -274,8 +274,8 @@ class _Kernel:
 
     The grid has at least 4M+2 points per axis, which makes the projected
     nonlinear term and the quartic energy exact for cutoff-M data.  Vhat
-    is stored only on |k|_inf <= 2M, the frequencies a cutoff-M density
-    can reach, and is 0 elsewhere.
+    is 0 beyond |k|_inf = 2M, which no cutoff-M density reaches; a Gaussian
+    evaluates it on one axis only, any other model on vhat_half's G^3 grid.
 
     field and crop are the module's pruned transforms _synthesize and
     _analyze, three BLAS matrix products each against the read-only DFT
@@ -301,13 +301,14 @@ class _Kernel:
         self.G = G = _fast_len(2 * lattice.size)
         self.F = _dft_synthesis(lattice.M, G)
         self.A = _dft_analysis(self.F)
-        self.vhat = vhat_grid(model, lattice.L, np.fft.fftfreq(G, 1.0 / G),
-                              limit=2 * lattice.M)
-        self.vhat_half = self.vhat[:, :, :G // 2 + 1]  # the rfftn half-spectrum
-        self.C = self.bC = None
+        f = np.fft.fftfreq(G, 1.0 / G)
+        self.C = self.bC = self.vhat_half = None
         if model.family == "gaussian":
             # g(f) = Vhat(2 pi |f| / L) / b on the grid frequencies, 0 beyond 2M
-            column = np.fft.ifft(self.vhat[:, 0, 0] / model.b).real
+            g, inside = np.zeros(G), np.abs(f) <= 2 * lattice.M
+            g[inside] = model.fourier_profile_radial((2.0 * math.pi / float(lattice.L))
+                                                     * np.abs(f[inside]))
+            column = np.fft.ifft(g / model.b).real
             # g is even, so its column is too; mirror it exactly so C = C.T bit for bit
             column[G // 2 + 1:] = column[1:(G + 1) // 2][::-1]
             # the circulant C[j, m] = column[(j - m) mod G]
@@ -315,6 +316,8 @@ class _Kernel:
             self.bC = model.b * self.C
             self.C.setflags(write=False)
             self.bC.setflags(write=False)
+        else:  # the rfftn half-spectrum
+            self.vhat_half = vhat_grid(model, lattice.L, f, 2 * lattice.M)[:, :, :G // 2 + 1]
         self._phases = ()
 
     def field(self, alpha):

@@ -477,7 +477,10 @@ class TestBoundReport:
         ("b", 0, "BoundInputs.b must be positive"),
         ("t", 100, "excitation_bound is beyond the float range for these settings"),
         ("t", 1e308, "excitation_bound must be positive and finite for these settings, got inf"),
-        ("horizon", -1, "horizon must be non-negative")])
+        ("horizon", -1, "horizon must be non-negative"),
+        ("S0", -1.1, "S0 must be non-negative"),
+        ("T0", -0.2, "T0 must be non-negative"),
+        ("C", -3, "C must be non-negative")])
     def test_out_of_range_input(self, tmp_path, capsys, key, value, message):
         path = self.inputs(tmp_path)
         path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))

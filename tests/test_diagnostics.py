@@ -45,6 +45,7 @@ from torus_hartree.diagnostics import (
     write_trajectory_csv,
 )
 from torus_hartree.field import _get_kernel
+from torus_hartree.potential import vhat_grid
 
 from conftest import B_GAUSS
 
@@ -242,7 +243,9 @@ def full_spectrum_route(state, model):
     beta_sq = np.abs(scipy.fft.fftn(np.abs(phi) ** 2, norm="forward")).ravel() ** 2
     kinetic = lat.ordered_sum(lat.omega * np.abs(state.alpha) ** 2)
     gap = float(np.sum(beta_sq[1:]) + abs(beta_sq[0] - 1.0))
-    return kinetic + 0.5 * float(np.sum(kernel.vhat.ravel() * beta_sq)), gap
+    G = kernel.G
+    vhat = vhat_grid(model, lat.L, np.fft.fftfreq(G, 1.0 / G), limit=2 * lat.M)
+    return kinetic + 0.5 * float(np.sum(vhat.ravel() * beta_sq)), gap
 
 
 def exact_parseval_gap(state, model):
@@ -430,6 +433,17 @@ class TestPlaneWaveComparison:
         assert cmp["u0_mass_sq"] == ctx.u0_mass_sq
         assert cmp["u_mass_sq"].tolist() == [r.u_mass_sq for r in traj.records]
         assert cmp["mass_envelope"].tolist() == [r.u_mass_envelope for r in traj.records]
+
+    def test_envelope_is_nan_past_blowup_as_in_the_records(self, gaussian):
+        st = make_state("perturbed", TorusLattice(4.0, 3), 10.0, eps=0.05, s=6.0, seed=7)
+        blowup = TrajectoryContext.from_state(st, gaussian).blowup_time
+        traj = evolve(st, gaussian, 1.5 * blowup, IntegratorConfig(dt=blowup / 4))
+        ctx = traj.context
+        cmp = plane_wave_comparison(traj, ctx.k0, ctx.theta, gaussian)
+        np.testing.assert_array_equal(cmp["mass_envelope"],
+                                      [r.u_mass_envelope for r in traj.records])
+        assert np.isnan(cmp["mass_envelope"][cmp["t"] >= blowup]).all()
+        assert np.isfinite(cmp["mass_envelope"][cmp["t"] < blowup]).all()
 
     def test_requires_states(self, gaussian):
         st = make_state("plane_wave", TorusLattice(4.0, 1), 1.0)

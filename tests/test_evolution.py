@@ -22,6 +22,7 @@ from torus_hartree import (
     InstabilityError,
     IntegratorConfig,
     LifespanGuardError,
+    SpectralState,
     TabulatedRadialPotential,
     TorusLattice,
     autocorrelation,
@@ -47,6 +48,7 @@ from torus_hartree.evolution import (
     _get_kernel,
     _interpolation_matrix,
 )
+from torus_hartree.potential import vhat_grid
 
 from conftest import B_GAUSS
 
@@ -142,7 +144,9 @@ class TestRhs:
         assert np.array_equal(kernel.C, kernel.C.T)
         phi = kernel.field(random_state(kernel.lattice, seed=m).alpha)
         dens = np.abs(phi) ** 2
-        ref = scipy.fft.irfftn(scipy.fft.rfftn(dens) * kernel.vhat_half, s=dens.shape)
+        G = kernel.G
+        vhat = vhat_grid(gaussian, float(m), np.fft.fftfreq(G, 1.0 / G), limit=2 * m)
+        ref = scipy.fft.irfftn(scipy.fft.rfftn(dens) * vhat[:, :, :G // 2 + 1], s=dens.shape)
         got = kernel.convolved_density(phi)
         assert got.flags.c_contiguous
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
@@ -331,6 +335,18 @@ class TestLifespanGuard:
         b = make_state("perturbed", lat, 1000.0, eps=0.1, s=5.0, seed=3)
         assert lifespan_guard(a, gaussian).guard == pytest.approx(
             lifespan_guard(b, gaussian).guard, rel=1e-14)
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda z, m: evolve(z, m, 2e-3, IntegratorConfig(dt=1e-3)), "S0"),
+        (lambda z, m: evolve(z, m, 2e-3, IntegratorConfig(dt=1e-3, method="rk4")), "S0"),
+        (lambda z, m: evolve(z, m, 2e-3, IntegratorConfig(dt=1e-3, method="picard")), "W2"),
+        (lambda z, m: picard_solve(z, m, 1e-3), "W2"),
+        (lambda z, m: lifespan_guard(z, m), "W2"),
+    ], ids=["split_strang", "rk4", "picard", "picard_solve", "lifespan_guard"])
+    def test_zero_state_is_refused(self, gaussian, call, name):
+        zero = SpectralState(TorusLattice(4.0, 2), 10.0, 0.0, np.zeros((5, 5, 5)))
+        with pytest.raises(ValueError, match=f"^{name} = .* must be positive and finite"):
+            call(zero, gaussian)
 
 
 class TestPicard:

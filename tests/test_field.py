@@ -34,6 +34,7 @@ from torus_hartree import (
 )
 from torus_hartree.field import (_analyze, _dft_analysis, _dft_synthesis, _fast_len,
                                  _Kernel, _synthesize)
+from torus_hartree.potential import vhat_grid
 
 
 class TestLattice:
@@ -373,14 +374,15 @@ class TestPhysicalSpace:
             to_physical(st_, g)
 
 
-def full_grid_reference(kernel, alpha):
+def full_grid_reference(kernel, model, alpha):
     """Unpruned numpy route through the kernel's G^3 grid: phi, V*|phi|^2, P_M term."""
     lat, G = kernel.lattice, kernel.G
     idx = lat.embed_indexer(G)
     cube = np.zeros((G, G, G), dtype=complex)
     cube[idx] = alpha
     phi = G**3 * np.fft.ifftn(cube)
-    conv = np.fft.ifftn(np.fft.fftn(np.abs(phi) ** 2) * kernel.vhat).real
+    vhat = vhat_grid(model, lat.L, np.fft.fftfreq(G, 1.0 / G), limit=2 * lat.M)
+    conv = np.fft.ifftn(np.fft.fftn(np.abs(phi) ** 2) * vhat).real
     return phi, conv, np.fft.fftn(conv * phi)[idx] / G**3
 
 
@@ -393,9 +395,10 @@ class TestKernel:
 
     def check(self, M, seed):
         lat = TorusLattice(float(M), M)
-        kernel = _Kernel(lat, GaussianPotential())
+        model = GaussianPotential()
+        kernel = _Kernel(lat, model)
         alpha = random_state(lat, seed=seed).alpha
-        phi_ref, conv_ref, nl_ref = full_grid_reference(kernel, alpha)
+        phi_ref, conv_ref, nl_ref = full_grid_reference(kernel, model, alpha)
         phi = kernel.field(alpha)
         assert_rel_close(phi, phi_ref)
         assert_rel_close(kernel.crop(phi), alpha)

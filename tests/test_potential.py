@@ -27,7 +27,7 @@ from torus_hartree import (
     potential_l2,
     step_split,
 )
-from torus_hartree.field import _get_kernel
+from torus_hartree.field import _get_kernel, _Kernel
 from torus_hartree.potential import vhat_grid
 
 from conftest import B_GAUSS
@@ -243,10 +243,41 @@ class TestMomentumGrid:
         assert np.count_nonzero(boxed) == 7**3
         assert full[0, 0, 0] == gaussian.b
 
-    def test_kernel_vhat_stops_at_twice_the_cutoff(self, gaussian):
-        kernel = _get_kernel(gaussian, TorusLattice(4.0, 2))
-        assert kernel.G >= 10
-        assert np.count_nonzero(kernel.vhat) == 9**3
+    def test_tabulated_vhat_half_stops_at_twice_the_cutoff(self):
+        r = np.linspace(0.0, 8.0, 1601)
+        table = TabulatedRadialPotential(r, np.exp(-r**2 / 2), p_max=22.0)
+        kernel = _get_kernel(table, TorusLattice(4.0, 2))
+        G = kernel.G
+        assert G >= 10 and kernel.C is None
+        k = np.abs(np.fft.fftfreq(G, 1.0 / G))
+        k_inf = np.maximum(np.maximum(k[:, None, None], k[None, :, None]),
+                           k[None, None, :G // 2 + 1])
+        assert kernel.vhat_half.shape == k_inf.shape
+        assert np.all(kernel.vhat_half[k_inf > 4] == 0.0)
+        assert np.all(kernel.vhat_half[k_inf <= 4] > 0.0)
+
+    @pytest.mark.parametrize("L, M", [(4.0, 1), (4.0, 2), (6.0, 6), (8.0, 8), (16.0, 16)])
+    def test_gaussian_circulant_from_the_vhat_grid_column(self, gaussian, L, M):
+        # the circulant as built from the G^3 vhat_grid cube, bit for bit
+        kernel = _get_kernel(gaussian, TorusLattice(L, M))
+        G = kernel.G
+        vhat = vhat_grid(gaussian, L, np.fft.fftfreq(G, 1.0 / G), limit=2 * M)
+        column = np.fft.ifft(vhat[:, 0, 0] / gaussian.b).real
+        column[G // 2 + 1:] = column[1:(G + 1) // 2][::-1]
+        ref = column[np.subtract.outer(np.arange(G), np.arange(G)) % G]
+        np.testing.assert_array_equal(kernel.C, ref)
+        np.testing.assert_array_equal(kernel.bC, gaussian.b * ref)
+
+    def test_gaussian_kernel_holds_no_cube(self, monkeypatch):
+        model = GaussianPotential()
+        profile, points = model.fourier_profile_radial, []
+        monkeypatch.setattr(model, "fourier_profile_radial",
+                            lambda p: points.append(np.size(p)) or profile(p))
+        kernel = _Kernel(TorusLattice(16.0, 16), model)
+        held = {name: (v if v.base is None else v.base).size
+                for name, v in vars(kernel).items() if isinstance(v, np.ndarray)}
+        assert held and max(held.values()) < kernel.G**3, held
+        assert 0 < sum(points) <= kernel.G
 
 
 class TestTabulated:
