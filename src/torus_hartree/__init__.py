@@ -4,7 +4,7 @@ Coefficients live on the cubic integer lattice |n|_inf <= M; the
 nonlinearity couples them through the auto-correlation of the state
 and the Fourier transform of the pair potential.  Modules:
 
-  potential    pair potentials, Fourier profiles, decay constants
+  potential    the Gaussian pair potential, its Fourier profile, decay constants
   field        lattices, states, correlations, snapshots
   evolution    integrators, Picard iteration, lifespan guard
   diagnostics  conserved quantities, envelopes, bound calculators
@@ -12,9 +12,7 @@ and the Fourier transform of the pair potential.  Modules:
   cli          command-line frontend
 """
 
-from .potential import (GaussianPotential, PotentialModel, TableRangeError,
-                        TabulatedRadialPotential, fourier_profile,
-                        make_potential, potential_l2)
+from .potential import GaussianPotential, make_potential, potential_l2
 from .field import (AutoCorrelation, SpectralState, TorusLattice,
                     autocorrelation, difference_lattice, load_state,
                     make_state, pointwise_product, random_state, s_sum,

@@ -24,8 +24,9 @@ from .diagnostics import (BoundInputs, excitation_bound, format_float,
 from .evolution import (ContractionError, ConvergenceError, InstabilityError,
                         IntegratorConfig, evolve, lifespan_guard,
                         picard_solve, rhs, step_split)
-from .field import (TorusLattice, load_state, make_state, pointwise_product,
-                    random_state, save_state, time_reversal, wiener_norm)
+from .field import (FAMILY_PARAMS, STATE_FAMILIES, TorusLattice, load_state,
+                    make_state, pointwise_product, random_state, save_state,
+                    time_reversal, wiener_norm)
 from .potential import GaussianPotential, _positive_finite, as_real, make_potential
 from .scan import load_plan, run_scan
 
@@ -62,20 +63,25 @@ def _require(doc, key, where):
 # ---------------------------------------------------------------------------
 # subcommands
 
+# make-state's optional flags and the make_state parameter each one sets
+_STATE_FLAGS = {"theta": "theta", "eps": "eps", "s": "s", "seed": "seed",
+                "escape": "escape_exponent"}
+
+
 def _cmd_make_state(args):
     lattice = TorusLattice(args.L, args.M)
-    params = {"k0": _parse_k0(args.k0)}
-    if args.family == "two-mode":
-        if args.escape is None:
-            raise ValueError("--family two-mode requires --escape")
-        params["escape_exponent"] = args.escape
-    else:
-        params["theta"] = args.theta
-    if args.family == "perturbed":
-        if args.eps is None or args.s is None or args.seed is None:
-            raise ValueError("--family perturbed requires --eps, --s, --seed")
-        params.update(eps=args.eps, s=args.s, seed=args.seed)
-    state = make_state(args.family, lattice, args.rho, **params)
+    params = {key: getattr(args, flag) for flag, key in _STATE_FLAGS.items()
+              if getattr(args, flag) is not None}
+    takes = FAMILY_PARAMS[STATE_FAMILIES[args.family]]
+    unused = [f"--{flag}" for flag, key in _STATE_FLAGS.items()
+              if key in params and key not in takes]
+    if unused:
+        raise ValueError(f"--family {args.family} takes no {', '.join(unused)}")
+    missing = [f"--{flag}" for flag, key in _STATE_FLAGS.items()
+               if takes.get(key) and key not in params]
+    if missing:
+        raise ValueError(f"--family {args.family} requires {', '.join(missing)}")
+    state = make_state(args.family, lattice, args.rho, k0=_parse_k0(args.k0), **params)
     save_state(state, args.out, family=args.family, seed=args.seed)
 
     report = diagnostics.assumption_check(state)
@@ -308,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     ms.add_argument("--rho", type=float, required=True, help="density")
     ms.add_argument("--L", type=float, required=True, help="box side length")
     ms.add_argument("--M", type=int, required=True, help="lattice cutoff")
-    ms.add_argument("--theta", type=float, default=0.0,
-                    help="condensate phase (plane-wave, perturbed)")
+    ms.add_argument("--theta", type=float,
+                    help="condensate phase (plane-wave, perturbed; default 0)")
     ms.add_argument("--eps", type=float, help="perturbation amplitude")
     ms.add_argument("--s", type=float, help="perturbation tail exponent")
     ms.add_argument("--seed", type=int, help="perturbation RNG seed")

@@ -15,7 +15,7 @@ from dataclasses import MISSING, dataclass, fields as dataclass_fields
 import numpy as np
 
 from .field import SpectralState, _get_kernel, s_sum, t_sum, to_physical
-from .potential import PotentialModel, _positive_finite, as_real, vhat_grid
+from .potential import GaussianPotential, _positive_finite, as_real, vhat_grid
 
 __all__ = [
     "DiagnosticsRecord",
@@ -54,7 +54,7 @@ class EnvelopeDomainError(ValueError):
 # ---------------------------------------------------------------------------
 # energy
 
-def _energy_and_beta_gap(state: SpectralState, model: PotentialModel):
+def _energy_and_beta_gap(state: SpectralState, model: GaussianPotential):
     """Energy per particle and beta_gap from one synthesis on the integrator's grid.
 
     The kernel grid (G >= 4M+2) resolves the density |phi|^2 of the
@@ -80,17 +80,17 @@ def _energy_and_beta_gap(state: SpectralState, model: PotentialModel):
     return kinetic + interaction, gap
 
 
-def energy_per_particle(state: SpectralState, model: PotentialModel) -> float:
+def energy_per_particle(state: SpectralState, model: GaussianPotential) -> float:
     """E / (rho L^3): kinetic sum plus half the Vhat-weighted |beta|^2 sum."""
     return _energy_and_beta_gap(state, model)[0]
 
 
-def energy(state: SpectralState, model: PotentialModel) -> float:
+def energy(state: SpectralState, model: GaussianPotential) -> float:
     """Hartree energy rho L^3 sum_n [omega_n |alpha|^2 + Vhat |beta|^2 / 2]."""
     return state.rho * state.lattice.L**3 * energy_per_particle(state, model)
 
 
-def energy_physical(state: SpectralState, model: PotentialModel, g: int = 2) -> float:
+def energy_physical(state: SpectralState, model: GaussianPotential, g: int = 2) -> float:
     """Grid-quadrature route to the same energy, used as a cross-check.
 
     Integrates |grad Psi|^2 plus (V_L * |Psi|^2) |Psi|^2 / (2 rho) on the
@@ -233,7 +233,7 @@ class TrajectoryContext:
     t0: float = 0.0
 
     @classmethod
-    def from_state(cls, state: SpectralState, model: PotentialModel,
+    def from_state(cls, state: SpectralState, model: GaussianPotential,
                    k0=None, theta=None) -> "TrajectoryContext":
         s0 = _positive_finite(lambda: s_sum(state), "S0 = sum |alpha|")
         lat = state.lattice
@@ -293,7 +293,7 @@ def _argmax_mode(lattice, a_abs):
     return (int(i) - M, int(j) - M, int(k) - M)
 
 
-def make_record(state: SpectralState, model: PotentialModel,
+def make_record(state: SpectralState, model: GaussianPotential,
                 context: TrajectoryContext | None = None) -> DiagnosticsRecord:
     lat = state.lattice
     a = state.alpha
@@ -393,7 +393,7 @@ def run_report(trajectory) -> RunReport:
                      min((e["t_margin"] for e in scored), default=math.nan), audit)
 
 
-def plane_wave_comparison(trajectory, k0, theta: float, model: PotentialModel) -> dict:
+def plane_wave_comparison(trajectory, k0, theta: float, model: GaussianPotential) -> dict:
     """Deviation from the exact plane-wave solution along a trajectory.
 
     The comparison wave is sqrt(rho) exp(i (2 pi k0 x / L - omega_L t + theta))

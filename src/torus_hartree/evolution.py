@@ -26,7 +26,7 @@ from numpy.polynomial.legendre import leggauss, legvander
 from . import diagnostics
 from .field import _Kernel  # noqa: F401  (perfbench/tracing.py wraps evolution._Kernel)
 from .field import SpectralState, _get_kernel, autocorrelation, wiener_norm
-from .potential import PotentialModel, _positive_finite, as_int, as_real, vhat_grid
+from .potential import GaussianPotential, _positive_finite, as_int, as_real, vhat_grid
 
 __all__ = [
     "IntegratorConfig",
@@ -90,7 +90,7 @@ class IntegratorConfig:
             raise ValueError("picard_max_iter must be >= 1")
 
 
-def rhs(state: SpectralState, model: PotentialModel, method: str = "fft"):
+def rhs(state: SpectralState, model: GaussianPotential, method: str = "fft"):
     """d alpha / dt as a complex array on the lattice.
 
     'fft' computes the nonlinearity pseudospectrally on the padded kernel
@@ -128,7 +128,7 @@ def _check_finite(alpha, t):
         raise InstabilityError(f"non-finite coefficients at t = {t:.9g}")
 
 
-def step_split(state: SpectralState, model: PotentialModel, dt: float) -> SpectralState:
+def step_split(state: SpectralState, model: GaussianPotential, dt: float) -> SpectralState:
     """One Strang step: half kinetic phase, exact nonlinear phase, half kinetic.
 
     The nonlinear phase exp(i theta), theta = -dt (V_L * |phi|^2), comes
@@ -168,7 +168,7 @@ def step_split(state: SpectralState, model: PotentialModel, dt: float) -> Spectr
     return state.with_alpha(a, t=t1)
 
 
-def step_rk4(state: SpectralState, model: PotentialModel, dt: float) -> SpectralState:
+def step_rk4(state: SpectralState, model: GaussianPotential, dt: float) -> SpectralState:
     """Classical RK4 on the coefficient ODE; no renormalization applied."""
     kernel = _get_kernel(model, state.lattice)
     omega = state.lattice.omega
@@ -197,7 +197,7 @@ def lifespan_guard_value(rho: float, b: float, psi_a2_norm_sq: float) -> float:
     return float(rho) / (12.0 * float(b) * float(psi_a2_norm_sq))
 
 
-def lifespan_guard(state: SpectralState, model: PotentialModel) -> Lifespan:
+def lifespan_guard(state: SpectralState, model: GaussianPotential) -> Lifespan:
     """Certified contraction horizon for the state, plus the density-free
     reference horizon t_star = 1/(12 b).
 
@@ -236,7 +236,7 @@ def _interpolation_matrix(nodes, new_nodes):
     return np.linalg.solve(legvander(nodes, q - 1).T, legvander(new_nodes, q - 1).T).T
 
 
-def picard_solve(state: SpectralState, model: PotentialModel, t_target: float,
+def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float,
                  tau: float = 1.5, tol: float = 1e-10,
                  max_iter: int = 100) -> SpectralState:
     """Solve the Duhamel fixed point up to t_target by collocation.
@@ -343,7 +343,7 @@ class Trajectory:
             raise ValueError("record times must increase strictly")
 
 
-def evolve(state: SpectralState, model: PotentialModel, t_final: float,
+def evolve(state: SpectralState, model: GaussianPotential, t_final: float,
            config: IntegratorConfig | None = None, stride: int = 1,
            keep_states: bool = True) -> Trajectory:
     """Advance by fixed steps, emitting a record every ``stride`` steps.

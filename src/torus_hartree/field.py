@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .potential import _positive_finite, as_int, as_real, vhat_grid
+from .potential import GaussianPotential, _positive_finite, as_int, as_real
 
 __all__ = [
     "TorusLattice",
@@ -270,12 +270,12 @@ def _analyze(f, A):
 
 
 class _Kernel:
-    """FFT workspace for one (lattice, model) combination.
+    """FFT workspace for one (lattice, Gaussian model) combination.
 
     The grid has at least 4M+2 points per axis, which makes the projected
     nonlinear term and the quartic energy exact for cutoff-M data.  Vhat
-    is 0 beyond |k|_inf = 2M, which no cutoff-M density reaches; a Gaussian
-    evaluates it on one axis only, any other model on vhat_half's G^3 grid.
+    is 0 beyond |k|_inf = 2M, which no cutoff-M density reaches, and is
+    evaluated on one axis only.
 
     field and crop are the module's pruned transforms _synthesize and
     _analyze, three BLAS matrix products each against the read-only DFT
@@ -283,41 +283,35 @@ class _Kernel:
     per kernel; they map only the 2M+1 modes of each axis, so no call
     pays for padding rows or per-axis FFT overhead.
 
-    For a Gaussian, Vhat(2 pi k / L) = b g(k1) g(k2) g(k3), and the box
+    The Gaussian's Vhat(2 pi k / L) = b g(k1) g(k2) g(k3), and the box
     |k|_inf <= 2M factors by axis too, so the density convolution is
     b (C x C x C) applied to the density: three real matrix products
     against the symmetric circulant C whose first column is ifft(g).  By
-    Maxwell's theorem no other radial Vhat factors by axis, so every other
-    model convolves through scipy.fft.rfftn and the half-spectrum
-    vhat_half; scipy is imported only there, so a Gaussian run loads none
-    of it.  The step and the record's energy both take this convolution.
-    The kernel keeps no scratch buffers, so threads of one process may
-    share it: each call allocates its own.  (Scan worker processes each
-    build their own kernels.)
+    Maxwell's theorem no other radial Vhat factors by axis, which is why
+    the Gaussian is the one potential family.  The step and the record's
+    energy both take this convolution.  The kernel keeps no scratch
+    buffers, so threads of one process may share it: each call allocates
+    its own.  (Scan worker processes each build their own kernels.)
     """
 
-    def __init__(self, lattice: TorusLattice, model):
+    def __init__(self, lattice: TorusLattice, model: GaussianPotential):
         self.lattice = lattice
         self.G = G = _fast_len(2 * lattice.size)
         self.F = _dft_synthesis(lattice.M, G)
         self.A = _dft_analysis(self.F)
+        # g(f) = Vhat(2 pi |f| / L) / b on the grid frequencies, 0 beyond 2M
         f = np.fft.fftfreq(G, 1.0 / G)
-        self.C = self.bC = self.vhat_half = None
-        if model.family == "gaussian":
-            # g(f) = Vhat(2 pi |f| / L) / b on the grid frequencies, 0 beyond 2M
-            g, inside = np.zeros(G), np.abs(f) <= 2 * lattice.M
-            g[inside] = model.fourier_profile_radial((2.0 * math.pi / float(lattice.L))
-                                                     * np.abs(f[inside]))
-            column = np.fft.ifft(g / model.b).real
-            # g is even, so its column is too; mirror it exactly so C = C.T bit for bit
-            column[G // 2 + 1:] = column[1:(G + 1) // 2][::-1]
-            # the circulant C[j, m] = column[(j - m) mod G]
-            self.C = column[np.subtract.outer(np.arange(G), np.arange(G)) % G]
-            self.bC = model.b * self.C
-            self.C.setflags(write=False)
-            self.bC.setflags(write=False)
-        else:  # the rfftn half-spectrum
-            self.vhat_half = vhat_grid(model, lattice.L, f, 2 * lattice.M)[:, :, :G // 2 + 1]
+        g, inside = np.zeros(G), np.abs(f) <= 2 * lattice.M
+        g[inside] = model.fourier_profile_radial((2.0 * math.pi / float(lattice.L))
+                                                 * np.abs(f[inside]))
+        column = np.fft.ifft(g / model.b).real
+        # g is even, so its column is too; mirror it exactly so C = C.T bit for bit
+        column[G // 2 + 1:] = column[1:(G + 1) // 2][::-1]
+        # the circulant C[j, m] = column[(j - m) mod G]
+        self.C = column[np.subtract.outer(np.arange(G), np.arange(G)) % G]
+        self.bC = model.b * self.C
+        self.C.setflags(write=False)
+        self.bC.setflags(write=False)
         self._phases = ()
 
     def field(self, alpha):
@@ -333,11 +327,6 @@ class _Kernel:
         overwrite; phi is the unit-density field."""
         dens = np.square(phi.real)
         dens += np.square(phi.imag)
-        if self.C is None:
-            import scipy.fft  # only tabulated potentials load scipy
-            spec = scipy.fft.rfftn(dens)
-            spec *= self.vhat_half
-            return scipy.fft.irfftn(spec, s=dens.shape, overwrite_x=True)
         # Axis 0, then 2, then 1, ping-ponging between two G^3 buffers: one
         # C @ dens.reshape(G, G^2) gives bits that vary with the BLAS
         # thread count at G >= 35, this order does not (checked to G = 98).
@@ -370,7 +359,7 @@ _KERNELS = weakref.WeakKeyDictionary()
 _KERNELS_LOCK = threading.Lock()
 
 
-def _get_kernel(model, lattice: TorusLattice) -> _Kernel:
+def _get_kernel(model: GaussianPotential, lattice: TorusLattice) -> _Kernel:
     with _KERNELS_LOCK:
         kernels = _KERNELS.setdefault(model, {})
         if lattice not in kernels:

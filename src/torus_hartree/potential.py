@@ -1,10 +1,13 @@
-"""Pair potentials on the torus.
+"""The Gaussian pair potential on the torus.
 
-A whole-space radial profile V(r) with radial Fourier transform Vhat(p)
-is wrapped onto the box [-L/2, L/2)^3 by sampling Vhat at the discrete
-momenta 2*pi*k/L (the defining Fourier series).
+The whole-space profile V(r) = A exp(-r^2 / (2 sigma^2)) with radial
+Fourier transform Vhat(p) is wrapped onto the box [-L/2, L/2)^3 by
+sampling Vhat at the discrete momenta 2*pi*k/L (the defining Fourier
+series).  It is the one family: its Vhat factors by axis, the route the
+step kernel's convolution takes, and by Maxwell's theorem no other
+radial Vhat does.
 
-Every model carries decay constants (C, delta1, delta2) certifying
+The model carries decay constants (C, delta1, delta2) certifying
 
     0 <= V(y)    <= C / (1 + |y|)**(3 + delta1)   for all y,
     0 <= Vhat(p) <= C / (1 + |p|)**(3 + delta2)   for all p,
@@ -24,14 +27,10 @@ import sys
 import numpy as np
 
 __all__ = [
-    "PotentialModel",
     "GaussianPotential",
-    "TabulatedRadialPotential",
     "make_potential",
-    "fourier_profile",
     "vhat_grid",
     "potential_l2",
-    "TableRangeError",
 ]
 
 
@@ -93,24 +92,18 @@ def as_reals(value, name: str, positive: bool = False) -> list:
     return [as_real(v, name, positive) for v in value]
 
 
-class TableRangeError(ValueError):
-    """A tabulated profile was queried beyond its sampled range."""
+class GaussianPotential:
+    """V(y) = A exp(-|y|^2 / (2 sigma^2)) with certified decay data.
 
-
-class PotentialModel:
-    """Base class: radial pair potential with certified decay data.
-
-    Subclasses implement ``_integral`` (b, the integral of V, equal to
-    Vhat(0)), ``_tight_decay_constant``, ``profile`` and
-    ``fourier_profile_radial``; b and C must come out positive and
-    finite.  ``p_limit`` is None for analytic families and the largest
-    admissible |p| for tabulated ones.
+    Closed forms: Vhat(p) = A (2 pi sigma^2)^{3/2} exp(-sigma^2 p^2 / 2)
+    and b = Vhat(0), the integral of V.  Both V and Vhat are strictly
+    positive, so every hypothesis of the well-posedness theory holds.
+    b and C must come out positive and finite.
     """
 
-    family = "abstract"
-    p_limit: float | None = None
-
-    def __init__(self, c=None, delta1=5.0, delta2=5.0):
+    def __init__(self, amplitude=1.0, sigma=1.0, c=None, delta1=5.0, delta2=5.0):
+        self.amplitude = as_real(amplitude, "amplitude", positive=True)
+        self.sigma = as_real(sigma, "sigma", positive=True)
         self.delta1 = as_real(delta1, "delta1", positive=True)
         self.delta2 = as_real(delta2, "delta2")
         if self.delta2 <= 4.0:
@@ -123,48 +116,16 @@ class PotentialModel:
             raise ValueError(f"decay constant C = {self.C!r} is below the tight "
                              f"constant {tight!r} for these settings")
 
-    def profile(self, r):
-        """Real-space radial profile V(|y|); vectorized in r."""
-        raise NotImplementedError
-
-    def fourier_profile_radial(self, p):
-        """Radial Fourier transform Vhat(|p|); vectorized in p."""
-        raise NotImplementedError
-
-    def _integral(self):
-        raise NotImplementedError
-
-    def _tight_decay_constant(self):
-        raise NotImplementedError
-
-    def __repr__(self):
-        return (f"{type(self).__name__}(b={self.b:.6g}, C={self.C:.6g}, "
-                f"delta1={self.delta1:g}, delta2={self.delta2:g})")
-
-
-class GaussianPotential(PotentialModel):
-    """V(y) = A exp(-|y|^2 / (2 sigma^2)).
-
-    Closed forms: Vhat(p) = A (2 pi sigma^2)^{3/2} exp(-sigma^2 p^2 / 2)
-    and b = Vhat(0).  Both V and Vhat are strictly positive, so every
-    hypothesis of the well-posedness theory holds.
-    """
-
-    family = "gaussian"
-
-    def __init__(self, amplitude=1.0, sigma=1.0, c=None, delta1=5.0, delta2=5.0):
-        self.amplitude = as_real(amplitude, "amplitude", positive=True)
-        self.sigma = as_real(sigma, "sigma", positive=True)
-        super().__init__(c=c, delta1=delta1, delta2=delta2)
-
     def _integral(self):
         return self.amplitude * (2.0 * math.pi * self.sigma**2) ** 1.5
 
     def profile(self, r):
+        """Real-space radial profile V(|y|); vectorized in r."""
         r = np.asarray(r, dtype=float)
         return self.amplitude * np.exp(-(r * r) / (2.0 * self.sigma**2))
 
     def fourier_profile_radial(self, p):
+        """Radial Fourier transform Vhat(|p|); vectorized in p."""
         p = np.asarray(p, dtype=float)
         return self.b * np.exp(-0.5 * (self.sigma * p) ** 2)
 
@@ -181,138 +142,37 @@ class GaussianPotential(PotentialModel):
         # np.maximum keeps a NaN (inf * 0 at extreme deltas) for the caller to reject
         return np.maximum(c_real, c_fourier)
 
-
-class TabulatedRadialPotential(PotentialModel):
-    """Radial profile given by samples (r_j, V(r_j)); V = 0 beyond the table.
-
-    The real-space profile is PCHIP-interpolated (shape preserving, so
-    non-negative samples stay non-negative).  The Fourier transform is
-    precomputed on a dense radial momentum grid by quadrature of
-
-        Vhat(p) = 4 pi / p * int_0^rmax r sin(p r) V(r) dr
-
-    and cubic-spline interpolated in |p| up to ``p_max``; queries beyond
-    that raise TableRangeError.
-    """
-
-    family = "tabulated_radial"
-
-    def __init__(self, radii, values, c=None, delta1=5.0, delta2=5.0,
-                 p_max=64.0, fourier_samples=2049):
-        # scipy.integrate/interpolate are slow to import and only needed here
-        from scipy.integrate import simpson
-        from scipy.interpolate import CubicSpline, PchipInterpolator
-
-        radii = np.array(as_reals(radii, "radii"))
-        values = np.array(as_reals(values, "values"))
-        if radii.shape != values.shape or radii.size < 4:
-            raise ValueError("need matching 1-D radii/values with >= 4 samples")
-        if radii[0] != 0.0 or np.any(np.diff(radii) <= 0.0):
-            raise ValueError("radii must start at 0 and increase strictly")
-        if np.any(values < 0.0):
-            raise ValueError("profile samples must be non-negative")
-        self.p_limit = as_real(p_max, "p_max", positive=True)
-        fourier_samples = as_int(fourier_samples, "fourier_samples")
-        if fourier_samples < 2:
-            raise ValueError("fourier_samples must be >= 2")
-        self.radii = radii
-        self.values = values
-        self.r_max = float(radii[-1])
-        self._real = PchipInterpolator(radii, values, extrapolate=False)
-
-        # dense radial quadrature grid; sinc handles the p -> 0 limit
-        rr = np.linspace(0.0, self.r_max, 8 * (radii.size - 1) + 1)
-        vv = self._real(rr)
-        pp = np.linspace(0.0, self.p_limit, fourier_samples)
-        integrand = (rr * rr * vv)[None, :] * np.sinc(pp[:, None] * rr[None, :] / math.pi)
-        vhat = 4.0 * math.pi * simpson(integrand, x=rr, axis=-1)
-        neg = vhat.min()
-        if neg < -1e-9 * max(vhat[0], 1e-300):
-            raise ValueError(
-                f"tabulated profile has sign-changing Fourier transform "
-                f"(min Vhat = {neg:.3g}); such potentials are not supported")
-        np.clip(vhat, 0.0, None, out=vhat)
-        self._fourier = CubicSpline(pp, vhat)
-        self._vhat_table = vhat
-        self._p_table = pp
-        super().__init__(c=c, delta1=delta1, delta2=delta2)
-
-    def _integral(self):
-        return self._vhat_table[0]
-
-    def profile(self, r):
-        r = np.asarray(r, dtype=float)
-        out = self._real(np.minimum(r, self.r_max))
-        return np.where(r > self.r_max, 0.0, np.maximum(out, 0.0))
-
-    def fourier_profile_radial(self, p):
-        p = np.asarray(p, dtype=float)
-        if np.any(p > self.p_limit * (1.0 + 1e-12)):
-            raise TableRangeError(
-                f"momentum {float(np.max(p)):.6g} beyond tabulated range "
-                f"{self.p_limit:g}")
-        return np.maximum(self._fourier(np.minimum(p, self.p_limit)), 0.0)
-
-    def _tight_decay_constant(self):
-        rr = np.linspace(0.0, self.r_max, 16 * (self.radii.size - 1) + 1)
-        c_real = np.max(self.profile(rr) * (1.0 + rr) ** (3.0 + self.delta1))
-        c_fourier = np.max(self._vhat_table *
-                           (1.0 + self._p_table) ** (3.0 + self.delta2))
-        # scanned maxima can undershoot the true sup between samples
-        return float(max(c_real, c_fourier)) * (1.0 + 1e-9)
+    def __repr__(self):
+        return (f"{type(self).__name__}(b={self.b:.6g}, C={self.C:.6g}, "
+                f"delta1={self.delta1:g}, delta2={self.delta2:g})")
 
 
-_FAMILIES = {
-    "gaussian": (GaussianPotential,
-                 {"amplitude", "sigma", "C", "delta1", "delta2"}),
-    "tabulated_radial": (TabulatedRadialPotential,
-                         {"radii", "values", "C", "delta1", "delta2",
-                          "p_max", "fourier_samples"}),
-}
+_GAUSSIAN_KEYS = {"amplitude", "sigma", "C", "delta1", "delta2"}
 
 
-def make_potential(config: dict) -> PotentialModel:
+def make_potential(config: dict) -> GaussianPotential:
     """Build a model from a JSON-style mapping with a ``family`` key.
 
-    Gaussian block: {"family": "gaussian", "amplitude": 1.0, "sigma": 1.0,
-    "delta1": 5.0, "delta2": 5.0}; an optional "C" must be at least the
-    tight constant, which is used when C is absent.  Tabulated block
-    replaces amplitude/sigma with "radii" and "values" arrays plus
-    optional "p_max".
+    The one family is {"family": "gaussian", "amplitude": 1.0, "sigma":
+    1.0, "delta1": 5.0, "delta2": 5.0}; an optional "C" must be at least
+    the tight constant, which is used when C is absent.
     """
     if not isinstance(config, dict) or "family" not in config:
         raise ValueError("potential config must be a mapping with a 'family' key")
     family = config["family"]
-    if not isinstance(family, str) or family not in _FAMILIES:
-        known = ", ".join(sorted(_FAMILIES))
-        raise ValueError(f"unknown potential family {family!r}; known: {known}")
-    cls, allowed = _FAMILIES[family]
+    if family != "gaussian":
+        raise ValueError(f"unknown potential family {family!r}; known: gaussian")
     kwargs = {k: v for k, v in config.items() if k != "family"}
-    extra = set(kwargs) - allowed
+    extra = set(kwargs) - _GAUSSIAN_KEYS
     if extra:
         raise ValueError(f"unknown potential keys {sorted(extra)} for family "
-                         f"{family!r}; allowed: {sorted(allowed)}")
+                         f"{family!r}; allowed: {sorted(_GAUSSIAN_KEYS)}")
     if "C" in kwargs:
         kwargs["c"] = kwargs.pop("C")
-    return cls(**kwargs)
+    return GaussianPotential(**kwargs)
 
 
-def fourier_profile(model: PotentialModel, p):
-    """Vhat at momentum ``p``.
-
-    ``p`` may be a scalar radius, an array of radii, or an array of
-    3-vectors (last axis of length 3); the transform is radial so only
-    |p| matters.
-    """
-    p = np.asarray(p, dtype=float)
-    if p.ndim >= 1 and p.shape[-1] == 3:
-        radii = np.linalg.norm(p, axis=-1)
-    else:
-        radii = np.abs(p)
-    return model.fourier_profile_radial(radii)
-
-
-def vhat_grid(model: PotentialModel, L, k1, limit=None):
+def vhat_grid(model: GaussianPotential, L, k1, limit=None):
     """Vhat(2 pi |k| / L) on the grid k1^3 of integer frequencies k1 (any order).
 
     With ``limit``, sites with |k|_inf > limit are 0 and Vhat is not evaluated there.
@@ -328,7 +188,7 @@ def vhat_grid(model: PotentialModel, L, k1, limit=None):
     return out
 
 
-def potential_l2(model: PotentialModel, L, M) -> float:
+def potential_l2(model: GaussianPotential, L, M) -> float:
     """Truncated-Parseval L2 norm sqrt((1/L^3) sum_{|k|_inf<=M} Vhat(2 pi k/L)^2)."""
     L = as_real(L, "L", positive=True)
     M = as_int(M, "M")

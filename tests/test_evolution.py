@@ -23,7 +23,6 @@ from torus_hartree import (
     IntegratorConfig,
     LifespanGuardError,
     SpectralState,
-    TabulatedRadialPotential,
     TorusLattice,
     autocorrelation,
     evolve,
@@ -51,15 +50,6 @@ from torus_hartree.evolution import (
 from torus_hartree.potential import vhat_grid
 
 from conftest import B_GAUSS
-
-
-@pytest.fixture(scope="module")
-def models(gaussian):
-    # a tabulated unit Gaussian: its p_max covers 2 pi sqrt(3) 2M / L up to M = 6 at L = 4
-    r = np.linspace(0.0, 8.0, 321)
-    return {"gaussian": gaussian,
-            "tabulated_radial": TabulatedRadialPotential(r, np.exp(-r**2 / 2), p_max=40.0,
-                                                         fourier_samples=1025)}
 
 
 def quasi_condensate(m=2, L=4.0, rho=10.0, eps=0.1, s=6.0, seed=1):
@@ -124,18 +114,12 @@ class TestRhs:
             np.testing.assert_allclose(rhs(st, gaussian, method), expected,
                                        atol=1e-12)
 
-    # the Gaussian cases keep their plain ids [1], [2], ...
-    @pytest.mark.parametrize("family, m", [
-        pytest.param(family, m, id=f"{m}" if family == "gaussian" else f"{family}-{m}")
-        for family in ("gaussian", "tabulated_radial") for m in (1, 2, 3, 6)])
-    def test_direct_matches_fft(self, models, family, m):
-        # the kernel's two convolution routes, the circulant products of a
-        # Gaussian and rfftn/irfftn for a table; M = 6 gives the odd G = 27
+    @pytest.mark.parametrize("m", [1, 2, 3, 6])
+    def test_direct_matches_fft(self, gaussian, m):
+        # the kernel's circulant products against the direct sum; M = 6 gives the odd G = 27
         st = random_state(TorusLattice(4.0, m), rho=10.0, seed=m)
-        model = models[family]
-        assert (_get_kernel(model, st.lattice).C is None) == (family != "gaussian")
-        np.testing.assert_allclose(rhs(st, model, "direct"),
-                                   rhs(st, model, "fft"), atol=1e-12)
+        np.testing.assert_allclose(rhs(st, gaussian, "direct"),
+                                   rhs(st, gaussian, "fft"), atol=1e-12)
 
     @pytest.mark.parametrize("m", [1, 3, 6, 8, 16])
     def test_gaussian_convolution_matches_half_spectrum(self, gaussian, m):

@@ -1,6 +1,5 @@
 """Potential models: Fourier profiles, periodization, decay constants."""
 
-import hashlib
 import json
 import math
 import os
@@ -17,15 +16,9 @@ from scipy import integrate
 import torus_hartree
 from torus_hartree import (
     GaussianPotential,
-    TableRangeError,
-    TabulatedRadialPotential,
     TorusLattice,
-    fourier_profile,
     make_potential,
-    make_state,
-    make_record,
     potential_l2,
-    step_split,
 )
 from torus_hartree.field import _get_kernel, _Kernel
 from torus_hartree.potential import vhat_grid
@@ -58,20 +51,14 @@ class TestGaussian:
     def test_fourier_profile_closed_form(self, gaussian):
         p = np.array([0.0, 0.5, 1.0, 2.0, 7.0])
         expected = B_GAUSS * np.exp(-0.5 * p**2)
-        np.testing.assert_allclose(fourier_profile(gaussian, p), expected,
+        np.testing.assert_allclose(gaussian.fourier_profile_radial(p), expected,
                                    rtol=1e-13)
 
     def test_fourier_profile_against_quadrature(self, gaussian):
         for p in (0.0, 0.7, 1.3, 3.0):
             oracle = quad_fourier_oracle(lambda r: math.exp(-r**2 / 2), p)
-            assert fourier_profile(gaussian, float(p)) == pytest.approx(
+            assert gaussian.fourier_profile_radial(float(p)) == pytest.approx(
                 oracle, rel=1e-9)
-
-    def test_vector_argument_uses_euclidean_norm(self, gaussian):
-        vecs = np.array([[1.0, 2.0, 2.0], [0.0, 0.0, 3.0]])
-        np.testing.assert_allclose(
-            fourier_profile(gaussian, vecs),
-            fourier_profile(gaussian, np.array([3.0, 3.0])), rtol=1e-14)
 
     def test_scaling_in_amplitude_and_width(self):
         model = GaussianPotential(amplitude=2.0, sigma=0.5)
@@ -136,7 +123,7 @@ class TestDecayEnvelope:
     def test_auto_constant_is_tight(self, gaussian):
         # independent oracle: grid scan of sup_p (1 + p)^(3 + delta2) vhat(p)
         p = np.linspace(0.0, 12.0, 2_000_001)
-        scanned = np.max((1.0 + p) ** 8 * fourier_profile(gaussian, p))
+        scanned = np.max((1.0 + p) ** 8 * gaussian.fourier_profile_radial(p))
         assert gaussian.C == pytest.approx(scanned, rel=1e-8)
 
     def test_small_constant_fails_fourier_side(self):
@@ -149,18 +136,15 @@ class TestDecayEnvelope:
         with pytest.raises(ValueError, match="C = 0.1 is below the tight constant"):
             GaussianPotential(c=0.1)
 
-    @pytest.mark.parametrize("family", ["gaussian", "tabulated_radial"])
-    def test_constant_just_below_tight_is_refused(self, family):
-        r = np.linspace(0.0, 8.0, 161)
-        build = {"gaussian": GaussianPotential,
-                 "tabulated_radial": lambda c=None: TabulatedRadialPotential(
-                     r, np.exp(-r**2 / 2), c=c, p_max=22.0)}[family]
-        tight = build().C
+    @pytest.mark.parametrize("params", [{}, {"amplitude": 2.0, "sigma": 0.5}],
+                             ids=["gaussian", "narrow_gaussian"])
+    def test_constant_just_below_tight_is_refused(self, params):
+        tight = GaussianPotential(**params).C
         below = np.nextafter(tight, 0.0)
         with pytest.raises(ValueError, match=re.escape(
                 f"C = {float(below)!r} is below the tight constant {tight!r}")):
-            build(c=below)
-        assert build(c=tight).C == tight
+            GaussianPotential(c=below, **params)
+        assert GaussianPotential(c=tight, **params).C == tight
 
     def test_integrability_exponent_is_validated(self):
         with pytest.raises(ValueError):
@@ -243,19 +227,6 @@ class TestMomentumGrid:
         assert np.count_nonzero(boxed) == 7**3
         assert full[0, 0, 0] == gaussian.b
 
-    def test_tabulated_vhat_half_stops_at_twice_the_cutoff(self):
-        r = np.linspace(0.0, 8.0, 1601)
-        table = TabulatedRadialPotential(r, np.exp(-r**2 / 2), p_max=22.0)
-        kernel = _get_kernel(table, TorusLattice(4.0, 2))
-        G = kernel.G
-        assert G >= 10 and kernel.C is None
-        k = np.abs(np.fft.fftfreq(G, 1.0 / G))
-        k_inf = np.maximum(np.maximum(k[:, None, None], k[None, :, None]),
-                           k[None, None, :G // 2 + 1])
-        assert kernel.vhat_half.shape == k_inf.shape
-        assert np.all(kernel.vhat_half[k_inf > 4] == 0.0)
-        assert np.all(kernel.vhat_half[k_inf <= 4] > 0.0)
-
     @pytest.mark.parametrize("L, M", [(4.0, 1), (4.0, 2), (6.0, 6), (8.0, 8), (16.0, 16)])
     def test_gaussian_circulant_from_the_vhat_grid_column(self, gaussian, L, M):
         # the circulant as built from the G^3 vhat_grid cube, bit for bit
@@ -280,80 +251,6 @@ class TestMomentumGrid:
         assert 0 < sum(points) <= kernel.G
 
 
-class TestTabulated:
-    def radii(self):
-        return np.linspace(0.0, 8.0, 1601)
-
-    def test_matches_gaussian_source(self, gaussian):
-        r = self.radii()
-        table = TabulatedRadialPotential(r, np.exp(-r**2 / 2), c=20000.0)
-        p = np.linspace(0.0, 6.0, 25)
-        np.testing.assert_allclose(fourier_profile(table, p),
-                                   fourier_profile(gaussian, p),
-                                   rtol=5e-6, atol=5e-6)
-        assert table.b == pytest.approx(gaussian.b, rel=1e-7)
-
-    def test_range_violation(self):
-        r = self.radii()
-        table = TabulatedRadialPotential(r, np.exp(-r**2 / 2), c=20000.0)
-        with pytest.raises(TableRangeError):
-            fourier_profile(table, np.array([table.p_limit * 1.5]))
-
-    def test_cutoff_state_steps_inside_table_range(self):
-        # |k|_inf <= 2M reaches |p| = 2 pi sqrt(3) 8 / 4 = 21.8 < p_max,
-        # while the corners of the padded G = 18 grid sit at |p| = 24.5
-        r = np.linspace(0.0, 8.0, 161)
-        table = TabulatedRadialPotential(r, np.exp(-r**2 / 2), p_max=22.0)
-        lat = TorusLattice(4.0, 4)
-        st = make_state("perturbed", lat, 10.0, eps=0.05, s=6.0, seed=1)
-        k1 = np.arange(-2 * lat.M, 2 * lat.M + 1)
-        beta = torus_hartree.autocorrelation(st, "direct").beta
-        expected = st.rho * lat.L**3 * (
-            np.sum(lat.omega * np.abs(st.alpha) ** 2)
-            + 0.5 * np.sum(vhat_grid(table, lat.L, k1) * np.abs(beta) ** 2))
-        e0 = make_record(st, table).energy
-        assert e0 == pytest.approx(expected, rel=1e-12)
-        after = step_split(st, table, 1e-3)
-        assert after.mass == pytest.approx(1.0, abs=1e-12)
-        assert make_record(after, table).energy == pytest.approx(e0, rel=1e-12)
-
-    def test_sign_changing_transform_rejected(self):
-        # a thin spherical shell has an oscillating transform
-        r = self.radii()
-        vals = np.where((r > 2.0) & (r < 2.5), 1.0, 0.0)
-        with pytest.raises(ValueError):
-            TabulatedRadialPotential(r, vals, c=100.0)
-
-    def test_rejects_non_finite_samples(self):
-        r, v = [0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.1, 0.0]
-        for bad in (math.nan, math.inf, 10**400, "1.0", None):
-            with pytest.raises(ValueError, match="radii must be"):
-                TabulatedRadialPotential(r[:3] + [bad], v)
-            with pytest.raises(ValueError, match="values must be"):
-                TabulatedRadialPotential(r, v[:3] + [bad])
-            with pytest.raises(ValueError, match="p_max must be"):
-                TabulatedRadialPotential(r, v, p_max=bad)
-        for bad in (1.5, math.nan, 10**400, "2049", 1):
-            with pytest.raises(ValueError, match="fourier_samples must be"):
-                TabulatedRadialPotential(r, v, fourier_samples=bad)
-        with pytest.raises(ValueError, match="values must be a list of numbers"):
-            TabulatedRadialPotential(r, "abcd")
-
-    def test_rejects_out_of_range_constants(self):
-        r = self.radii()
-        with pytest.raises(ValueError, match="potential integral b must be positive"):
-            TabulatedRadialPotential(r, np.zeros_like(r))
-        # (1 + p)^(3 + delta2) overflows on the tabulated momenta, so C would be inf
-        with np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match="decay constant C must be positive and finite"):
-                TabulatedRadialPotential(r, np.exp(-r**2 / 2), delta2=300.0)
-
-    def test_requires_monotone_radii(self):
-        with pytest.raises(ValueError):
-            TabulatedRadialPotential(np.array([0.0, 1.0, 0.5]),
-                                     np.ones(3), c=10.0)
-
-
 class TestFactory:
     def test_gaussian_roundtrip(self):
         model = make_potential({"family": "gaussian", "amplitude": 2.0,
@@ -366,8 +263,11 @@ class TestFactory:
         assert model.C == 2e4
 
     def test_unknown_family(self):
-        with pytest.raises(ValueError):
-            make_potential({"family": "yukawa"})
+        # the tabulated family of earlier versions is refused like any other name
+        for family in ("yukawa", "tabulated_radial", ["gaussian"]):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"unknown potential family {family!r}; known: gaussian")):
+                make_potential({"family": family})
 
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="sigm"):
@@ -384,19 +284,35 @@ def run_python(code, *args):
     return out.strip().splitlines()[-1]
 
 
-def test_package_import_leaves_out_quadrature_modules():
-    # scipy.integrate/interpolate load only when a tabulated model is built
-    code = ("import sys, torus_hartree; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate') "
-            "if m in sys.modules))")
-    assert run_python(code) == "[]"
+def test_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency: the CLI runs where importing it fails
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "potential": {"family": "gaussian"},
+        "state": {"family": "perturbed", "eps": 0.05, "s": 6.0, "seed": 11},
+        "rho": 10.0, "L": 4.0, "M": 2, "dt": 1e-3, "t_final": 3e-3}))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "potential": {"family": "gaussian"}, "rho_values": [1.0, 4.0],
+        "L_values": [2.0], "family": "perturbed",
+        "family_params": {"eps0": 0.2, "s": 6.0}, "t_final": 2e-3, "dt": 1e-3}))
+    code = ("import sys; sys.modules['scipy'] = None; from torus_hartree import cli; "
+            "print(cli.main(sys.argv[1:]))")
+    for argv in (["simulate", "--config", str(cfg), "--out", str(tmp_path / "traj.csv"),
+                  "--audit", str(tmp_path / "audit.json")],
+                 ["scan", "--plan", str(plan), "--out", str(tmp_path / "scan"),
+                  "--workers", "2"],
+                 ["verify", "--suite", "oracle"]):
+        assert run_python(code, *argv) == "0", argv
+    assert json.loads((tmp_path / "audit.json").read_text())["passed"]
+    assert (tmp_path / "scan" / "table.csv").exists()
 
 
 LOADED_SCIPY = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
 
 
 class TestGaussianRunsLoadNoScipy:
-    """Only a tabulated potential imports scipy; a Gaussian run never does."""
+    """scipy is a test-only dependency: no run imports it."""
 
     def test_cli_import(self):
         assert run_python("import sys, torus_hartree.cli; " + LOADED_SCIPY) == "[]"
@@ -413,19 +329,3 @@ class TestGaussianRunsLoadNoScipy:
                           "--out", str(tmp_path / "traj.csv"),
                           "--audit", str(tmp_path / "audit.json")) == "[]"
         assert json.loads((tmp_path / "audit.json").read_text())["passed"]
-
-    def test_tabulated_model_steps(self):
-        # the tabulated convolution imports scipy.fft itself, and keeps its bits
-        r = np.linspace(0.0, 8.0, 161)
-        model = TabulatedRadialPotential(r, np.exp(-r**2 / 2), p_max=22.0)
-        st = make_state("perturbed", TorusLattice(4.0, 2), 10.0, eps=0.05, s=6.0, seed=1)
-        digest = hashlib.sha256(step_split(st, model, 1e-3).alpha.tobytes()).hexdigest()
-        code = ("import sys, hashlib, numpy as np, torus_hartree as th; "
-                "r = np.linspace(0.0, 8.0, 161); "
-                "model = th.TabulatedRadialPotential(r, np.exp(-r**2 / 2), p_max=22.0); "
-                "st = th.make_state('perturbed', th.TorusLattice(4.0, 2), 10.0, "
-                "eps=0.05, s=6.0, seed=1); "
-                "after = th.step_split(st, model, 1e-3); "
-                "print('scipy.fft' in sys.modules, "
-                "hashlib.sha256(after.alpha.tobytes()).hexdigest())")
-        assert run_python(code) == f"True {digest}"
