@@ -24,11 +24,11 @@ from .diagnostics import (BoundInputs, excitation_bound, format_float,
 from .evolution import (ContractionError, ConvergenceError, InstabilityError,
                         IntegratorConfig, evolve, lifespan_guard,
                         picard_solve, rhs, step_split)
-from .field import (FAMILY_PARAMS, STATE_FAMILIES, TorusLattice, load_state,
-                    make_state, pointwise_product, random_state, save_state,
-                    time_reversal, wiener_norm)
+from .field import (FAMILY_PARAMS, STATE_FAMILIES, TorusLattice, make_state,
+                    pointwise_product, random_state, save_state, time_reversal,
+                    wiener_norm)
 from .potential import GaussianPotential, _positive_finite, as_real, make_potential
-from .scan import load_plan, run_scan
+from .scan import _load_json, _require, load_plan, run_config, run_scan
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -44,20 +44,6 @@ def _parse_k0(text):
         return tuple(int(p) for p in parts)
     except ValueError as exc:
         raise ValueError(f"--k0 expects integers: {exc}") from None
-
-
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON ({exc})") from None
-
-
-def _require(doc, key, where):
-    if key not in doc:
-        raise ValueError(f"{where}: missing required key {key!r}")
-    return doc[key]
 
 
 # ---------------------------------------------------------------------------
@@ -105,32 +91,8 @@ def _cmd_simulate(args):
     cfg = _load_json(args.config)
     if not isinstance(cfg, dict):
         raise ValueError(f"{args.config}: config must be a JSON object")
-    integrator_keys = IntegratorConfig.__dataclass_fields__.keys()
-    extra = set(cfg) - {"potential", "state", "rho", "L", "M", "t_final",
-                        "stride"} - integrator_keys
-    if extra:
-        raise ValueError(f"{args.config}: unknown config keys {sorted(extra)}")
     model = make_potential(_require(cfg, "potential", args.config))
-
-    sblock = _require(cfg, "state", args.config)
-    if not isinstance(sblock, dict):
-        raise ValueError(f"{args.config}: state must be a JSON object")
-    if "snapshot" in sblock:
-        state = load_state(sblock["snapshot"])
-    else:
-        lattice = TorusLattice(_require(cfg, "L", args.config),
-                               _require(cfg, "M", args.config))
-        params = dict(sblock)
-        family = params.pop("family", None)
-        if family is None:
-            raise ValueError(f"{args.config}: state block needs 'family' or 'snapshot'")
-        state = make_state(family, lattice, _require(cfg, "rho", args.config),
-                           **params)
-
-    _require(cfg, "dt", args.config)
-    config = IntegratorConfig(**{k: cfg[k] for k in integrator_keys if k in cfg})
-    traj = evolve(state, model, _require(cfg, "t_final", args.config), config,
-                  stride=cfg.get("stride", 1), keep_states=False)
+    traj = run_config(cfg, model, args.config)
 
     write_trajectory_csv(traj.records, args.out)
     if args.audit:

@@ -42,6 +42,7 @@ __all__ = [
     "picard_solve",
     "lifespan_guard",
     "lifespan_guard_value",
+    "check_run",
     "evolve",
 ]
 
@@ -343,29 +344,36 @@ class Trajectory:
             raise ValueError("record times must increase strictly")
 
 
-def evolve(state: SpectralState, model: GaussianPotential, t_final: float,
-           config: IntegratorConfig | None = None, stride: int = 1,
-           keep_states: bool = True) -> Trajectory:
-    """Advance by fixed steps, emitting a record every ``stride`` steps.
-
-    The first and final instants are always recorded; a shortened final
-    step covers any remainder of t_final.  Record times are t0 + k * dt,
-    computed from the step index, not accumulated, where t0 is the state's
-    time; a t0 so large that a step might not advance them raises
-    ValueError before the first step.
-    """
-    if config is None:
-        config = IntegratorConfig()
-    t_final = as_real(t_final, "t_final", positive=True)
+def check_run(t_final, stride, config: IntegratorConfig) -> tuple:
+    """Evolve's checks that need no state; returns (t_final, stride) as float and int."""
+    t_final = as_real(t_final, "t_final")
+    if t_final < 0.0:
+        raise ValueError(f"t_final must be non-negative, got {t_final!r}")
     stride = as_int(stride, "stride")
     if stride < 1:
         raise ValueError("stride must be >= 1")
+    if not math.isfinite(t_final / config.dt):
+        raise ValueError(f"t_final / dt = {t_final!r} / {config.dt!r} is beyond the float range")
+    return t_final, stride
+
+
+def evolve(state: SpectralState, model: GaussianPotential, t_final: float,
+           config: IntegratorConfig = IntegratorConfig(), stride: int = 1,
+           keep_states: bool = True) -> Trajectory:
+    """Advance by fixed steps, emitting a record every ``stride`` steps.
+
+    The first and final instants are always recorded (once for a t_final of
+    0, which takes no step); a shortened final step covers any remainder of
+    t_final.  Record times are t0 + k * dt, computed from the step index,
+    where t0 is the state's time; a t0 so large that a step might not
+    advance them raises ValueError before the first step.
+    """
+    t_final, stride = check_run(t_final, stride, config)
     if config.method == "picard":
         _check_guard(state, model, t_final, "t_final")
 
         def step(s, h):
-            return picard_solve(s, model, h, tau=config.picard_tau,
-                                tol=config.picard_tol,
+            return picard_solve(s, model, h, tau=config.picard_tau, tol=config.picard_tol,
                                 max_iter=config.picard_max_iter)
     else:
         scheme = step_split if config.method == "split_strang" else step_rk4
@@ -375,14 +383,11 @@ def evolve(state: SpectralState, model: GaussianPotential, t_final: float,
 
     dt = config.dt
     t0 = state.t
-    n_dt = t_final / dt
-    if not math.isfinite(n_dt):
-        raise ValueError(f"t_final / dt = {t_final!r} / {dt!r} is beyond the float range")
-    # the 1e-12 slack absorbs the rounding of t_final / dt; a t_final below
-    # it is still one (shortened) step
-    n_full = int(math.floor(n_dt + 1e-12))
+    # the 1e-12 slack absorbs the rounding of t_final / dt; a remainder, or a
+    # positive t_final below the slack, is one more, shortened step n_full + 1
+    n_full = int(math.floor(t_final / dt + 1e-12))
     remainder = t_final - n_full * dt
-    n_steps = max(1, n_full + (remainder > 1e-12 * dt))  # step n_full + 1 is the shortened one
+    n_steps = max(int(t_final > 0.0), n_full + (remainder > 1e-12 * dt))
 
     def record_time(k):
         return t0 + (t_final if k > n_full else k * dt)
@@ -392,7 +397,7 @@ def evolve(state: SpectralState, model: GaussianPotential, t_final: float,
     # rounding the sum needs a gap above s, so increments above 2 s make
     # every record time, the shortened step's included, advance.
     s = np.spacing(abs(t0) + t_final)
-    if not (dt > 2 * s and (n_steps == n_full or remainder > 2 * s)):
+    if n_steps and not (dt > 2 * s and (n_steps == n_full or remainder > 2 * s)):
         raise ValueError(f"the record clock cannot advance from t = {t0!r} "
                          f"by steps of dt = {dt!r}")
 

@@ -526,7 +526,8 @@ def make_state(family: str, lattice: TorusLattice, rho: float, **params) -> Spec
         on k0 and sqrt(1/(rho+1)) on (floor(rho**a * L), 0, 0).
       perturbed_condensate(k0=(0,0,0), theta=0, eps, s, seed): condensate
         phase exp(i theta) at k0 plus random-phase tail with magnitudes
-        eps (1 + |n - k0|)**(-s), then renormalized.
+        eps (1 + |n - k0|)**(-s), then renormalized.  seed is a
+        non-negative integer, a list of them or a SeedSequence.
     """
     if not isinstance(family, str) or family not in STATE_FAMILIES:
         raise ValueError(f"unknown state family {family!r}; known: "
@@ -560,7 +561,9 @@ def make_state(family: str, lattice: TorusLattice, rho: float, **params) -> Spec
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
     idx0 = lattice.index_of(k0)
-    if not isinstance(seed, SeedSequence):
+    if isinstance(seed, list):  # SeedSequence entropy, as a JSON config spells it
+        seed = [as_int(v, "seed") for v in seed]
+    elif not isinstance(seed, SeedSequence):
         seed = as_int(seed, "seed")
     rng = Generator(Philox(seed))
     phases = rng.uniform(0.0, 2.0 * math.pi, size=lattice.shape)

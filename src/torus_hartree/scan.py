@@ -1,12 +1,12 @@
-"""Thermodynamic-limit scan harness.
+"""Thermodynamic-limit scan harness, and run_config, the one run path.
 
 A plan fixes a potential, ascending rho and L ladders, a cutoff rule
 M = ceil(kappa L), an initial-state family, and integrator settings.
-Every (rho, L) point runs independently with a seed derived from the
-master seed and the ladder indices, so tables are bit-reproducible for
-any worker count.  The summary reports, for each monitored column, the
-value at the largest L per rho (a proxy for the L limit) and the trend
-across the rho ladder; no extrapolation is attempted.
+Each (rho, L) point is the simulate config point_config returns, with a
+seed from the master seed and the ladder indices, run by run_config as
+``simulate`` runs it, so tables are bit-reproducible for any worker
+count.  The summary reports, per monitored column, the value at the
+largest L per rho (a proxy for the L limit) and the trend across rho.
 """
 
 from __future__ import annotations
@@ -17,14 +17,12 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
-
-from numpy.random import SeedSequence
+from dataclasses import MISSING, dataclass, fields
 
 from . import diagnostics
-from .evolution import IntegratorConfig, Trajectory, evolve
+from .evolution import IntegratorConfig, Trajectory, check_run, evolve
 from .field import (FAMILY_PARAMS, STATE_FAMILIES, TorusLattice, as_mode,
-                    check_family_keys, make_state)
+                    check_family_keys, load_state, make_state)
 from .potential import as_bool, as_int, as_real, as_reals, make_potential
 
 __all__ = [
@@ -32,6 +30,8 @@ __all__ = [
     "ScanRecord",
     "SCAN_COLUMNS",
     "load_plan",
+    "point_config",
+    "run_config",
     "run_scan",
     "write_scan_csv",
     "iterated_limit_summary",
@@ -69,16 +69,10 @@ class ScanPlan:
         if not math.isfinite(self.kappa * self.L_values[-1]):
             raise ValueError(f"cutoff kappa * L = {self.kappa!r} * {self.L_values[-1]!r} "
                              "is beyond the float range")
-        # the integrator's own checks, so a bad method fails before any point runs
-        config = self._integrator = IntegratorConfig(method=self.method, dt=self.dt)
-        self.method, self.dt = config.method, config.dt
+        # simulate's own run checks, so a plan fails at load on what simulate refuses
+        self.t_final, self.stride = check_run(self.t_final, self.stride,
+                                              IntegratorConfig(method=self.method, dt=self.dt))
         self.write_trajectories = as_bool(self.write_trajectories, "write_trajectories")
-        self.t_final = as_real(self.t_final, "t_final")
-        if self.t_final < 0.0:
-            raise ValueError("t_final must be non-negative")
-        self.stride = as_int(self.stride, "stride")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
         self.master_seed = as_int(self.master_seed, "master_seed")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
@@ -94,8 +88,7 @@ class ScanPlan:
             params["k0"] = as_mode(params["k0"], "family_params.k0")
         for key in ("eps0", "s", "theta", "escape_exponent"):
             if key in params:
-                params[key] = as_real(params[key], f"family_params.{key}",
-                                      positive=key == "s")
+                params[key] = as_real(params[key], f"family_params.{key}", positive=key == "s")
         if "eps_rule" in params:
             if params["eps_rule"] not in ("inv_sqrt_rho", "fixed"):
                 raise ValueError(f"unknown eps_rule {params['eps_rule']!r}; "
@@ -129,17 +122,28 @@ class ScanPlan:
         return params
 
 
-def load_plan(path) -> ScanPlan:
+def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON ({exc})") from None
+
+
+def _require(doc, key, where):
+    if key not in doc:
+        raise ValueError(f"{where}: missing required key {key!r}")
+    return doc[key]
+
+
+def load_plan(path) -> ScanPlan:
+    doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: plan must be a JSON object")
-    known = set(ScanPlan.__dataclass_fields__)
-    extra = set(doc) - known
+    extra = set(doc) - {f.name for f in fields(ScanPlan)}
     if extra:
         raise ValueError(f"{path}: unknown plan keys {sorted(extra)}")
-    missing = {"potential", "rho_values", "L_values", "family",
-               "family_params", "t_final", "dt"} - set(doc)
+    missing = {f.name for f in fields(ScanPlan) if f.default is MISSING} - set(doc)
     if missing:
         raise ValueError(f"{path}: missing plan keys {sorted(missing)}")
     return ScanPlan(**doc)
@@ -184,29 +188,55 @@ def _trajectory_filename(rho: float, L: float) -> str:
     return f"traj_rho{rho:g}_L{L:g}.csv"
 
 
-def _run_point(plan: ScanPlan, model, i_rho: int, i_L: int, out_dir) -> ScanRecord:
+def run_config(cfg: dict, model, where: str = "config") -> Trajectory:
+    """Run a ``simulate`` config dict on model, records only; ``where`` names it in errors."""
+    integrator_keys = IntegratorConfig.__dataclass_fields__.keys()
+    extra = set(cfg) - {"potential", "state", "rho", "L", "M", "t_final",
+                        "stride"} - integrator_keys
+    if extra:
+        raise ValueError(f"{where}: unknown config keys {sorted(extra)}")
+
+    block = _require(cfg, "state", where)
+    if not isinstance(block, dict):
+        raise ValueError(f"{where}: state must be a JSON object")
+    params = dict(block)
+    if "snapshot" in params:
+        path = params.pop("snapshot")
+        if params:
+            raise ValueError(f"{where}: a snapshot state takes no other keys {sorted(params)}")
+        state = load_state(path)
+    else:
+        lattice = TorusLattice(_require(cfg, "L", where), _require(cfg, "M", where))
+        family = params.pop("family", None)
+        if family is None:
+            raise ValueError(f"{where}: state block needs 'family' or 'snapshot'")
+        state = make_state(family, lattice, _require(cfg, "rho", where), **params)
+
+    _require(cfg, "dt", where)
+    config = IntegratorConfig(**{k: cfg[k] for k in integrator_keys if k in cfg})
+    return evolve(state, model, _require(cfg, "t_final", where), config,
+                  stride=cfg.get("stride", 1), keep_states=False)
+
+
+def point_config(plan: ScanPlan, i_rho: int, i_L: int) -> dict:
+    """Point (i_rho, i_L) as a simulate config, seeded [master_seed, i_rho, i_L] if perturbed."""
     rho = plan.rho_values[i_rho]
     L = plan.L_values[i_L]
-    M = plan.cutoff(L)
-    seed_label = f"{plan.master_seed}:{i_rho}:{i_L}"
-    rec = ScanRecord(rho=rho, L=L, M=M, seed=seed_label)
+    state = {"family": plan.family, **plan.resolve_params(rho)}
+    if STATE_FAMILIES[plan.family] == "perturbed_condensate":
+        state["seed"] = [plan.master_seed, i_rho, i_L]
+    return {"potential": plan.potential, "state": state, "rho": rho, "L": L,
+            "M": plan.cutoff(L), "dt": plan.dt, "t_final": plan.t_final,
+            "method": plan.method, "stride": plan.stride}
+
+
+def _run_point(plan: ScanPlan, model, i_rho: int, i_L: int, out_dir) -> ScanRecord:
+    cfg = point_config(plan, i_rho, i_L)
+    rho, L = cfg["rho"], cfg["L"]
+    rec = ScanRecord(rho=rho, L=L, M=cfg["M"], seed=f"{plan.master_seed}:{i_rho}:{i_L}")
     started = time.perf_counter()
     try:
-        lattice = TorusLattice(L, M)
-        seed = SeedSequence([plan.master_seed, i_rho, i_L])
-        params = plan.resolve_params(rho)
-        if STATE_FAMILIES[plan.family] == "perturbed_condensate":
-            params["seed"] = seed
-        state = make_state(plan.family, lattice, rho, **params)
-
-        if plan.t_final > 0.0:
-            traj = evolve(state, model, plan.t_final, plan._integrator,
-                          stride=plan.stride, keep_states=False)
-        else:
-            ctx = diagnostics.TrajectoryContext.from_state(state, model)
-            traj = Trajectory(records=[diagnostics.make_record(state, model, ctx)],
-                              final_state=state, context=ctx)
-
+        traj = run_config(cfg, model)
         final = traj.records[-1]
         for source in (final, diagnostics.run_report(traj)):
             for name in SCAN_COLUMNS:

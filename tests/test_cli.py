@@ -207,6 +207,51 @@ class TestSimulate:
         assert [float(r["t"]) for r in rows] == [0.0, 1e-16]
         assert load_state(final).t == 1e-16
 
+    def test_t_final_zero_records_the_start(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, t_final=0)
+        out = tmp_path / "traj.csv"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "(1 records)" in capsys.readouterr().out
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["t"]) for r in rows] == [0.0]
+
+    def test_seed_list_is_seed_sequence_entropy(self, tmp_path, capsys):
+        outs = []
+        for seed in ([3, 1, 2], 5, [5]):
+            cfg = write_config(tmp_path, state={"family": "perturbed", "eps": 0.05,
+                                                "s": 6.0, "seed": seed})
+            outs.append(tmp_path / f"{seed}.csv")
+            assert run(["simulate", "--config", str(cfg), "--out", str(outs[-1])]) == 0
+        capsys.readouterr()
+        state = make_state("perturbed", TorusLattice(4.0, 2), 10.0, eps=0.05, s=6.0,
+                           seed=np.random.SeedSequence([3, 1, 2]))
+        with open(outs[0], newline="") as fh:
+            first = next(csv.DictReader(fh))
+        assert float(first["condensate_fraction"]) == float(np.max(np.abs(state.alpha)) ** 2)
+        assert outs[1].read_bytes() == outs[2].read_bytes()
+        assert outs[0].read_bytes() != outs[1].read_bytes()
+
+    @pytest.mark.parametrize("seed", [[1, 2.5], [1, "2"], [True], [[1]]])
+    def test_bad_seed_list_entry(self, tmp_path, capsys, seed):
+        cfg = write_config(tmp_path, state={"family": "perturbed", "eps": 0.05,
+                                            "s": 6.0, "seed": seed})
+        code = run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: seed must be an integer")
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_snapshot_state_takes_no_other_key(self, tmp_path, capsys):
+        snap = tmp_path / "in.state"
+        save_state(make_state("plane_wave", TorusLattice(4.0, 1), 10.0), snap)
+        cfg = write_config(tmp_path, state={"snapshot": str(snap), "family": "perturbed",
+                                            "eps": 0.9})
+        code = run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: a snapshot state takes no other keys ['eps', 'family']\n")
+        assert not (tmp_path / "t.csv").exists()
+
     def test_missing_config_key(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         doc = json.loads(write_config(tmp_path).read_text())
@@ -244,7 +289,8 @@ class TestSimulate:
         code = run(["simulate", "--config", str(cfg),
                     "--out", str(tmp_path / "t.csv")])
         assert code == 2
-        assert f"{key} must be positive and finite" in capsys.readouterr().err
+        wording = "a finite number" if key == "t_final" else "positive and finite"
+        assert f"{key} must be {wording}" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("value", [True, False])
@@ -593,7 +639,8 @@ class TestScan:
          "state family 'perturbed_condensate' takes no family_params ['eps']"),
         ({"potential": {"family": "tabulated_radial", "radii": [0.0, 1.0, 2.0, 3.0],
                         "values": [1.0, 0.5, 0.1, 0.0]}},
-         "unknown potential family 'tabulated_radial'; known: gaussian")])
+         "unknown potential family 'tabulated_radial'; known: gaussian"),
+        ({"t_final": 1e308}, "t_final / dt = 1e+308 / 0.001 is beyond the float range")])
     def test_invalid_plan_writes_nothing(self, tmp_path, capsys, overrides, message):
         assert run(["scan", "--plan", str(self.plan(tmp_path, **overrides)),
                     "--out", str(tmp_path / "scan")]) == 2
@@ -646,6 +693,28 @@ class TestScan:
         assert err.count("\n") == 1
         assert not (out / "table.csv").exists()
         assert not (out / "summary.json").exists()
+
+    def test_point_configs_reproduce_the_scan(self, tmp_path, capsys):
+        # each point, fed to simulate as its own config, writes the scan's trajectory
+        plan_path = self.plan(tmp_path, L_values=[2.0, 3.0], t_final=2.5e-3, stride=2)
+        out = tmp_path / "scan"
+        assert run(["scan", "--plan", str(plan_path), "--out", str(out)]) == 0
+        plan = scan.load_plan(plan_path)
+        for i, rho in enumerate(plan.rho_values):
+            for j, L in enumerate(plan.L_values):
+                cfg = tmp_path / f"point_{i}_{j}.json"
+                cfg.write_text(json.dumps(scan.point_config(plan, i, j)))
+                traj = tmp_path / f"point_{i}_{j}.csv"
+                assert run(["simulate", "--config", str(cfg), "--out", str(traj)]) == 0
+                assert traj.read_bytes() == (out / f"traj_rho{rho:g}_L{L:g}.csv").read_bytes()
+        capsys.readouterr()
+
+    def test_invalid_plan_json(self, tmp_path, capsys):
+        bad = tmp_path / "plan.json"
+        bad.write_text("{not json")
+        assert run(["scan", "--plan", str(bad), "--out", str(tmp_path / "scan")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: invalid JSON")
+        assert not (tmp_path / "scan").exists()
 
     def test_missing_plan_file(self, tmp_path, capsys):
         assert run(["scan", "--plan", str(tmp_path / "ghost.json"),

@@ -24,10 +24,12 @@ from torus_hartree import (
     LifespanGuardError,
     SpectralState,
     TorusLattice,
+    TrajectoryContext,
     autocorrelation,
     evolve,
     lifespan_guard,
     lifespan_guard_value,
+    make_record,
     make_state,
     picard_solve,
     pointwise_product,
@@ -500,6 +502,14 @@ class TestEvolve:
         traj = evolve(st, gaussian, 5e-4, IntegratorConfig(dt=1e-3), stride=4)
         assert [r.t for r in traj.records] == [0.0, 5e-4]
 
+    def test_t_final_zero_records_the_state(self, gaussian):
+        st = quasi_condensate()
+        traj = evolve(st, gaussian, 0.0)
+        assert traj.records == [make_record(st, gaussian,
+                                            TrajectoryContext.from_state(st, gaussian))]
+        assert traj.final_state is st
+        assert traj.states == [st]
+
     def test_states_align_with_records(self, gaussian):
         st = quasi_condensate()
         traj = evolve(st, gaussian, 5e-3, IntegratorConfig(dt=1e-3), stride=2)
@@ -531,7 +541,7 @@ class TestEvolve:
     def test_argument_validation(self, gaussian):
         st = quasi_condensate()
         with pytest.raises(ValueError):
-            evolve(st, gaussian, 0.0)
+            evolve(st, gaussian, -1e-3)
         with pytest.raises(ValueError):
             evolve(st, gaussian, 1e-3, stride=0)
         for t_final in (math.nan, math.inf, float("1e999")):
@@ -541,7 +551,7 @@ class TestEvolve:
             with pytest.raises(ValueError, match="stride must be an integer"):
                 evolve(st, gaussian, 1e-3, stride=stride)
         for t_final in ([1], None, True, "1e-3"):
-            with pytest.raises(ValueError, match="t_final must be positive and finite"):
+            with pytest.raises(ValueError, match="t_final must be a finite number"):
                 evolve(st, gaussian, t_final)
         for t_final, dt in ((1e308, 1e-3), (1.0, 5e-324)):
             with pytest.raises(ValueError, match="t_final / dt .* beyond the float range"):

@@ -11,6 +11,7 @@ from numpy.random import SeedSequence
 from torus_hartree import scan
 from torus_hartree import (
     SCAN_COLUMNS,
+    IntegratorConfig,
     ScanPlan,
     ScanRecord,
     TorusLattice,
@@ -306,7 +307,8 @@ class TestRunScan:
         state = make_state(plan.family, TorusLattice(2.0, 2), 4.0,
                            seed=SeedSequence([0, 0, 0]), **plan.resolve_params(4.0))
         if t_final > 0.0:
-            traj = evolve(state, model, t_final, plan._integrator, keep_states=False)
+            traj = evolve(state, model, t_final,
+                          IntegratorConfig(method=plan.method, dt=plan.dt), keep_states=False)
         else:
             ctx = TrajectoryContext.from_state(state, model)
             traj = Trajectory(records=[make_record(state, model, ctx)],
