@@ -54,8 +54,9 @@ class EnvelopeDomainError(ValueError):
 # ---------------------------------------------------------------------------
 # energy
 
-def _energy_and_beta_gap(state: SpectralState, model: GaussianPotential):
-    """Energy per particle and beta_gap from one synthesis on the integrator's grid.
+def _interaction_and_beta_gap(state: SpectralState, model: GaussianPotential):
+    """Interaction energy per particle and beta_gap from one synthesis on
+    the integrator's grid.
 
     The kernel grid (G >= 4M+2) resolves the density |phi|^2 of the
     unit-density field without aliasing, so beta = fftn(|phi|^2) / G^3 is
@@ -64,8 +65,7 @@ def _energy_and_beta_gap(state: SpectralState, model: GaussianPotential):
     sum(|phi|^2 conv) / (2 G^3).  By Parseval, beta(0) = sum |phi|^2 / G^3
     and sum_{k != 0} |beta|^2 = sum (|phi|^2 - beta(0))^2 / G^3.
     """
-    lat = state.lattice
-    kernel = _get_kernel(model, lat)
+    kernel = _get_kernel(model, state.lattice)
     phi = kernel.field(state.alpha)
     conv = kernel.convolved_density(phi)
     dens = np.square(phi.real)
@@ -76,13 +76,14 @@ def _energy_and_beta_gap(state: SpectralState, model: GaussianPotential):
     beta0 = float(np.sum(dens)) / n
     dens -= beta0
     gap = float(np.sum(np.square(dens, out=dens))) / n + abs(beta0 * beta0 - 1.0)
-    kinetic = lat.ordered_sum(lat.omega * np.abs(state.alpha) ** 2)
-    return kinetic + interaction, gap
+    return interaction, gap
 
 
 def energy_per_particle(state: SpectralState, model: GaussianPotential) -> float:
     """E / (rho L^3): kinetic sum plus half the Vhat-weighted |beta|^2 sum."""
-    return _energy_and_beta_gap(state, model)[0]
+    lat = state.lattice
+    kinetic = lat.ordered_sum(lat.omega * np.abs(state.alpha) ** 2)
+    return kinetic + _interaction_and_beta_gap(state, model)[0]
 
 
 def energy(state: SpectralState, model: GaussianPotential) -> float:
@@ -154,11 +155,15 @@ def u_mass_envelope(u0_mass_sq: float, s0: float, b: float, t: float) -> float:
 # ---------------------------------------------------------------------------
 # tails and condensate metrics
 
+def _beyond(lat, radius):
+    """Per-site mask of the modes of Euclidean radius |m| > radius."""
+    return lat.norm_sq > float(radius) ** 2
+
+
 def tail_sum(state: SpectralState, m_prime: float) -> float:
     """sum of |alpha(m)| over Euclidean radius |m| > m_prime."""
     lat = state.lattice
-    mask = lat.norm_sq > float(m_prime) ** 2
-    return lat.ordered_sum(np.abs(state.alpha) * mask)
+    return lat.ordered_sum(np.abs(state.alpha) * _beyond(lat, m_prime))
 
 
 def kinetic_tail(state: SpectralState, c: float = 1.0) -> float:
@@ -168,8 +173,7 @@ def kinetic_tail(state: SpectralState, c: float = 1.0) -> float:
     exposed as a parameter rather than chosen here.
     """
     lat = state.lattice
-    mask = lat.norm_sq > (float(c) * lat.L) ** 2
-    return lat.ordered_sum(lat.omega * np.abs(state.alpha) * mask)
+    return lat.ordered_sum(lat.omega * np.abs(state.alpha) * _beyond(lat, float(c) * lat.L))
 
 
 def assumption_check(state: SpectralState, m_list=None, c: float = 1.0) -> dict:
@@ -239,11 +243,11 @@ class TrajectoryContext:
         lat = state.lattice
         a = np.abs(state.alpha)
         if k0 is None:
-            k0 = _argmax_mode(lat, a)
+            k0 = _argmax_mode(lat, a)[0]
         idx = lat.index_of(k0)
         if theta is None:
             theta = float(np.angle(state.alpha[idx]))
-        u0 = lat.ordered_sum(_wave_deviation(lat, state.alpha, k0, theta) ** 2)
+        u0 = lat.ordered_sum(_wave_deviation(state.alpha, idx, theta) ** 2)
         return cls(s0=s0, t0_kin=t_sum(state), b=model.b,
                    c_decay=model.C, k0=tuple(int(v) for v in np.asarray(k0).reshape(3)),
                    theta=float(theta), u0_mass_sq=u0, t0=state.t)
@@ -269,10 +273,11 @@ def _envelopes(ctx: TrajectoryContext, t: float):
         return math.nan, math.nan, math.nan
 
 
-def _wave_deviation(lattice, alpha, k, phase):
-    """|alpha - exp(i phase) delta_k| per site: distance to a plane wave."""
+def _wave_deviation(alpha, idx, phase):
+    """|alpha - exp(i phase) delta_k| per site, k the mode at array index idx:
+    distance to a plane wave."""
     u = alpha.copy()
-    u[lattice.index_of(k)] -= np.exp(1j * phase)
+    u[idx] -= np.exp(1j * phase)
     return np.abs(u)
 
 
@@ -283,46 +288,59 @@ def _comparison_wave(state: SpectralState, ctx: TrajectoryContext):
     k0 = np.asarray(ctx.k0)
     omega_l = 4.0 * math.pi**2 * float(k0 @ k0) / lat.L**2 + ctx.b
     phase = ctx.theta - omega_l * (state.t - ctx.t0)
-    return omega_l, _wave_deviation(lat, state.alpha, k0, phase) ** 2
+    return omega_l, _wave_deviation(state.alpha, lat.index_of(k0), phase) ** 2
 
 
 def _argmax_mode(lattice, a_abs):
-    flat = int(np.argmax(a_abs))
-    i, j, k = np.unravel_index(flat, lattice.shape)
-    M = lattice.M
-    return (int(i) - M, int(j) - M, int(k) - M)
+    """The mode of largest |alpha|, the first in C order on ties, and its array index."""
+    idx = np.unravel_index(int(np.argmax(a_abs)), lattice.shape)
+    return tuple(int(i) - lattice.M for i in idx), idx
+
+
+def _record_sums(state: SpectralState, context):
+    """make_record's lattice sums, from one ordered_sums gather: mass, l1 and
+    l2^2 deviation, tail_sum at ceil(M / 2), kinetic_tail at c = 1, kinetic
+    energy, S, T and (with a context) the u mass; then k_star and |alpha(k_star)|.
+    Each row is the per-site array of the function named, bit for bit, and
+    is written in place into the one stack."""
+    lat = state.lattice
+    a = state.alpha
+    stack = np.empty((8 if context is None else 9, *lat.shape))
+    abs_sq, dabs, dabs_sq, tail, ktail, kinetic, a_abs, t_site = stack[:8]
+    np.abs(a, out=a_abs)
+    k_star, idx = _argmax_mode(lat, a_abs)
+    dabs[...] = _wave_deviation(a, idx, float(np.angle(a[idx])))
+    np.square(a_abs, out=abs_sq)
+    np.square(dabs, out=dabs_sq)
+    np.multiply(a_abs, _beyond(lat, math.ceil(lat.M / 2)), out=tail)
+    np.multiply(lat.omega, a_abs, out=t_site)
+    np.multiply(t_site, _beyond(lat, lat.L), out=ktail)
+    np.multiply(lat.omega, abs_sq, out=kinetic)
+    if context is not None:
+        stack[8] = _comparison_wave(state, context)[1]
+    return lat.ordered_sums(stack), k_star, float(a_abs[idx])
 
 
 def make_record(state: SpectralState, model: GaussianPotential,
                 context: TrajectoryContext | None = None) -> DiagnosticsRecord:
     lat = state.lattice
-    a = state.alpha
-    a_abs = np.abs(a)
-    mass = lat.ordered_sum(a_abs**2)
-    k_star = _argmax_mode(lat, a_abs)
-    idx = lat.index_of(k_star)
-    a_star = float(a_abs[idx])
-    theta_star = float(np.angle(a[idx]))
-    dabs = _wave_deviation(lat, a, k_star, theta_star)
-    l1_dev = lat.ordered_sum(dabs)
-    l2_dev = math.sqrt(lat.ordered_sum(dabs**2))
+    # the sums' arrays are freed on return, before the energy pass allocates
+    sums, k_star, a_star = _record_sums(state, context)
+    mass, l1_dev, l2_sq, tail_half, ktail, kinetic, s, t_kin = sums[:8]
 
-    tail_half = tail_sum(state, math.ceil(lat.M / 2))
-    ktail = kinetic_tail(state, 1.0)
-
-    epp, beta_gap = _energy_and_beta_gap(state, model)
+    interaction, beta_gap = _interaction_and_beta_gap(state, model)
+    epp = kinetic + interaction
     e_total = state.rho * lat.L**3 * epp
 
     s_env = t_env = u_env = u_mass = math.nan
     if context is not None:
         s_env, t_env, u_env = _envelopes(context, state.t)
-        _, uabs2 = _comparison_wave(state, context)
-        u_mass = lat.ordered_sum(uabs2)
+        u_mass = sums[8]
 
     return DiagnosticsRecord(
         t=state.t, mass=mass, energy=e_total, energy_per_particle=epp,
-        S=s_sum(state), T=t_sum(state), k_star=k_star,
-        condensate_fraction=a_star**2, l1_dev=l1_dev, l2_dev=l2_dev,
+        S=s, T=t_kin, k_star=k_star,
+        condensate_fraction=a_star**2, l1_dev=l1_dev, l2_dev=math.sqrt(l2_sq),
         tail_half_M=tail_half, beta_gap=beta_gap,
         s_envelope=s_env, t_envelope=t_env,
         u_mass_sq=u_mass, u_mass_envelope=u_env, kinetic_tail=ktail,
@@ -499,13 +517,12 @@ def quasi_vacuum_energy_bound(inputs: BoundInputs, e: float | None = None) -> fl
 # CSV serialization of record streams
 
 def format_float(x) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.17g}"
+    return f"{float(x):.17g}"  # NaN prints as "nan"
 
 
 def _cell(value) -> str:
+    if isinstance(value, float):  # the common cell first
+        return f"{value:.17g}"
     if isinstance(value, str):
         return value
     if isinstance(value, tuple):  # a lattice mode such as k_star

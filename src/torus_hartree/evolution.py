@@ -16,6 +16,7 @@ as an oracle inside its certified contraction horizon.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -219,15 +220,16 @@ def _check_guard(state, model, t, name):
             f"{name} = {t:.6g} is not below the lifespan guard {guard:.6g}", guard)
 
 
-def _collocation_matrix(nodes, t):
-    """Integration matrix Q with (Q h)_i = int_0^{s_i} interpolant(h) ds."""
+def _integration_matrix(nodes):
+    """The t-free integration matrix S: with s_i = t (nodes_i + 1) / 2,
+    Q = (0.5 t) S has (Q h)_i = int_0^{s_i} interpolant(h) ds."""
     q = nodes.size
     vander = legvander(nodes, q)  # columns P_0 .. P_q
     B = np.empty((q, q))
     B[:, 0] = nodes + 1.0
     for m in range(1, q):
         B[:, m] = (vander[:, m + 1] - vander[:, m - 1]) / (2 * m + 1)
-    return 0.5 * t * np.linalg.solve(vander[:, :q].T, B.T).T
+    return np.linalg.solve(vander[:, :q].T, B.T).T
 
 
 def _interpolation_matrix(nodes, new_nodes):
@@ -235,6 +237,25 @@ def _interpolation_matrix(nodes, new_nodes):
     interpolant is the degree q-1 polynomial through the values g at nodes."""
     q = nodes.size
     return np.linalg.solve(legvander(nodes, q - 1).T, legvander(new_nodes, q - 1).T).T
+
+
+@functools.cache
+def _quadrature(q):
+    """Read-only (nodes, weights, S) of the q-point Gauss-Legendre rule, S
+    from _integration_matrix; none depends on t, so each q is built once."""
+    nodes, weights = leggauss(q)
+    out = nodes, weights, _integration_matrix(nodes)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+@functools.cache
+def _doubling(q):
+    """The read-only interpolation matrix from the q to the 2q Gauss nodes."""
+    P = _interpolation_matrix(_quadrature(q)[0], _quadrature(2 * q)[0])
+    P.setflags(write=False)
+    return P
 
 
 def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float,
@@ -256,6 +277,8 @@ def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float
     converging sweep, so it belongs to the collocation polynomial of the
     returned iterate and costs no further kernel calls.  A solve that
     settles at q = 16 after k sweeps at q = 8 makes 8 k + 16 calls.
+    The nodes, weights and matrices do not depend on t and are built once
+    per q; the ball and delta norms of all q nodes take one gather.
     """
     t = as_real(t_target, "t_target")
     if t < 0.0:
@@ -279,11 +302,14 @@ def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float
     def a2norm(arr):
         return lat.ordered_sum(w2 * np.abs(arr))
 
+    def max_a2norm(stack):  # the largest node's norm, from one gather
+        return max(lat.ordered_sums(w2 * np.abs(stack)))
+
     a0 = state.alpha
     ball = tau * a2norm(a0)
 
     def check_ball(g):
-        worst = max(map(a2norm, g))
+        worst = max_a2norm(g)
         if worst > ball:
             raise ContractionError(
                 f"iterate norm {worst:.6g} left the contraction ball "
@@ -291,16 +317,15 @@ def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float
 
     prev_end = None
     for q in (8, 16, 32, 64):
-        nodes, weights = leggauss(q)
-        Q = _collocation_matrix(nodes, t)
+        nodes, weights, S = _quadrature(q)
+        Q = (0.5 * t) * S
         # node axis first: rot[i] = exp(i omega s_i), g[i] is the iterate at s_i
         rot = np.exp((0.5j * t) * (nodes + 1.0)[:, None, None, None] * omega)
         if prev_end is None:
             g = np.array([a0] * q)
         else:
-            g = np.tensordot(_interpolation_matrix(prev_nodes, nodes), g, 1)
+            g = np.tensordot(_doubling(q // 2), g, 1)
             check_ball(g)
-        prev_nodes = nodes
 
         def node_terms(g):
             terms = np.array([kernel.nonlinear(a) for a in np.conj(rot) * g])
@@ -309,7 +334,7 @@ def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float
         for _ in range(max_iter):
             h = node_terms(g)
             g_new = a0 - 1j * np.tensordot(Q, h, 1)
-            delta = max(map(a2norm, g_new - g))
+            delta = max_a2norm(g_new - g)
             g = g_new
             check_ball(g)
             if delta < tol:
@@ -344,16 +369,37 @@ class Trajectory:
             raise ValueError("record times must increase strictly")
 
 
-def check_run(t_final, stride, config: IntegratorConfig) -> tuple:
-    """Evolve's checks that need no state; returns (t_final, stride) as float and int."""
+def _schedule(t_final, dt):
+    """(n_full, remainder, n_steps): n_full steps of dt, then one shortened
+    step of the remainder if it is above the slack; t_final 0 takes none."""
+    # the 1e-12 slack absorbs the rounding of t_final / dt; a remainder, or a
+    # positive t_final below the slack, is one more, shortened step n_full + 1
+    n_full = int(math.floor(t_final / dt + 1e-12))
+    remainder = t_final - n_full * dt
+    return n_full, remainder, max(int(t_final > 0.0), n_full + (remainder > 1e-12 * dt))
+
+
+def check_run(t_final, stride, config: IntegratorConfig, t0: float) -> tuple:
+    """Evolve's checks that need no state but its time t0; returns
+    (t_final, stride) as float and int."""
     t_final = as_real(t_final, "t_final")
     if t_final < 0.0:
         raise ValueError(f"t_final must be non-negative, got {t_final!r}")
     stride = as_int(stride, "stride")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    if not math.isfinite(t_final / config.dt):
-        raise ValueError(f"t_final / dt = {t_final!r} / {config.dt!r} is beyond the float range")
+    dt = config.dt
+    if not math.isfinite(t_final / dt):
+        raise ValueError(f"t_final / dt = {t_final!r} / {dt!r} is beyond the float range")
+    n_full, remainder, n_steps = _schedule(t_final, dt)
+    # Every k dt and t0 + k dt lies within |t0| + t_final, where the float
+    # spacing is at most s: rounding k dt costs each increment up to s and
+    # rounding the sum needs a gap above s, so increments above 2 s make
+    # every record time, the shortened step's included, advance.
+    s = np.spacing(abs(t0) + t_final)
+    if n_steps and not (dt > 2 * s and (n_steps == n_full or remainder > 2 * s)):
+        raise ValueError(f"the record clock cannot advance from t = {t0!r} "
+                         f"by steps of dt = {dt!r}")
     return t_final, stride
 
 
@@ -368,7 +414,7 @@ def evolve(state: SpectralState, model: GaussianPotential, t_final: float,
     where t0 is the state's time; a t0 so large that a step might not
     advance them raises ValueError before the first step.
     """
-    t_final, stride = check_run(t_final, stride, config)
+    t_final, stride = check_run(t_final, stride, config, state.t)
     if config.method == "picard":
         _check_guard(state, model, t_final, "t_final")
 
@@ -383,23 +429,10 @@ def evolve(state: SpectralState, model: GaussianPotential, t_final: float,
 
     dt = config.dt
     t0 = state.t
-    # the 1e-12 slack absorbs the rounding of t_final / dt; a remainder, or a
-    # positive t_final below the slack, is one more, shortened step n_full + 1
-    n_full = int(math.floor(t_final / dt + 1e-12))
-    remainder = t_final - n_full * dt
-    n_steps = max(int(t_final > 0.0), n_full + (remainder > 1e-12 * dt))
+    n_full, remainder, n_steps = _schedule(t_final, dt)
 
     def record_time(k):
         return t0 + (t_final if k > n_full else k * dt)
-
-    # Every k dt and t0 + k dt lies within |t0| + t_final, where the float
-    # spacing is at most s: rounding k dt costs each increment up to s and
-    # rounding the sum needs a gap above s, so increments above 2 s make
-    # every record time, the shortened step's included, advance.
-    s = np.spacing(abs(t0) + t_final)
-    if n_steps and not (dt > 2 * s and (n_steps == n_full or remainder > 2 * s)):
-        raise ValueError(f"the record clock cannot advance from t = {t0!r} "
-                         f"by steps of dt = {dt!r}")
 
     context = diagnostics.TrajectoryContext.from_state(state, model)
     records = [diagnostics.make_record(state, model, context)]

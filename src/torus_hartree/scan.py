@@ -71,7 +71,8 @@ class ScanPlan:
                              "is beyond the float range")
         # simulate's own run checks, so a plan fails at load on what simulate refuses
         self.t_final, self.stride = check_run(self.t_final, self.stride,
-                                              IntegratorConfig(method=self.method, dt=self.dt))
+                                              IntegratorConfig(method=self.method, dt=self.dt),
+                                              0.0)
         self.write_trajectories = as_bool(self.write_trajectories, "write_trajectories")
         self.master_seed = as_int(self.master_seed, "master_seed")
         if self.master_seed < 0:
@@ -205,6 +206,13 @@ def run_config(cfg: dict, model, where: str = "config") -> Trajectory:
         if params:
             raise ValueError(f"{where}: a snapshot state takes no other keys {sorted(params)}")
         state = load_state(path)
+        # a top-level rho, L or M must agree with the snapshot it would describe
+        for key, have in (("rho", state.rho), ("L", state.lattice.L), ("M", state.lattice.M)):
+            if key in cfg:
+                given = (as_int if key == "M" else as_real)(cfg[key], key)
+                if given != have:
+                    raise ValueError(f"{where}: {key} = {given!r} disagrees with the "
+                                     f"snapshot's {key} = {have!r}")
     else:
         lattice = TorusLattice(_require(cfg, "L", where), _require(cfg, "M", where))
         family = params.pop("family", None)

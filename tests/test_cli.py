@@ -433,12 +433,44 @@ class TestSimulate:
         snap = tmp_path / "in.state"
         save_state(make_state("plane_wave", TorusLattice(4.0, 1), 10.0), snap)
         snap.write_text(json.dumps(edit(json.loads(snap.read_text()))))
-        cfg = write_config(tmp_path, state={"snapshot": str(snap)})
+        cfg = write_config(tmp_path, state={"snapshot": str(snap)}, M=1)
         code = run(["simulate", "--config", str(cfg),
                     "--out", str(tmp_path / "t.csv")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("rho", 20.0, "rho = 20.0 disagrees with the snapshot's rho = 10.0"),
+        ("L", 5, "L = 5.0 disagrees with the snapshot's L = 4.0"),
+        ("M", 2, "M = 2 disagrees with the snapshot's M = 1"),
+        ("M", 1.5, "M must be an integer, got 1.5")])
+    def test_snapshot_refuses_a_disagreeing_key(self, tmp_path, capsys, key, value, message):
+        snap = tmp_path / "in.state"
+        save_state(make_state("plane_wave", TorusLattice(4.0, 1), 10.0), snap)
+        cfg = write_config(tmp_path, state={"snapshot": str(snap)},
+                           **{"rho": 10.0, "L": 4.0, "M": 1, key: value})
+        code = run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f" {message}\n")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_snapshot_accepts_agreeing_or_absent_keys(self, tmp_path):
+        snap = tmp_path / "in.state"
+        save_state(make_state("plane_wave", TorusLattice(4.0, 1), 10.0), snap)
+        outputs = []
+        for given in ({"rho": 10, "L": 4, "M": 1.0}, {}):
+            cfg = write_config(tmp_path, state={"snapshot": str(snap)}, **given)
+            doc = json.loads(cfg.read_text())
+            for key in {"rho", "L", "M"} - set(given):
+                del doc[key]
+            cfg.write_text(json.dumps(doc))
+            out = tmp_path / "t.csv"
+            assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_make_state_extreme_L(self, tmp_path, capsys):
         code = run(["make-state", "--family", "plane-wave", "--rho", "10",
@@ -640,7 +672,9 @@ class TestScan:
         ({"potential": {"family": "tabulated_radial", "radii": [0.0, 1.0, 2.0, 3.0],
                         "values": [1.0, 0.5, 0.1, 0.0]}},
          "unknown potential family 'tabulated_radial'; known: gaussian"),
-        ({"t_final": 1e308}, "t_final / dt = 1e+308 / 0.001 is beyond the float range")])
+        ({"t_final": 1e308}, "t_final / dt = 1e+308 / 0.001 is beyond the float range"),
+        ({"t_final": 1.0, "dt": 1e-17},
+         "the record clock cannot advance from t = 0.0 by steps of dt = 1e-17")])
     def test_invalid_plan_writes_nothing(self, tmp_path, capsys, overrides, message):
         assert run(["scan", "--plan", str(self.plan(tmp_path, **overrides)),
                     "--out", str(tmp_path / "scan")]) == 2

@@ -34,10 +34,13 @@ from torus_hartree import (
     random_state,
     run_report,
     s_envelope,
+    s_sum,
     t_envelope,
+    t_sum,
     tail_sum,
     u_mass_envelope,
 )
+from torus_hartree import diagnostics
 from torus_hartree.diagnostics import (
     CSV_COLUMNS,
     format_float,
@@ -218,6 +221,54 @@ class TestRecord:
             got = report([SimpleNamespace(t=0.5, mass=1.0, energy=e0), *recs])
             assert got.max_mass_dev == 0.5 and math.isnan(got.max_energy_drift)
 
+
+def record_reference(state, model, ctx):
+    """make_record's fields, each lattice sum taken from its own array by
+    ordered_sum or the public function that names it."""
+    lat = state.lattice
+    a = state.alpha
+    a_abs = np.abs(a)
+    k_star = tuple(int(v) for v in np.argwhere(a_abs == a_abs.max())[0] - lat.M)
+    idx = lat.index_of(k_star)
+    u = a.copy()
+    u[idx] -= np.exp(1j * float(np.angle(a[idx])))
+    dabs = np.abs(u)
+    epp = energy_per_particle(state, model)
+    fields = dict(
+        t=state.t, mass=lat.ordered_sum(a_abs**2), energy=state.rho * lat.L**3 * epp,
+        energy_per_particle=epp, S=s_sum(state), T=t_sum(state), k_star=k_star,
+        condensate_fraction=float(a_abs[idx]) ** 2, l1_dev=lat.ordered_sum(dabs),
+        l2_dev=math.sqrt(lat.ordered_sum(dabs**2)),
+        tail_half_M=tail_sum(state, math.ceil(lat.M / 2)),
+        beta_gap=diagnostics._interaction_and_beta_gap(state, model)[1],
+        s_envelope=math.nan, t_envelope=math.nan, u_mass_sq=math.nan,
+        u_mass_envelope=math.nan, kinetic_tail=kinetic_tail(state, 1.0))
+    if ctx is not None:
+        elapsed = state.t - ctx.t0
+        k0 = np.asarray(ctx.k0)
+        omega_l = 4.0 * math.pi**2 * float(k0 @ k0) / lat.L**2 + ctx.b
+        w = a.copy()
+        w[lat.index_of(ctx.k0)] -= np.exp(1j * (ctx.theta - omega_l * elapsed))
+        fields.update(s_envelope=s_envelope(ctx.s0, ctx.b, elapsed),
+                      t_envelope=t_envelope(ctx.s0, ctx.t0_kin, ctx.b, ctx.c_decay, elapsed),
+                      u_mass_sq=lat.ordered_sum(np.abs(w) ** 2),
+                      u_mass_envelope=u_mass_envelope(ctx.u0_mass_sq, ctx.s0, ctx.b, elapsed))
+    return DiagnosticsRecord(**fields)
+
+
+class TestRecordSums:
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    def test_every_field_equals_the_per_array_reference(self, gaussian, m):
+        # make_record takes its sums from one gathered stack; each must keep
+        # the bits of its own ordered_sum, with a context and without one
+        st0 = make_state("perturbed", TorusLattice(4.0, m), 10.0, k0=(1, 0, -1),
+                         eps=0.2, s=3.0, seed=m)
+        ctx = TrajectoryContext.from_state(st0, gaussian)
+        later = st0.with_alpha(np.roll(st0.alpha, 1, axis=2) * np.exp(0.3j), t=1e-3)
+        for st in (st0, later, random_state(st0.lattice, 10.0, seed=m)):
+            for c in (None, ctx):
+                assert repr(make_record(st, gaussian, c)) == repr(
+                    record_reference(st, gaussian, c))
 
 
 def direct_route(state, model):

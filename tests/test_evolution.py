@@ -45,9 +45,11 @@ from numpy.polynomial.legendre import leggauss
 
 from torus_hartree.evolution import (
     _Kernel,
-    _collocation_matrix,
+    _doubling,
     _get_kernel,
+    _integration_matrix,
     _interpolation_matrix,
+    _quadrature,
 )
 from torus_hartree.potential import vhat_grid
 
@@ -77,8 +79,8 @@ def picard_per_node(state, model, t, tau=1.5, tol=1e-10, max_iter=100):
     ball = tau * a2norm(a0)
     prev_end = None
     for q in (8, 16, 32, 64):
-        nodes, weights = leggauss(q)
-        Q = _collocation_matrix(nodes, t)
+        nodes, weights = leggauss(q)  # built here, not taken from picard_solve's cache
+        Q = 0.5 * t * _integration_matrix(nodes)
         rot = [np.exp(1j * s * omega) for s in 0.5 * t * (nodes + 1.0)]
         g = [a0.copy() for _ in range(q)]
 
@@ -358,9 +360,9 @@ class TestPicard:
     def test_collocation_matrix_integrates_polynomials(self, q):
         # (Q p(s))_i = int_0^{s_i} p for every p of degree < q; u = s / t in [0, 1]
         t = 0.7
-        nodes, _ = leggauss(q)
+        nodes, _, S = _quadrature(q)
         u = 0.5 * (nodes + 1.0)
-        Q = _collocation_matrix(nodes, t)
+        Q = (0.5 * t) * S
         for k in range(q):
             np.testing.assert_allclose(Q @ u**k, t * u ** (k + 1) / (k + 1),
                                        rtol=0, atol=1e-13)
@@ -368,12 +370,28 @@ class TestPicard:
     @pytest.mark.parametrize("q", [8, 16])
     def test_interpolation_matrix_reproduces_polynomials(self, q):
         # (P p(s))_i = p(s'_i) for every p of degree < q, from q to 2q nodes
-        nodes, _ = leggauss(q)
-        new_nodes, _ = leggauss(2 * q)
-        P = _interpolation_matrix(nodes, new_nodes)
+        nodes, new_nodes = _quadrature(q)[0], _quadrature(2 * q)[0]
+        P = _doubling(q)
         u, new_u = 0.5 * (nodes + 1.0), 0.5 * (new_nodes + 1.0)
         for k in range(q):
             np.testing.assert_allclose(P @ u**k, new_u**k, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("q", [8, 16, 32, 64])
+    def test_quadrature_cache_is_read_only_and_uncached_equal(self, q):
+        # picard_solve's per-q data equals a fresh build, bit for bit, and
+        # cannot be written through, so no solve can corrupt the next one
+        nodes, weights, S = _quadrature(q)
+        assert _quadrature(q)[2] is S
+        fresh_nodes, fresh_weights = leggauss(q)
+        built = [(nodes, fresh_nodes), (weights, fresh_weights),
+                 (S, _integration_matrix(fresh_nodes))]
+        if q < 64:
+            built.append((_doubling(q), _interpolation_matrix(fresh_nodes, leggauss(2 * q)[0])))
+        for cached, fresh in built:
+            assert np.array_equal(cached, fresh)
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 0.0
 
     def test_doubled_passes_start_warm(self, gaussian, monkeypatch):
         # q = 8 sweeps from the free flight; q = 16 starts from its solution

@@ -97,6 +97,26 @@ class TestLattice:
         x = rng.normal(size=lat.shape)
         assert lat.ordered_sum(x) == lat.ordered_sum(x.copy())
 
+    @pytest.mark.parametrize("m", [*range(1, 17), 24, 32])
+    def test_ordered_sums_match_ordered_sum_bit_for_bit(self, m):
+        # magnitudes over 2^52, so a sum in any other order or blocking
+        # would differ in the last bits
+        lat = TorusLattice(4.0, m)
+        stack = np.random.default_rng(m).uniform(-26.0, 26.0, (64, *lat.shape))
+        np.exp2(stack, out=stack)
+        for height in (1, 8, 64):
+            got = lat.ordered_sums(stack[:height])
+            assert got == [lat.ordered_sum(x) for x in stack[:height]]
+            assert all(type(v) is float for v in got)
+
+    def test_ordered_sums_refuse_a_stack_of_the_wrong_size(self):
+        lat = TorusLattice(4.0, 2)
+        for bad in (np.zeros((3, 5, 5, 4)), np.zeros((5, 5, 5)), np.float64(1.0),
+                    np.zeros((2, 5 ** 3 + 1))):
+            with pytest.raises(ValueError, match="array does not match lattice size"):
+                lat.ordered_sums(bad)
+        assert lat.ordered_sums(np.zeros((2, 5 ** 3))) == [0.0, 0.0]
+
 
 class TestStates:
     def test_plane_wave(self):
