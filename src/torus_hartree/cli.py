@@ -13,7 +13,6 @@ import argparse
 import ctypes
 import json
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -351,12 +350,12 @@ def main(argv=None) -> int:
     except (InstabilityError, ContractionError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except BrokenProcessPool as exc:
+    except ChildProcessError as exc:  # an OSError, so caught first
         print(f"error: scan worker process died; no table.csv or summary.json "
               f"written ({exc})", file=sys.stderr)
+        return EXIT_IO
+    except OSError as exc:
+        print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

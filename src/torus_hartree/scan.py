@@ -11,12 +11,12 @@ largest L per rho (a proxy for the L limit) and the trend across rho.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 
 from . import diagnostics
@@ -58,12 +58,18 @@ class ScanPlan:
     summary_columns: tuple = DEFAULT_SUMMARY_COLUMNS
 
     def __post_init__(self):
+        self.write_trajectories = as_bool(self.write_trajectories, "write_trajectories")
         for name in ("rho_values", "L_values"):
             vals = as_reals(getattr(self, name), name, positive=True)
             if not vals:
                 raise ValueError(f"{name} must be non-empty")
             if any(b <= a for a, b in zip(vals, vals[1:])):
                 raise ValueError(f"{name} must be strictly ascending")
+            # :g rounds monotonically, so equal trajectory file names are neighbours
+            for a, b in zip(vals, vals[1:]):
+                if self.write_trajectories and f"{a:g}" == f"{b:g}":
+                    raise ValueError(f"{name} {a!r} and {b!r} share the trajectory "
+                                     f"file name spelling {a:g}")
             setattr(self, name, vals)
         self.kappa = as_real(self.kappa, "kappa", positive=True)
         if not math.isfinite(self.kappa * self.L_values[-1]):
@@ -73,7 +79,6 @@ class ScanPlan:
         self.t_final, self.stride = check_run(self.t_final, self.stride,
                                               IntegratorConfig(method=self.method, dt=self.dt),
                                               0.0)
-        self.write_trajectories = as_bool(self.write_trajectories, "write_trajectories")
         self.master_seed = as_int(self.master_seed, "master_seed")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
@@ -263,19 +268,9 @@ def _run_point(plan: ScanPlan, model, i_rho: int, i_L: int, out_dir) -> ScanReco
     return rec
 
 
-# A pool worker's (plan, model, out_dir), set once per worker process by
-# _init_worker.  Fork hands the parent's objects over without pickling.
-_worker_scan = None
-
-
-def _init_worker(plan, model, out_dir):
-    global _worker_scan
-    _worker_scan = (plan, model, out_dir)
-
-
-def _run_worker_point(i_rho: int, i_L: int) -> ScanRecord:
-    plan, model, out_dir = _worker_scan
-    return _run_point(plan, model, i_rho, i_L, out_dir)
+def _run_share(plan: ScanPlan, model, share, out_dir, conn):
+    """A forked worker's body: run its points and send the (point, row) pairs home."""
+    conn.send([(ij, _run_point(plan, model, *ij, out_dir)) for ij in share])
 
 
 def run_scan(plan: ScanPlan, out_dir=None, workers: int = 1) -> list:
@@ -285,14 +280,14 @@ def run_scan(plan: ScanPlan, out_dir=None, workers: int = 1) -> list:
     the scan.  When ``out_dir`` is given, writes table.csv, summary.json,
     and one trajectory CSV per point.
 
-    With ``workers`` > 1 the points run on that many forked worker
-    processes (at most one per point), largest M first, and the rows are
-    put back in plan order.  A worker that dies raises
-    ``concurrent.futures.process.BrokenProcessPool`` and nothing more is
-    written.  Fork is required: a spawned worker would pay the package
-    import (~0.2 s, mostly numpy's) again.  Fork copies only the calling thread, so no
+    With ``workers`` = n > 1, min(n, points) forked children run the
+    points: sorted largest M first, child k takes every n-th one from the
+    k-th, and the rows are put back in plan order.  A child that dies
+    raises ``ChildProcessError`` and nothing more is written.  Fork is
+    required: a spawned child would pay the package import (~0.2 s,
+    mostly numpy's) again.  Fork copies only the calling thread, so no
     other thread of the caller may hold a lock the points take (the
-    kernel cache's, say) while the pool starts.
+    kernel cache's, say) while the children start.
     """
     workers = as_int(workers, "workers")
     if workers < 1:
@@ -304,20 +299,29 @@ def run_scan(plan: ScanPlan, out_dir=None, workers: int = 1) -> list:
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
 
-    points = [(i_rho, i_L)
-              for i_rho in range(len(plan.rho_values))
-              for i_L in range(len(plan.L_values))]
+    points = [(i, j) for i in range(len(plan.rho_values)) for j in range(len(plan.L_values))]
     if workers == 1:
         records = [_run_point(plan, model, i, j, out_dir) for i, j in points]
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(points)),
-                                 mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_init_worker,
-                                 initargs=(plan, model, out_dir)) as pool:
-            # the largest (slowest) points first, so none starts last
-            by_cost = sorted(points, key=lambda ij: -plan.cutoff(plan.L_values[ij[1]]))
-            futures = {ij: pool.submit(_run_worker_point, *ij) for ij in by_cost}
-            records = [futures[ij].result() for ij in points]
+        # the largest (slowest) points first, dealt round robin, so none starts last
+        by_cost = sorted(points, key=lambda ij: -plan.cutoff(plan.L_values[ij[1]]))
+        n = min(workers, len(points))
+        children, done = [], {}
+        for share in (by_cost[k::n] for k in range(n)):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.get_context("fork").Process(
+                target=_run_share, args=(plan, model, share, out_dir, send))
+            child.start()
+            send.close()  # the child then holds the only copy, so its death reads as EOF
+            children.append((child, recv))
+        for child, recv in children:  # a child blocks on send until its pipe is read
+            with recv, contextlib.suppress(EOFError):
+                done.update(recv.recv())
+            child.join()
+        codes = [child.exitcode for child, _ in children]
+        if any(codes) or len(done) < len(points):
+            raise ChildProcessError(f"worker exit codes {codes}")
+        records = [done[ij] for ij in points]
 
     if out_dir is not None:
         write_scan_csv(records, os.path.join(out_dir, "table.csv"))
@@ -341,14 +345,10 @@ def iterated_limit_summary(records, columns=DEFAULT_SUMMARY_COLUMNS) -> dict:
     """
     ok = [r for r in records if r.status == "ok"]
     rhos = sorted({r.rho for r in ok})
+    best = {rho: max((r for r in ok if r.rho == rho), key=lambda r: r.L) for rho in rhos}
     out_columns = {}
     for col in columns:
-        proxies = []
-        for rho in rhos:
-            rows = [r for r in ok if r.rho == rho]
-            best = max(rows, key=lambda r: r.L)
-            proxies.append({"rho": rho, "L": best.L,
-                            "value": getattr(best, col)})
+        proxies = [{"rho": rho, "L": r.L, "value": getattr(r, col)} for rho, r in best.items()]
         values = [p["value"] for p in proxies]
         if len(values) < 2 or any(not math.isfinite(v) for v in values):
             trend = "undefined"

@@ -674,7 +674,11 @@ class TestScan:
          "unknown potential family 'tabulated_radial'; known: gaussian"),
         ({"t_final": 1e308}, "t_final / dt = 1e+308 / 0.001 is beyond the float range"),
         ({"t_final": 1.0, "dt": 1e-17},
-         "the record clock cannot advance from t = 0.0 by steps of dt = 1e-17")])
+         "the record clock cannot advance from t = 0.0 by steps of dt = 1e-17"),
+        ({"rho_values": [10.0, 10.000001]},
+         "rho_values 10.0 and 10.000001 share the trajectory file name spelling 10"),
+        ({"L_values": [2.0, 3.0, 3.0000001]},
+         "L_values 3.0 and 3.0000001 share the trajectory file name spelling 3")])
     def test_invalid_plan_writes_nothing(self, tmp_path, capsys, overrides, message):
         assert run(["scan", "--plan", str(self.plan(tmp_path, **overrides)),
                     "--out", str(tmp_path / "scan")]) == 2
@@ -704,12 +708,15 @@ class TestScan:
         assert "fork start method" in capsys.readouterr().err
         assert not (tmp_path / "scan").exists()
 
-    def test_dead_worker_exits_1(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("death", ["os_exit", "KeyboardInterrupt"])
+    def test_dead_worker_exits_1(self, tmp_path, capsys, monkeypatch, death):
         run_point = scan._run_point
 
         def dying(plan, model, i_rho, i_L, out_dir):
             if i_rho == 1:
-                os._exit(1)
+                if death == "os_exit":
+                    os._exit(1)
+                raise KeyboardInterrupt
             return run_point(plan, model, i_rho, i_L, out_dir)
 
         monkeypatch.setattr(scan, "_run_point", dying)  # forked workers inherit it
@@ -727,6 +734,10 @@ class TestScan:
         assert err.count("\n") == 1
         assert not (out / "table.csv").exists()
         assert not (out / "summary.json").exists()
+        # every worker was reaped: none left running, no zombie left to wait for
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_point_configs_reproduce_the_scan(self, tmp_path, capsys):
         # each point, fed to simulate as its own config, writes the scan's trajectory

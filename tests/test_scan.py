@@ -3,7 +3,7 @@
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
 
 import pytest
 from numpy.random import SeedSequence
@@ -343,20 +343,6 @@ def assert_same_outputs(a, b):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-class RecordingPool(ProcessPoolExecutor):
-    """The scan's process pool, noting its size and the submitted points."""
-
-    calls = []
-
-    def __init__(self, max_workers, **kwargs):
-        self.calls.append(("start", max_workers))
-        super().__init__(max_workers, **kwargs)
-
-    def submit(self, fn, *args):
-        self.calls.append(("submit",) + args)
-        return super().submit(fn, *args)
-
-
 class TestDeterminism:
     def dynamic_plan(self):
         return small_plan(rho_values=[1.0, 2.0], t_final=2e-3, dt=1e-3,
@@ -386,11 +372,32 @@ class TestDeterminism:
 
 
 class TestProcessPool:
+    """The forked worker processes, seen through the points each one runs."""
+
     @pytest.fixture
-    def pool_calls(self, monkeypatch):
-        monkeypatch.setattr(RecordingPool, "calls", [])
-        monkeypatch.setattr(scan, "ProcessPoolExecutor", RecordingPool)
-        return RecordingPool.calls
+    def point_log(self, tmp_path, monkeypatch):
+        # each _run_point call, in whichever process, appends "pid i_rho i_L"
+        log = tmp_path / "points.log"
+        run_point = scan._run_point
+
+        def logged(plan, model, i_rho, i_L, out_dir):
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()} {i_rho} {i_L}\n")
+            return run_point(plan, model, i_rho, i_L, out_dir)
+
+        monkeypatch.setattr(scan, "_run_point", logged)  # forked workers inherit it
+        return log
+
+    def shares(self, log, plan):
+        """The points each worker ran, in its order; the workers=1 run is the parent's."""
+        shares = {}
+        for line in log.read_text(encoding="ascii").splitlines():
+            pid, i_rho, i_L = map(int, line.split())
+            shares.setdefault(pid, []).append((i_rho, i_L))
+        serial = shares.pop(os.getpid())
+        assert serial == [(i, j) for i in range(len(plan.rho_values))
+                          for j in range(len(plan.L_values))]
+        return sorted(shares.values())
 
     def run_both(self, tmp_path, plan, workers):
         outs = {}
@@ -402,21 +409,20 @@ class TestProcessPool:
         assert_same_outputs(outs[1], outs[workers])
         return records
 
-    def test_largest_M_first_rows_in_plan_order(self, tmp_path, pool_calls):
+    def test_largest_M_first_rows_in_plan_order(self, tmp_path, point_log):
         plan = small_plan(rho_values=[1.0, 2.0], L_values=[2.0, 3.0, 4.0],
                           t_final=2e-3, dt=1e-3)
         self.run_both(tmp_path, plan, 2)
-        assert pool_calls == [("start", 2),
-                              ("submit", 0, 2), ("submit", 1, 2),
-                              ("submit", 0, 1), ("submit", 1, 1),
-                              ("submit", 0, 0), ("submit", 1, 0)]
+        # largest M first, (0, 2), (1, 2), (0, 1), (1, 1), (0, 0), (1, 0), dealt round robin
+        assert self.shares(point_log, plan) == [[(0, 2), (0, 1), (0, 0)],
+                                                [(1, 2), (1, 1), (1, 0)]]
 
-    def test_more_workers_than_points(self, tmp_path, pool_calls):
+    def test_more_workers_than_points(self, tmp_path, point_log):
         plan = small_plan(rho_values=[1.0, 2.0], t_final=2e-3, dt=1e-3)
         self.run_both(tmp_path, plan, 5)
-        assert pool_calls[0] == ("start", 2)
+        assert self.shares(point_log, plan) == [[(0, 0)], [(1, 0)]]
 
-    def test_point_failing_in_a_worker(self, tmp_path, pool_calls):
+    def test_point_failing_in_a_worker(self, tmp_path):
         # k0 = (3, 0, 0) lies outside the M = 2 lattice but inside M = 4
         plan = small_plan(rho_values=[1.0], L_values=[2.0, 4.0],
                           family_params={"eps0": 0.1, "s": 6.0, "k0": [3, 0, 0]})

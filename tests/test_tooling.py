@@ -1,4 +1,5 @@
-"""The benchmark's tracer still finds every layer it wraps in the package.
+"""Checks on the package as tools see it: the names the benchmark's tracer
+wraps, and what importing the CLI costs.
 
 ``perfbench/tracing.py`` patches functions and methods by name; a rename
 or deletion in the package would break ``perfbench/run.py --trace 1``
@@ -6,6 +7,8 @@ without failing any other test.
 """
 
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,3 +30,13 @@ def test_traced_names_resolve():
     if not isinstance(getattr(module("evolution"), "_Kernel", None), type):
         missing.append("evolution._Kernel")
     assert missing == []
+
+
+def test_cli_import_loads_no_concurrent_futures():
+    # concurrent.futures and its process module cost every CLI call ~9 ms to import
+    src = str(ROOT / "src")
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    code = "import sys, torus_hartree.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.stdout == "False\n"
