@@ -16,16 +16,14 @@ from .potential import GaussianPotential, make_potential, potential_l2
 from .field import (AutoCorrelation, SpectralState, TorusLattice,
                     autocorrelation, difference_lattice, load_state,
                     make_state, pointwise_product, random_state, s_sum,
-                    save_state, t_sum, time_reversal, to_physical,
-                    to_spectral, wiener_norm)
+                    save_state, t_sum, time_reversal, to_physical, wiener_norm)
 from .evolution import (ContractionError, ConvergenceError, InstabilityError,
                         IntegratorConfig, Lifespan, LifespanGuardError,
-                        Trajectory, evolve, lifespan_guard,
-                        lifespan_guard_value, picard_solve, rhs, step_rk4,
-                        step_split)
+                        Trajectory, evolve, lifespan_guard, picard_solve, rhs,
+                        step_rk4, step_split)
 from .diagnostics import (BoundInputs, DiagnosticsRecord, EnvelopeDomainError,
                           TrajectoryContext, assumption_check,
-                          energy, energy_per_particle, energy_physical,
+                          energy_per_particle, energy_physical,
                           envelope_audit, excitation_bound, kinetic_tail,
                           make_record, omega_coefficient,
                           plane_wave_comparison, quasi_vacuum_energy_bound,

@@ -23,11 +23,11 @@ from .diagnostics import (BoundInputs, excitation_bound, format_float,
 from .evolution import (ContractionError, ConvergenceError, InstabilityError,
                         IntegratorConfig, evolve, lifespan_guard,
                         picard_solve, rhs, step_split)
-from .field import (FAMILY_PARAMS, STATE_FAMILIES, TorusLattice, make_state,
-                    pointwise_product, random_state, save_state, time_reversal,
-                    wiener_norm)
+from .field import (FAMILY_PARAMS, STATE_FAMILIES, TorusLattice, _load_json, _require,
+                    make_state, pointwise_product, random_state, save_state,
+                    time_reversal, wiener_norm)
 from .potential import GaussianPotential, _positive_finite, as_real, make_potential
-from .scan import _load_json, _require, load_plan, run_config, run_scan
+from .scan import load_plan, run_config, run_scan
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -113,10 +113,12 @@ def _cmd_bound_report(args):
     doc = _load_json(args.inputs)
     if not isinstance(doc, dict):
         raise ValueError(f"{args.inputs}: inputs must be a JSON object")
-    scalars = {}
-    for key in ("n", "e", "h_xi", "s_inf", "d_inf", "b", "v2", "rho", "L",
-                "S0", "T0", "C", "horizon", "t"):
-        scalars[key] = as_real(_require(doc, key, args.inputs), key)
+    keys = ("n", "e", "h_xi", "s_inf", "d_inf", "b", "v2", "rho", "L",
+            "S0", "T0", "C", "horizon", "t")
+    extra = set(doc) - set(keys)
+    if extra:
+        raise ValueError(f"{args.inputs}: unknown input keys {sorted(extra)}")
+    scalars = {key: as_real(_require(doc, key, args.inputs), key) for key in keys}
     inputs = BoundInputs(n=scalars["n"], e=scalars["e"], h_xi=scalars["h_xi"],
                          s_inf=scalars["s_inf"], d_inf=scalars["d_inf"],
                          b=scalars["b"], v2=scalars["v2"],

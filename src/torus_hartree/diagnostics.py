@@ -23,7 +23,6 @@ __all__ = [
     "BoundInputs",
     "EnvelopeDomainError",
     "CSV_COLUMNS",
-    "energy",
     "energy_per_particle",
     "energy_physical",
     "s_envelope",
@@ -84,11 +83,6 @@ def energy_per_particle(state: SpectralState, model: GaussianPotential) -> float
     lat = state.lattice
     kinetic = lat.ordered_sum(lat.omega * np.abs(state.alpha) ** 2)
     return kinetic + _interaction_and_beta_gap(state, model)[0]
-
-
-def energy(state: SpectralState, model: GaussianPotential) -> float:
-    """Hartree energy rho L^3 sum_n [omega_n |alpha|^2 + Vhat |beta|^2 / 2]."""
-    return state.rho * state.lattice.L**3 * energy_per_particle(state, model)
 
 
 def energy_physical(state: SpectralState, model: GaussianPotential, g: int = 2) -> float:
@@ -504,11 +498,10 @@ def excitation_bound(inputs: BoundInputs, omega: float, t: float) -> float:
     return ewt * core + (2.0 * ewt - 1.0) / inputs.rho
 
 
-def quasi_vacuum_energy_bound(inputs: BoundInputs, e: float | None = None) -> float:
+def quasi_vacuum_energy_bound(inputs: BoundInputs) -> float:
     """Quasi-vacuum energy fraction bound 2e + 1/rho + (14b + v2^2) s_inf^2 n
-    + 2 (d_inf + b s_inf^3) sqrt(n); e defaults to inputs.e."""
-    e_val = inputs.e if e is None else float(e)
-    return (2.0 * e_val + 1.0 / inputs.rho
+    + 2 (d_inf + b s_inf^3) sqrt(n)."""
+    return (2.0 * inputs.e + 1.0 / inputs.rho
             + (14.0 * inputs.b + inputs.v2**2) * inputs.s_inf**2 * inputs.n
             + 2.0 * (inputs.d_inf + inputs.b * inputs.s_inf**3) * math.sqrt(inputs.n))
 

@@ -42,7 +42,6 @@ __all__ = [
     "step_rk4",
     "picard_solve",
     "lifespan_guard",
-    "lifespan_guard_value",
     "check_run",
     "evolve",
 ]
@@ -194,11 +193,6 @@ class Lifespan(NamedTuple):
     t_star: float
 
 
-def lifespan_guard_value(rho: float, b: float, psi_a2_norm_sq: float) -> float:
-    """Guard rho / (12 b |Psi|_{A^2}^2) from the raw physical norm."""
-    return float(rho) / (12.0 * float(b) * float(psi_a2_norm_sq))
-
-
 def lifespan_guard(state: SpectralState, model: GaussianPotential) -> Lifespan:
     """Certified contraction horizon for the state, plus the density-free
     reference horizon t_star = 1/(12 b).
@@ -208,7 +202,7 @@ def lifespan_guard(state: SpectralState, model: GaussianPotential) -> Lifespan:
     whose W2 is not positive and finite, such as all zeros, is refused.
     """
     w2 = _positive_finite(lambda: wiener_norm(state, 2), "W2 = wiener_norm(state, 2)")
-    return Lifespan(guard=lifespan_guard_value(state.rho, model.b, state.rho * w2 * w2),
+    return Lifespan(guard=state.rho / (12.0 * model.b * (state.rho * w2 * w2)),
                     t_star=1.0 / (12.0 * model.b))
 
 
@@ -278,18 +272,15 @@ def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float
     returned iterate and costs no further kernel calls.  A solve that
     settles at q = 16 after k sweeps at q = 8 makes 8 k + 16 calls.
     The nodes, weights and matrices do not depend on t and are built once
-    per q; the ball and delta norms of all q nodes take one gather.
+    per q; the ball and delta norms of all q nodes take one gather.  tau,
+    tol and max_iter are checked by IntegratorConfig, as evolve's picard
+    method checks them.
     """
     t = as_real(t_target, "t_target")
     if t < 0.0:
         raise ValueError("t_target must be non-negative")
-    tau = as_real(tau, "tau")
-    if not tau > 1.0:
-        raise ValueError("contraction factor tau must exceed 1")
-    tol = as_real(tol, "tol", positive=True)
-    max_iter = as_int(max_iter, "max_iter")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    config = IntegratorConfig("picard", picard_tol=tol, picard_tau=tau, picard_max_iter=max_iter)
+    tau, tol, max_iter = config.picard_tau, config.picard_tol, config.picard_max_iter
     if t == 0.0:
         return state
     _check_guard(state, model, t, "t_target")

@@ -28,11 +28,11 @@ __all__ = [
     "SpectralState",
     "AutoCorrelation",
     "autocorrelation",
+    "difference_lattice",
     "wiener_norm",
     "s_sum",
     "t_sum",
     "to_physical",
-    "to_spectral",
     "STATE_FAMILIES",
     "FAMILY_PARAMS",
     "make_state",
@@ -285,7 +285,8 @@ def _analyze(f, A):
 
 
 class _Kernel:
-    """FFT workspace for one (lattice, Gaussian model) combination.
+    """DFT matrices and a circulant for one (lattice, Gaussian model)
+    combination: its transforms and convolution are matrix products, not FFTs.
 
     The grid has at least 4M+2 points per axis, which makes the projected
     nonlinear term and the quartic energy exact for cutoff-M data.  Vhat
@@ -389,19 +390,16 @@ def difference_lattice(lattice: TorusLattice) -> TorusLattice:
 def autocorrelation(state: SpectralState, method: str = "fft") -> AutoCorrelation:
     """Compute beta on the difference lattice.
 
-    'fft' synthesizes the field on a grid of at least 4M+1 points per
-    axis, so no two differences of cutoff-M modes alias, and reads beta
-    off the transform of |phi|^2.  'direct' performs the explicit
-    shifted sum and serves as the oracle.
+    beta holds the coefficients of |phi|^2 = conj(phi) phi, and conj(phi)
+    is the field of time_reversal(state), so 'fft' is the pointwise_product
+    of the two.  'direct' performs the explicit shifted sum and serves as
+    the oracle.
     """
     lat = state.lattice
     M = lat.M
     diff = difference_lattice(lat)
     if method == "fft":
-        G = _fast_len(4 * M + 1)
-        phi = _synthesize(state.alpha, _dft_synthesis(M, G))
-        A = _dft_analysis(_dft_synthesis(diff.M, G))
-        return AutoCorrelation(diff, _analyze(phi.real**2 + phi.imag**2, A))
+        return AutoCorrelation(diff, pointwise_product(time_reversal(state), state).alpha)
     if method == "direct":
         a = state.alpha
         n = lat.size
@@ -459,19 +457,6 @@ def to_physical(state: SpectralState, g: int = 2) -> np.ndarray:
     cube = np.zeros((G, G, G), dtype=complex)
     cube[lat.embed_indexer(G)] = state.alpha
     return math.sqrt(state.rho) * G**3 * np.fft.ifftn(cube)
-
-
-def to_spectral(field, lattice: TorusLattice, rho: float, t: float = 0.0) -> SpectralState:
-    """Project physical-grid values back onto the truncated lattice."""
-    field = np.asarray(field, dtype=complex)
-    if field.ndim != 3 or len(set(field.shape)) != 1:
-        raise ValueError("field must be a cube")
-    G = field.shape[0]
-    if G < lattice.size:
-        raise ValueError(f"grid size {G} too small for cutoff M={lattice.M}")
-    hat = np.fft.fftn(field)
-    alpha = hat[lattice.embed_indexer(G)] / (G**3 * math.sqrt(rho))
-    return SpectralState(lattice, rho, t, alpha)
 
 
 def pointwise_product(a: SpectralState, b: SpectralState) -> SpectralState:
@@ -636,26 +621,40 @@ def save_state(state: SpectralState, path, family=None, seed=None):
         fh.write("\n")
 
 
+def _load_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
+            raise ValueError(f"{path}: invalid JSON ({exc})") from None
+
+
+def _require(doc, key, where):
+    if key not in doc:
+        raise ValueError(f"{where}: missing required key {key!r}")
+    return doc[key]
+
+
 def load_state(path) -> SpectralState:
     """Read a snapshot written by save_state; validates normalization."""
-    with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
+    doc = _load_json(path)
     if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
         raise ValueError(f"{path}: not a state snapshot")
     if doc.get("version") != SNAPSHOT_VERSION:
         raise ValueError(f"{path}: unsupported snapshot version {doc.get('version')}")
-    lat = TorusLattice(doc["L"], doc["M"])
-    if not isinstance(doc["data"], str):
+    lat = TorusLattice(_require(doc, "L", path), _require(doc, "M", path))
+    data = _require(doc, "data", path)
+    if not isinstance(data, str):
         raise ValueError(f"{path}: data must be a base64 string")
-    buf = np.frombuffer(base64.b64decode(doc["data"]), dtype="<f8")
+    buf = np.frombuffer(base64.b64decode(data), dtype="<f8")
     if buf.size != 2 * lat.size**3:
         raise ValueError(f"{path}: coefficient block has wrong length")
     if not np.all(np.isfinite(buf)):
         raise ValueError(f"{path}: coefficient block has non-finite values")
     alpha = np.empty(lat.size**3, dtype=complex)
     alpha[lat.order] = buf.view("<c16")  # the (re, im) pairs, bit for bit
-    state = SpectralState(lat, as_real(doc["rho"], "rho", positive=True),
-                          as_real(doc["t"], "t"), alpha.reshape(lat.shape))
+    state = SpectralState(lat, as_real(_require(doc, "rho", path), "rho", positive=True),
+                          as_real(_require(doc, "t", path), "t"), alpha.reshape(lat.shape))
     if not abs(state.mass - 1.0) <= 1e-9:  # a NaN mass fails too
         raise ValueError(f"{path}: snapshot mass {state.mass!r} deviates from 1")
     return state

@@ -21,8 +21,8 @@ from dataclasses import MISSING, dataclass, fields
 
 from . import diagnostics
 from .evolution import IntegratorConfig, Trajectory, check_run, evolve
-from .field import (FAMILY_PARAMS, STATE_FAMILIES, TorusLattice, as_mode,
-                    check_family_keys, load_state, make_state)
+from .field import (FAMILY_PARAMS, STATE_FAMILIES, TorusLattice, _load_json, _require,
+                    as_mode, check_family_keys, load_state, make_state)
 from .potential import as_bool, as_int, as_real, as_reals, make_potential
 
 __all__ = [
@@ -128,20 +128,6 @@ class ScanPlan:
         return params
 
 
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON ({exc})") from None
-
-
-def _require(doc, key, where):
-    if key not in doc:
-        raise ValueError(f"{where}: missing required key {key!r}")
-    return doc[key]
-
-
 def load_plan(path) -> ScanPlan:
     doc = _load_json(path)
     if not isinstance(doc, dict):
@@ -210,6 +196,8 @@ def run_config(cfg: dict, model, where: str = "config") -> Trajectory:
         path = params.pop("snapshot")
         if params:
             raise ValueError(f"{where}: a snapshot state takes no other keys {sorted(params)}")
+        if not isinstance(path, str):  # open() would read an int as a file descriptor
+            raise ValueError(f"{where}: snapshot must be a path string, got {path!r}")
         state = load_state(path)
         # a top-level rho, L or M must agree with the snapshot it would describe
         for key, have in (("rho", state.rho), ("L", state.lattice.L), ("M", state.lattice.M)):

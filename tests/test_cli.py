@@ -428,7 +428,9 @@ class TestSimulate:
         (lambda doc: with_coefficient(doc, -math.inf),
          "in.state: coefficient block has non-finite values"),
         (lambda doc: {**doc, "t": 1e16},
-         "the record clock cannot advance from t = 1e+16 by steps of dt = 0.001")])
+         "the record clock cannot advance from t = 1e+16 by steps of dt = 0.001"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "L"},
+         "in.state: missing required key 'L'")])
     def test_bad_snapshot_header(self, tmp_path, capsys, edit, message):
         snap = tmp_path / "in.state"
         save_state(make_state("plane_wave", TorusLattice(4.0, 1), 10.0), snap)
@@ -439,6 +441,34 @@ class TestSimulate:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", [b"{not json", b"\xff{}"], ids=["syntax", "not_utf8"])
+    def test_snapshot_not_json(self, tmp_path, capsys, text):
+        snap = tmp_path / "in.state"
+        snap.write_bytes(text)
+        cfg = write_config(tmp_path, state={"snapshot": str(snap)})
+        code = run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {snap}: invalid JSON (") and err.count("\n") == 1
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_missing_snapshot_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, state={"snapshot": str(tmp_path / "ghost.state")})
+        code = run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("io error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("path", [None, True, 0])
+    def test_snapshot_path_must_be_a_string(self, tmp_path, capsys, path):
+        # None used to raise a TypeError; open() reads an int, True included,
+        # as a file descriptor: 0 read the snapshot from stdin, True fd 1
+        cfg = write_config(tmp_path, state={"snapshot": path})
+        code = run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: snapshot must be a path string, got {path!r}\n")
 
     @pytest.mark.parametrize("key,value,message", [
         ("rho", 20.0, "rho = 20.0 disagrees with the snapshot's rho = 10.0"),
@@ -558,6 +588,16 @@ class TestBoundReport:
         assert doc["excitation_bound"] == pytest.approx(5.01)
         assert doc["quasi_vacuum_energy_bound"] == pytest.approx(0.01)
         assert capsys.readouterr().out == out.read_text()
+
+    def test_unknown_input_key(self, tmp_path, capsys):
+        path = self.inputs(tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "C_typo": 1e-3}))
+        out = tmp_path / "report.json"
+        assert run(["bound-report", "--inputs", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: unknown input keys ['C_typo']\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_missing_scalar(self, tmp_path, capsys):
         path = tmp_path / "inputs.json"
@@ -769,7 +809,8 @@ class TestScan:
 
 # Hostile values substituted for one key at a time: a top-level key of a
 # simulate config, scan plan or bound-report input, a potential or snapshot
-# key, a key of the simulate state block or of the plan's family_params.
+# key, a key of the simulate state block or of the plan's family_params, or
+# the path of a {"snapshot": path} state block.
 HOSTILE = (None, True, "x", [], {}, [1], -1, 0, 1e308, 1e-308, 5e-324,
            math.nan, math.inf, -math.inf)
 GAUSSIAN = {"family": "gaussian", "amplitude": 1.0, "sigma": 1.0,
@@ -794,11 +835,15 @@ SLOTS = ([("simulate", k) for k in SIMULATE] + [("plan", k) for k in PLAN]
          + [("potential", k) for k in (*GAUSSIAN, "C")]
          + [("snapshot", k) for k in SNAPSHOT_KEYS]
          + [("state", k) for k in ("family", "eps", "s", "seed", "theta", "k0")]
-         + [("family_params", k) for k in ("eps0", "s", "eps_rule", "k0", "theta")])
+         + [("family_params", k) for k in ("eps0", "s", "eps_rule", "k0", "theta")]
+         + [("snapshot_path", "snapshot")])
 # A tiny positive dt is left out: t_final / dt steps of it is a valid request
-# for an unbounded run (about 1e305 steps at dt = 1e-308), not a defect.
+# for an unbounded run (about 1e305 steps at dt = 1e-308), not a defect.  So
+# is the snapshot path "x": a missing file is the documented exit 1
+# (test_missing_snapshot_file).
 HOSTILE_CASES = [(doc, key, value) for doc, key in SLOTS for value in HOSTILE
-                 if not (key == "dt" and value in (1e-308, 5e-324))]
+                 if not (key == "dt" and value in (1e-308, 5e-324))
+                 and not (doc == "snapshot_path" and value == "x")]
 
 
 def _run_input(tmp, command, doc):
@@ -829,6 +874,8 @@ def _run_hostile(tmp, doc, key, value):
         cfg["state"] = {**SIMULATE["state"], key: value}
     elif doc == "simulate":
         cfg[key] = value
+    elif doc == "snapshot_path":
+        cfg["state"] = {key: value}
     else:
         snap = os.path.join(tmp, "in.state")
         save_state(make_state("plane_wave", TorusLattice(4.0, 1), 10.0), snap)

@@ -20,7 +20,6 @@ from torus_hartree import (
     TrajectoryContext,
     assumption_check,
     autocorrelation,
-    energy,
     energy_per_particle,
     energy_physical,
     envelope_audit,
@@ -61,8 +60,6 @@ class TestEnergy:
         expected = 4 * math.pi**2 / 16.0 + B_GAUSS / 2.0
         assert energy_per_particle(st, gaussian) == pytest.approx(
             expected, abs=1e-10)
-        assert energy(st, gaussian) == pytest.approx(
-            10.0 * 64.0 * expected, rel=1e-12)
 
     def test_two_mode_closed_form(self, gaussian):
         # escape mode at momentum ~17 makes its Vhat weight vanish, so
@@ -76,7 +73,7 @@ class TestEnergy:
 
     def test_spectral_route_matches_grid_quadrature(self, gaussian):
         st = random_state(TorusLattice(4.0, 3), rho=10.0, seed=44)
-        spectral = energy(st, gaussian)
+        spectral = st.rho * st.lattice.L**3 * energy_per_particle(st, gaussian)
         grid = energy_physical(st, gaussian)
         assert spectral == pytest.approx(grid, rel=1e-10)
 
@@ -571,15 +568,6 @@ class TestBoundCalculators:
                     + 2 * (0.7 + 2.0 * 1.2**3) * 0.2)
         assert quasi_vacuum_energy_bound(inputs) == pytest.approx(
             expected, rel=1e-14)
-
-    def test_quasi_vacuum_override_is_linear_in_e(self):
-        inputs = BoundInputs(n=0.0, e=0.5, h_xi=0.0, s_inf=0.0, d_inf=0.0,
-                             b=1.0, v2=0.0, rho=10.0, L=4.0)
-        base = quasi_vacuum_energy_bound(inputs, e=0.0)
-        assert quasi_vacuum_energy_bound(inputs, e=0.3) == pytest.approx(
-            base + 0.6, rel=1e-14)
-        assert quasi_vacuum_energy_bound(inputs) == pytest.approx(
-            base + 1.0, rel=1e-14)
 
     def test_inputs_validated(self):
         with pytest.raises(ValueError):

@@ -28,7 +28,6 @@ from torus_hartree import (
     autocorrelation,
     evolve,
     lifespan_guard,
-    lifespan_guard_value,
     make_record,
     make_state,
     picard_solve,
@@ -311,11 +310,6 @@ class TestLifespanGuard:
         w = 1.0 + 4 * math.pi**2 / 16.0
         assert lifespan_guard(moving, gaussian).guard == pytest.approx(
             lifespan_guard(rest, gaussian).guard / w**2, rel=1e-13)
-
-    def test_guard_value_scales_with_density(self, gaussian):
-        v = lifespan_guard_value(10.0, gaussian.b, 3.0)
-        assert lifespan_guard_value(20.0, gaussian.b, 3.0) == pytest.approx(
-            2.0 * v, rel=1e-15)
 
     def test_guard_independent_of_rho_for_normalized_states(self, gaussian):
         lat = TorusLattice(4.0, 2)

@@ -29,7 +29,6 @@ from torus_hartree import (
     t_sum,
     time_reversal,
     to_physical,
-    to_spectral,
     wiener_norm,
 )
 from torus_hartree.field import (_analyze, _dft_analysis, _dft_synthesis, _fast_len,
@@ -376,11 +375,6 @@ class TestPhysicalSpace:
         st_ = random_state(TorusLattice(4.0, 2), rho=10.0, seed=8)
         psi = to_physical(st_, g=2)
         assert float(np.mean(np.abs(psi) ** 2)) == pytest.approx(10.0, rel=1e-12)
-
-    def test_round_trip(self):
-        st_ = random_state(TorusLattice(4.0, 2), rho=10.0, seed=8)
-        back = to_spectral(to_physical(st_, g=2), st_.lattice, st_.rho)
-        np.testing.assert_allclose(back.alpha, st_.alpha, atol=1e-13)
 
     def test_plane_wave_is_uniform_density(self):
         st_ = make_state("plane_wave", TorusLattice(4.0, 2), 7.0, k0=(1, 1, 0))
