@@ -1,10 +1,10 @@
 """Command-line frontend.
 
 All numerics live in the library modules; this is a thin shell mapping
-subcommands to them.  Exit codes: 0 success, 1 IO error or a scan
-worker process that died, 2 invalid flags or config (unknown keys and
-non-finite numbers included), 3 verification failure or a numerical
-failure of the run (instability, Picard contraction or convergence).
+subcommands to them.  Exit codes: 0 success, 1 IO error, a scan worker
+process that died or memory exhaustion, 2 invalid flags or config
+(unknown keys and non-finite numbers included), 3 verification failure
+or a numerical failure (instability, Picard contraction or convergence).
 """
 
 from __future__ import annotations
@@ -358,6 +358,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -292,7 +292,7 @@ def _argmax_mode(lattice, a_abs):
 
 
 def _record_sums(state: SpectralState, context):
-    """make_record's lattice sums, from one ordered_sums gather: mass, l1 and
+    """make_record's lattice sums, from one ordered_sums call: mass, l1 and
     l2^2 deviation, tail_sum at ceil(M / 2), kinetic_tail at c = 1, kinetic
     energy, S, T and (with a context) the u mass; then k_star and |alpha(k_star)|.
     Each row is the per-site array of the function named, bit for bit, and

@@ -272,9 +272,9 @@ def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float
     returned iterate and costs no further kernel calls.  A solve that
     settles at q = 16 after k sweeps at q = 8 makes 8 k + 16 calls.
     The nodes, weights and matrices do not depend on t and are built once
-    per q; the ball and delta norms of all q nodes take one gather.  tau,
-    tol and max_iter are checked by IntegratorConfig, as evolve's picard
-    method checks them.
+    per q; the ball and delta norms of all q nodes take one ordered_sums
+    call.  tau, tol and max_iter are checked by IntegratorConfig, as
+    evolve's picard method checks them.
     """
     t = as_real(t_target, "t_target")
     if t < 0.0:
@@ -293,7 +293,7 @@ def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float
     def a2norm(arr):
         return lat.ordered_sum(w2 * np.abs(arr))
 
-    def max_a2norm(stack):  # the largest node's norm, from one gather
+    def max_a2norm(stack):  # the largest node's norm, from one ordered_sums call
         return max(lat.ordered_sums(w2 * np.abs(stack)))
 
     a0 = state.alpha

@@ -3,9 +3,9 @@
 The order parameter on the box [-L/2, L/2)^3 at density rho is carried
 as truncated Fourier coefficients alpha(n), |n|_inf <= M, normalized so
 that sum |alpha|^2 = 1 (the physical field is then sqrt(rho) times the
-unit-density synthesis).  All scalar reductions run in one fixed order,
-shells of |n|^2 then lexicographic, so results are bit-reproducible
-across runs and thread counts.
+unit-density synthesis).  Each lattice sum is one np.add.reduce over a
+contiguous array, in an order fixed by its length alone, so results are
+bit-reproducible across runs and thread counts.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class TorusLattice:
 
     @cached_property
     def order(self):
-        """Flat-index permutation: |n|^2 shells, then lexicographic n."""
+        """Snapshot order, a flat-index permutation: |n|^2 shells, then lexicographic n."""
         n = self.n1d
         g = np.broadcast_arrays(n[:, None, None], n[None, :, None],
                                 n[None, None, :])
@@ -124,25 +124,17 @@ class TorusLattice:
         return perm
 
     def ordered_sums(self, stack) -> list:
-        """Reduce each per-site array of a (k, ...) stack in the fixed
-        deterministic order.  Each row is its own np.add.reduce, bit for bit
-        the reduction of that array alone; one np.sum(..., axis=1) over the
-        gathered stack is not.  Rows are gathered a block at a time, each
-        block at most 2^14 values (one row if a row is longer): a small
-        lattice's stack takes one gather, and a large one's copy stays small.
-        (At M = 16, outside the CLI's heap policy, one 2.6 MB copy of nine
-        rows doubled the time of make_record's sums.)"""
+        """Sum each per-site array of a (k, ...) stack in C order.  Each row
+        is its own np.add.reduce over a contiguous array, bit for bit the
+        sum of that array alone; one np.sum(..., axis=1) over the stack is not."""
         v = np.asarray(stack)
         n = self.size**3
         if v.ndim < 1 or v.size != len(v) * n:
             raise ValueError("array does not match lattice size")
-        rows = v.reshape(len(v), n)
-        step = max(1, (1 << 14) // n)
-        return [float(np.add.reduce(r)) for i in range(0, len(rows), step)
-                for r in np.take(rows[i:i + step], self.order, 1)]
+        return [float(np.add.reduce(r)) for r in np.ascontiguousarray(v).reshape(len(v), n)]
 
     def ordered_sum(self, values) -> float:
-        """Reduce a per-site array in the fixed deterministic order."""
+        """Sum a per-site array as one row of ordered_sums."""
         return self.ordered_sums(np.asarray(values).reshape(1, -1))[0]
 
     def index_of(self, n):
@@ -188,9 +180,8 @@ class SpectralState:
 
     @property
     def mass(self) -> float:
-        """sum |alpha|^2 in the deterministic order (1 when normalized)."""
-        a = self.alpha
-        return self.lattice.ordered_sum(a.real**2 + a.imag**2)
+        """sum |alpha|^2 (1 when normalized), summed as make_record's mass."""
+        return self.lattice.ordered_sum(np.square(np.abs(self.alpha)))
 
     def with_alpha(self, alpha, t=None) -> "SpectralState":
         return SpectralState(self.lattice, self.rho,
@@ -596,7 +587,7 @@ def save_state(state: SpectralState, path, family=None, seed=None):
     """Write a snapshot: JSON header plus base64 coefficient block.
 
     Coefficients are little-endian float64 pairs (re, im) in the
-    deterministic lattice order.
+    lattice's shell-lex order.
     """
     lat = state.lattice
     flat = state.alpha.ravel()[lat.order]
@@ -640,8 +631,9 @@ def load_state(path) -> SpectralState:
     doc = _load_json(path)
     if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
         raise ValueError(f"{path}: not a state snapshot")
-    if doc.get("version") != SNAPSHOT_VERSION:
-        raise ValueError(f"{path}: unsupported snapshot version {doc.get('version')}")
+    version = doc.get("version")
+    if type(version) is not int or version != SNAPSHOT_VERSION:  # not True or 1.0
+        raise ValueError(f"{path}: unsupported snapshot version {version!r}")
     lat = TorusLattice(_require(doc, "L", path), _require(doc, "M", path))
     data = _require(doc, "data", path)
     if not isinstance(data, str):

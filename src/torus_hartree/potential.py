@@ -13,9 +13,9 @@ The model carries decay constants (C, delta1, delta2) certifying
     0 <= Vhat(p) <= C / (1 + |p|)**(3 + delta2)   for all p,
 
 on which the well-posedness guards downstream rely.  delta2 > 4 is
-required and enforced at construction.  The constructor computes the
-smallest constant satisfying both envelopes; it is C when none is
-supplied, and a supplied C below it is refused.
+required and enforced at construction.  C is always the smallest
+constant satisfying both envelopes, computed by the constructor: a
+larger one would only loosen the envelopes that the audit checks.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ class GaussianPotential:
     b and C must come out positive and finite.
     """
 
-    def __init__(self, amplitude=1.0, sigma=1.0, c=None, delta1=5.0, delta2=5.0):
+    def __init__(self, amplitude=1.0, sigma=1.0, delta1=5.0, delta2=5.0):
         self.amplitude = as_real(amplitude, "amplitude", positive=True)
         self.sigma = as_real(sigma, "sigma", positive=True)
         self.delta1 = as_real(delta1, "delta1", positive=True)
@@ -110,19 +110,10 @@ class GaussianPotential:
             # the contraction estimates need summable p^2 * Vhat tails
             raise ValueError(f"delta2 must exceed 4, got {self.delta2}")
         self.b = _positive_finite(self._integral, "potential integral b")
-        tight = _positive_finite(self._tight_decay_constant, "decay constant C")
-        self.C = tight if c is None else as_real(c, "C")
-        if self.C < tight:
-            raise ValueError(f"decay constant C = {self.C!r} is below the tight "
-                             f"constant {tight!r} for these settings")
+        self.C = _positive_finite(self._tight_decay_constant, "decay constant C")
 
     def _integral(self):
         return self.amplitude * (2.0 * math.pi * self.sigma**2) ** 1.5
-
-    def profile(self, r):
-        """Real-space radial profile V(|y|); vectorized in r."""
-        r = np.asarray(r, dtype=float)
-        return self.amplitude * np.exp(-(r * r) / (2.0 * self.sigma**2))
 
     def fourier_profile_radial(self, p):
         """Radial Fourier transform Vhat(|p|); vectorized in p."""
@@ -147,15 +138,15 @@ class GaussianPotential:
                 f"delta1={self.delta1:g}, delta2={self.delta2:g})")
 
 
-_GAUSSIAN_KEYS = {"amplitude", "sigma", "C", "delta1", "delta2"}
+_GAUSSIAN_KEYS = {"amplitude", "sigma", "delta1", "delta2"}
 
 
 def make_potential(config: dict) -> GaussianPotential:
     """Build a model from a JSON-style mapping with a ``family`` key.
 
     The one family is {"family": "gaussian", "amplitude": 1.0, "sigma":
-    1.0, "delta1": 5.0, "delta2": 5.0}; an optional "C" must be at least
-    the tight constant, which is used when C is absent.
+    1.0, "delta1": 5.0, "delta2": 5.0}; the decay constant C is not a
+    key, since the model always computes the tight one.
     """
     if not isinstance(config, dict) or "family" not in config:
         raise ValueError("potential config must be a mapping with a 'family' key")
@@ -167,8 +158,6 @@ def make_potential(config: dict) -> GaussianPotential:
     if extra:
         raise ValueError(f"unknown potential keys {sorted(extra)} for family "
                          f"{family!r}; allowed: {sorted(_GAUSSIAN_KEYS)}")
-    if "C" in kwargs:
-        kwargs["c"] = kwargs.pop("C")
     return GaussianPotential(**kwargs)
 
 

@@ -75,6 +75,8 @@ class ScanPlan:
         if not math.isfinite(self.kappa * self.L_values[-1]):
             raise ValueError(f"cutoff kappa * L = {self.kappa!r} * {self.L_values[-1]!r} "
                              "is beyond the float range")
+        for L in self.L_values:  # the lattice checks simulate applies to its L
+            TorusLattice(L, self.cutoff(L))
         # simulate's own run checks, so a plan fails at load on what simulate refuses
         self.t_final, self.stride = check_run(self.t_final, self.stride,
                                               IntegratorConfig(method=self.method, dt=self.dt),

@@ -316,7 +316,7 @@ class TestSimulate:
         ({"sigma": math.nan}, "sigma must be positive and finite"),
         ({"amplitude": math.inf}, "amplitude must be positive and finite"),
         ({"sigma": "1.0"}, "sigma must be positive and finite"),
-        ({"C": math.nan}, "C must be a finite number"),
+        ({"C": 16.0}, "unknown potential keys ['C']"),
         ({"delta2": math.nan}, "delta2 must be a finite number"),
         ({"family": "tabulated_radial", "radii": [0.0, 1.0, 2.0, 3.0],
           "values": [1.0, 0.5, 0.1, 0.0]},
@@ -335,15 +335,30 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
-    def test_decay_constant_below_tight(self, tmp_path, capsys):
-        # a too-small C would print envelopes that bound nothing
-        cfg = write_config(tmp_path, potential={"family": "gaussian", "C": 1e-3})
+    @pytest.mark.parametrize("c", [1e-3, 1e300])
+    def test_decay_constant_is_not_a_key(self, tmp_path, capsys, c):
+        # C is always the tight constant: a smaller one would bound nothing,
+        # a larger one would loosen the T envelope until it checks nothing
+        cfg = write_config(tmp_path, potential={"family": "gaussian", "C": c})
         code = run(["simulate", "--config", str(cfg),
                     "--out", str(tmp_path / "t.csv")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: decay constant C = 0.001 is below the tight constant")
+        assert err.startswith("error: unknown potential keys ['C'] for family 'gaussian'")
         assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_out_of_memory_is_one_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 119. GiB for an array")
+
+        monkeypatch.setattr(scan, "make_state", exhausted)
+        cfg = write_config(tmp_path)
+        code = run(["simulate", "--config", str(cfg),
+                    "--out", str(tmp_path / "t.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 119. GiB for an array\n")
         assert not (tmp_path / "t.csv").exists()
 
     @pytest.mark.parametrize("k0", [5, [1.5, 0, 0], [1, 2]])
@@ -430,7 +445,10 @@ class TestSimulate:
         (lambda doc: {**doc, "t": 1e16},
          "the record clock cannot advance from t = 1e+16 by steps of dt = 0.001"),
         (lambda doc: {k: v for k, v in doc.items() if k != "L"},
-         "in.state: missing required key 'L'")])
+         "in.state: missing required key 'L'"),
+        (lambda doc: {**doc, "version": True}, "in.state: unsupported snapshot version True"),
+        (lambda doc: {**doc, "version": 1.0}, "in.state: unsupported snapshot version 1.0"),
+        (lambda doc: {**doc, "version": "1"}, "in.state: unsupported snapshot version '1'")])
     def test_bad_snapshot_header(self, tmp_path, capsys, edit, message):
         snap = tmp_path / "in.state"
         save_state(make_state("plane_wave", TorusLattice(4.0, 1), 10.0), snap)
@@ -718,21 +736,24 @@ class TestScan:
         ({"rho_values": [10.0, 10.000001]},
          "rho_values 10.0 and 10.000001 share the trajectory file name spelling 10"),
         ({"L_values": [2.0, 3.0, 3.0000001]},
-         "L_values 3.0 and 3.0000001 share the trajectory file name spelling 3")])
+         "L_values 3.0 and 3.0000001 share the trajectory file name spelling 3"),
+        ({"L_values": [1e-170, 2.0]},
+         "4 pi^2 / L^2 at L = 1e-170 is beyond the float range"),
+        ({"L_values": [2.0, 1e103]}, "L^3 at L = 1e+103 is beyond the float range")])
     def test_invalid_plan_writes_nothing(self, tmp_path, capsys, overrides, message):
         assert run(["scan", "--plan", str(self.plan(tmp_path, **overrides)),
                     "--out", str(tmp_path / "scan")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "scan").exists()
 
-    def test_decay_constant_below_tight(self, tmp_path, capsys):
-        plan = self.plan(tmp_path, potential={"family": "gaussian", "C": 1e-3})
-        out = tmp_path / "scan"
-        assert run(["scan", "--plan", str(plan), "--out", str(out)]) == 2
+    @pytest.mark.parametrize("c", [1e-3, 1e300])
+    def test_decay_constant_is_not_a_key(self, tmp_path, capsys, c):
+        plan = self.plan(tmp_path, potential={"family": "gaussian", "C": c})
+        assert run(["scan", "--plan", str(plan), "--out", str(tmp_path / "scan")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: decay constant C = 0.001 is below the tight constant")
+        assert err.startswith("error: unknown potential keys ['C'] for family 'gaussian'")
         assert err.count("\n") == 1
-        assert not (out / "table.csv").exists()
+        assert list(tmp_path.iterdir()) == [plan]
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one(self, tmp_path, capsys, workers):

@@ -267,6 +267,20 @@ class TestRecordSums:
                 assert repr(make_record(st, gaussian, c)) == repr(
                     record_reference(st, gaussian, c))
 
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    def test_public_sums_equal_the_record_bit_for_bit(self, gaussian, m):
+        # one per-site formula per number: the state's mass and the public
+        # sums are the record's fields, not the same value at another rounding
+        lat = TorusLattice(4.0, m)
+        perturbed = make_state("perturbed", lat, 10.0, k0=(1, 0, -1), eps=0.2, s=3.0, seed=m)
+        for seed in range(10):
+            for st in (random_state(lat, 10.0, seed=seed),
+                       perturbed.with_alpha(perturbed.alpha * np.exp(0.1j * seed))):
+                rec = make_record(st, gaussian)
+                assert (st.mass, s_sum(st), t_sum(st), tail_sum(st, math.ceil(m / 2)),
+                        kinetic_tail(st)) == (rec.mass, rec.S, rec.T, rec.tail_half_M,
+                                              rec.kinetic_tail)
+
 
 def direct_route(state, model):
     """Energy per particle and beta_gap from the explicit shifted-sum beta

@@ -16,12 +16,17 @@ from scipy.fft import next_fast_len
 
 from torus_hartree import (
     GaussianPotential,
+    IntegratorConfig,
     SpectralState,
     TorusLattice,
     autocorrelation,
     difference_lattice,
+    evolve,
+    lifespan_guard,
     load_state,
+    make_record,
     make_state,
+    picard_solve,
     pointwise_product,
     random_state,
     s_sum,
@@ -547,6 +552,19 @@ class TestTimeReversal:
 
 
 class TestSnapshots:
+    def test_only_snapshot_io_builds_the_shell_lex_order(self, tmp_path):
+        # sums reduce the array they are given; the shell-lex order is the
+        # snapshot's file order and nothing else
+        model = GaussianPotential()
+        lat = TorusLattice(4.0, 2)
+        st_ = make_state("perturbed", lat, 10.0, eps=0.1, s=5.0, seed=3)
+        evolve(st_, model, 3e-3, IntegratorConfig(dt=1e-3), stride=1)
+        make_record(st_, model)
+        picard_solve(st_, model, 0.1 * lifespan_guard(st_, model).guard)
+        assert "order" not in lat.__dict__
+        save_state(st_, tmp_path / "state.json")
+        assert "order" in lat.__dict__
+
     def test_round_trip_bit_exact(self, tmp_path):
         st_ = make_state("perturbed", TorusLattice(4.0, 2), 10.0,
                          eps=0.1, s=5.0, seed=31)

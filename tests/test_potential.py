@@ -72,9 +72,11 @@ class TestGaussian:
 
     def test_rejects_non_finite_parameters(self):
         for bad in (math.nan, math.inf, -math.inf, 10**400, "1.0", [1.0], True):
-            for name in ("amplitude", "sigma", "C", "delta1", "delta2"):
+            for name in ("amplitude", "sigma", "delta1", "delta2"):
                 with pytest.raises(ValueError, match=f"{name} must be"):
                     make_potential({"family": "gaussian", name: bad})
+            with pytest.raises(ValueError, match=re.escape("unknown potential keys ['C']")):
+                make_potential({"family": "gaussian", "C": bad})
 
     @pytest.mark.parametrize("params,message", [
         ({"sigma": 1e200}, "potential integral b is beyond the float range"),
@@ -103,14 +105,11 @@ class TestGaussian:
         assert gaussian.C == pytest.approx(product_form, rel=1e-13, abs=0.0)
 
     @settings(max_examples=400, deadline=None)
-    @given(amplitude=ANY_FLOAT, sigma=ANY_FLOAT, c=st.none() | ANY_FLOAT,
-           delta1=ANY_FLOAT, delta2=ANY_FLOAT)
-    def test_any_float_parameters_give_finite_constants(self, amplitude, sigma, c,
+    @given(amplitude=ANY_FLOAT, sigma=ANY_FLOAT, delta1=ANY_FLOAT, delta2=ANY_FLOAT)
+    def test_any_float_parameters_give_finite_constants(self, amplitude, sigma,
                                                         delta1, delta2):
         config = {"family": "gaussian", "amplitude": amplitude, "sigma": sigma,
                   "delta1": delta1, "delta2": delta2}
-        if c is not None:
-            config["C"] = c
         try:
             model = make_potential(config)
         except ValueError:
@@ -125,26 +124,6 @@ class TestDecayEnvelope:
         p = np.linspace(0.0, 12.0, 2_000_001)
         scanned = np.max((1.0 + p) ** 8 * gaussian.fourier_profile_radial(p))
         assert gaussian.C == pytest.approx(scanned, rel=1e-8)
-
-    def test_small_constant_fails_fourier_side(self):
-        # C = 16 parses but cannot dominate the transform (sup is ~1.6e4)
-        with pytest.raises(ValueError, match="C = 16.0 is below the tight constant"):
-            GaussianPotential(c=16.0)
-
-    def test_tiny_constant_fails_at_origin(self):
-        # V(0) = 1 alone exceeds C = 0.1
-        with pytest.raises(ValueError, match="C = 0.1 is below the tight constant"):
-            GaussianPotential(c=0.1)
-
-    @pytest.mark.parametrize("params", [{}, {"amplitude": 2.0, "sigma": 0.5}],
-                             ids=["gaussian", "narrow_gaussian"])
-    def test_constant_just_below_tight_is_refused(self, params):
-        tight = GaussianPotential(**params).C
-        below = np.nextafter(tight, 0.0)
-        with pytest.raises(ValueError, match=re.escape(
-                f"C = {float(below)!r} is below the tight constant {tight!r}")):
-            GaussianPotential(c=below, **params)
-        assert GaussianPotential(c=tight, **params).C == tight
 
     def test_integrability_exponent_is_validated(self):
         with pytest.raises(ValueError):
@@ -257,10 +236,6 @@ class TestFactory:
                                 "sigma": 1.5})
         assert isinstance(model, GaussianPotential)
         assert model.amplitude == 2.0 and model.sigma == 1.5
-
-    def test_explicit_decay_constant_is_forwarded(self):
-        model = make_potential({"family": "gaussian", "C": 2e4})
-        assert model.C == 2e4
 
     def test_unknown_family(self):
         # the tabulated family of earlier versions is refused like any other name
