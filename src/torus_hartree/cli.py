@@ -4,7 +4,9 @@ All numerics live in the library modules; this is a thin shell mapping
 subcommands to them.  Exit codes: 0 success, 1 IO error, a scan worker
 process that died or memory exhaustion, 2 invalid flags or config
 (unknown keys and non-finite numbers included), 3 verification failure
-or a numerical failure (instability, Picard contraction or convergence).
+or a numerical failure (instability, Picard contraction or convergence),
+or a scan with any row whose status is not ok (its table.csv and
+summary.json are written first).
 """
 
 from __future__ import annotations
@@ -162,6 +164,10 @@ def _cmd_scan(args):
     for rec in records:
         if rec.status != "ok":
             print(f"  rho={rec.rho:g} L={rec.L:g}: {rec.status}")
+    if failed:
+        print(f"error: {failed} of {len(records)} scan points did not run ok",
+              file=sys.stderr)
+        return EXIT_VERIFY
     return EXIT_OK
 
 

@@ -261,16 +261,16 @@ def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float
     Duhamel map reads g = alpha0 - i int_0^t exp(i omega s) NL(alpha(s)) ds.
     The integral is evaluated on Gauss-Legendre nodes through the exact
     integration matrix of the degree q-1 interpolant, with q doubling
-    until the endpoint moves by less than 0.1 tol.  The q = 8 pass starts
-    at the free flight (g = alpha0); each doubled pass starts from the
-    previous pass's solution, interpolated to its nodes.  Every iterate,
-    the interpolated starts included, must stay inside the contraction
-    ball of radius tau times the initial A^2 norm.
+    until the endpoint moves by less than 0.1 tol (q = 4, 8, 16, 32, 64).
+    The q = 4 pass starts at the free flight (g = alpha0); each doubled
+    pass starts from the previous pass's solution, interpolated to its
+    nodes.  Every iterate, the interpolated starts included, must stay
+    inside the contraction ball of radius tau times the initial A^2 norm.
 
     A pass's endpoint is the Gauss quadrature of the node terms of its
     converging sweep, so it belongs to the collocation polynomial of the
     returned iterate and costs no further kernel calls.  A solve that
-    settles at q = 16 after k sweeps at q = 8 makes 8 k + 16 calls.
+    settles at q = 8 after k sweeps at q = 4 makes 4 k + 8 calls.
     The nodes, weights and matrices do not depend on t and are built once
     per q; the ball and delta norms of all q nodes take one ordered_sums
     call.  tau, tol and max_iter are checked by IntegratorConfig, as
@@ -307,7 +307,7 @@ def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float
                 f"{ball:.6g} (tau = {tau})")
 
     prev_end = None
-    for q in (8, 16, 32, 64):
+    for q in (4, 8, 16, 32, 64):
         nodes, weights, S = _quadrature(q)
         Q = (0.5 * t) * S
         # node axis first: rot[i] = exp(i omega s_i), g[i] is the iterate at s_i

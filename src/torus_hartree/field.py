@@ -114,12 +114,9 @@ class TorusLattice:
 
     @cached_property
     def order(self):
-        """Snapshot order, a flat-index permutation: |n|^2 shells, then lexicographic n."""
-        n = self.n1d
-        g = np.broadcast_arrays(n[:, None, None], n[None, :, None],
-                                n[None, None, :])
-        perm = np.lexsort((g[2].ravel(), g[1].ravel(), g[0].ravel(),
-                           self.norm_sq.ravel()))
+        """Snapshot order, a flat-index permutation: |n|^2 shells, then
+        lexicographic n, which is C order, so one stable sort by |n|^2 gives it."""
+        perm = np.argsort(self.norm_sq.ravel(), kind="stable")
         perm.setflags(write=False)
         return perm
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import multiprocessing
 import os
 import time
 from dataclasses import MISSING, dataclass, fields
@@ -282,9 +281,11 @@ def run_scan(plan: ScanPlan, out_dir=None, workers: int = 1) -> list:
     workers = as_int(workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
-        raise ValueError("workers > 1 needs the fork start method, "
-                         "which this platform does not offer")
+    if workers > 1:
+        import multiprocessing  # here, so that a one-worker run does not pay its import
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise ValueError("workers > 1 needs the fork start method, "
+                             "which this platform does not offer")
     model = make_potential(plan.potential)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

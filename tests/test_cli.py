@@ -667,10 +667,12 @@ class TestScan:
         plan = self.plan(tmp_path, family_params={
             "eps0": 0.1, "s": 6.0, "k0": [5, 0, 0]})
         out = tmp_path / "scan"
-        assert run(["scan", "--plan", str(plan), "--out", str(out)]) == 0
-        text = capsys.readouterr().out
+        assert run(["scan", "--plan", str(plan), "--out", str(out)]) == 3
+        text, err = capsys.readouterr()
         assert "2 failed" in text
         assert "rho=1 L=2: failed:" in text
+        assert err == "error: 2 of 2 scan points did not run ok\n"
+        assert (out / "table.csv").exists() and (out / "summary.json").exists()
 
     def test_bad_plan_key(self, tmp_path, capsys):
         assert run(["scan", "--plan", str(self.plan(tmp_path, typo=1)),

@@ -77,7 +77,7 @@ def picard_per_node(state, model, t, tau=1.5, tol=1e-10, max_iter=100):
     a0 = state.alpha
     ball = tau * a2norm(a0)
     prev_end = None
-    for q in (8, 16, 32, 64):
+    for q in (4, 8, 16, 32, 64):
         nodes, weights = leggauss(q)  # built here, not taken from picard_solve's cache
         Q = 0.5 * t * _integration_matrix(nodes)
         rot = [np.exp(1j * s * omega) for s in 0.5 * t * (nodes + 1.0)]
@@ -370,7 +370,7 @@ class TestPicard:
         for k in range(q):
             np.testing.assert_allclose(P @ u**k, new_u**k, rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("q", [8, 16, 32, 64])
+    @pytest.mark.parametrize("q", [4, 8, 16, 32, 64])
     def test_quadrature_cache_is_read_only_and_uncached_equal(self, q):
         # picard_solve's per-q data equals a fresh build, bit for bit, and
         # cannot be written through, so no solve can corrupt the next one
@@ -387,10 +387,9 @@ class TestPicard:
             with pytest.raises(ValueError, match="read-only"):
                 cached[0] = 0.0
 
-    def test_doubled_passes_start_warm(self, gaussian, monkeypatch):
-        # q = 8 sweeps from the free flight; q = 16 starts from its solution
-        # and settles in one sweep, and each endpoint reuses its pass's last
-        # sweep: 8 sweeps + 16 * 1 kernel calls
+    @staticmethod
+    def count_calls(monkeypatch):
+        # the list gets one entry per kernel.nonlinear call
         calls = []
         nonlinear = _Kernel.nonlinear
 
@@ -399,6 +398,13 @@ class TestPicard:
             return nonlinear(kernel, alpha)
 
         monkeypatch.setattr(_Kernel, "nonlinear", counted)
+        return calls
+
+    def test_doubled_passes_start_warm(self, gaussian, monkeypatch):
+        # q = 4 sweeps from the free flight; q = 8 starts from its solution
+        # and settles in one sweep, and each endpoint reuses its pass's last
+        # sweep: 4 sweeps + 8 * 1 kernel calls
+        calls = self.count_calls(monkeypatch)
         st = quasi_condensate(m=3, eps=0.05)
         guard = lifespan_guard(st, gaussian).guard
         counts = []
@@ -406,7 +412,28 @@ class TestPicard:
             calls.clear()
             picard_solve(st, gaussian, frac * guard)
             counts.append(len(calls))
-        assert counts == [48, 56, 56, 64]
+        assert counts == [24, 28, 28, 32]
+
+    def test_tight_tolerance_climbs_the_ladder(self, gaussian, monkeypatch):
+        # near the guard and at tol = 1e-14 the q = 4 and 8 endpoints differ
+        # by more than 0.1 tol, so the solve goes on to q = 16 and 32; a
+        # _doubling build asks for no q above the pass that needs it, so the
+        # largest q asked for is the top pass
+        calls = self.count_calls(monkeypatch)
+        rungs = []
+        quadrature = evolution._quadrature
+
+        def recorded(q):
+            rungs.append(q)
+            return quadrature(q)
+
+        monkeypatch.setattr(evolution, "_quadrature", recorded)
+        st = quasi_condensate(m=3, eps=0.05)
+        t = 0.9 * lifespan_guard(st, gaussian).guard
+        out = picard_solve(st, gaussian, t, tol=1e-14)
+        assert rungs[0] == 4 and max(rungs) == 32
+        assert len(calls) == 116
+        assert np.max(np.abs(out.alpha - picard_per_node(st, gaussian, t, tol=1e-14))) <= 1e-14
 
     def test_bit_identical_across_blas_threads(self):
         src = os.path.dirname(os.path.dirname(torus_hartree.__file__))

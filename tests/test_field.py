@@ -90,6 +90,15 @@ class TestLattice:
         np.testing.assert_array_equal(ordered[0], [0, 0, 0])
         np.testing.assert_array_equal(ordered[1], [-1, 0, 0])
 
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_order_equals_the_four_key_lexsort(self, m):
+        # the stable sort by |n|^2 is the permutation of a lexsort on
+        # (|n|^2, n_0, n_1, n_2), so snapshot bytes do not move
+        lat = TorusLattice(4.0, m)
+        g = np.broadcast_arrays(*np.ix_(lat.n1d, lat.n1d, lat.n1d))
+        keys = (g[2].ravel(), g[1].ravel(), g[0].ravel(), lat.norm_sq.ravel())
+        assert np.array_equal(lat.order, np.lexsort(keys))
+
     def test_ordered_sum_matches_fsum(self, rng):
         lat = TorusLattice(4.0, 3)
         x = rng.normal(size=lat.shape)
