@@ -74,8 +74,11 @@ def _interaction_and_beta_gap(state: SpectralState, model: GaussianPotential):
     interaction = 0.5 * float(np.sum(conv)) / n
     beta0 = float(np.sum(dens)) / n
     dens -= beta0
-    gap = float(np.sum(np.square(dens, out=dens))) / n + abs(beta0 * beta0 - 1.0)
-    return interaction, gap
+    # carry beta0's rounding as the residual mean r, so the gap keeps its digits near 0
+    r = float(np.sum(dens)) / n
+    off = (beta0 - 1.0) + r
+    variance = float(np.sum(np.square(dens, out=dens))) / n - r * r
+    return interaction, variance + abs(off * (2.0 + off))
 
 
 def energy_per_particle(state: SpectralState, model: GaussianPotential) -> float:

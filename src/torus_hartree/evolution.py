@@ -315,7 +315,7 @@ def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float
         if prev_end is None:
             g = np.array([a0] * q)
         else:
-            g = np.tensordot(_doubling(q // 2), g, 1)
+            g = (_doubling(q // 2) @ g.reshape(q // 2, -1)).reshape(q, *lat.shape)
             check_ball(g)
 
         def node_terms(g):
@@ -324,7 +324,7 @@ def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float
 
         for _ in range(max_iter):
             h = node_terms(g)
-            g_new = a0 - 1j * np.tensordot(Q, h, 1)
+            g_new = a0 - 1j * (Q @ h.reshape(q, -1)).reshape(q, *lat.shape)
             delta = max_a2norm(g_new - g)
             g = g_new
             check_ball(g)

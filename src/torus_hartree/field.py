@@ -249,27 +249,26 @@ def _synthesize(alpha, F):
     """G^3 ifftn of the (n, n, n) array alpha embedded at its modes' grid
     indices, for the (G, n) synthesis matrix F of _dft_synthesis.
 
-    Pruned (FFTW's "pruned FFTs"): one axis at a time, each a matrix
-    product (BLAS zgemm) that maps only the n = 2M+1 rows that can be
-    nonzero.  At these sizes three products beat three pocketfft passes:
-    each scipy.fft call costs ~15-20 us of overhead even on a 14^3 grid,
-    and each pass would transform rows of which about half are padding.
-    With F from the lattice's M this is the unit-density field of alpha
-    on the grid x_j = j L / G.
+    Pruned (FFTW's "pruned FFTs"): each product F @ f.reshape(-1, n).T maps
+    only the n = 2M+1 modes of the last axis and puts its grid axis first,
+    so three whole-array products (3 BLAS calls; F on the left, as the tall
+    f.reshape(n, -1).T @ F.T is slower) end in C order.  With F from the
+    lattice's M this is the unit-density field of alpha on x_j = j L / G.
     """
     G, n = F.shape
-    f = (F @ alpha.reshape(n, n * n)).reshape(G, n, n)
-    f = np.matmul(F, f)  # (G, G, n): F times each (n, n) slab
-    return (f.reshape(G * G, n) @ F.T).reshape(G, G, G)
+    f = alpha
+    for _ in range(3):
+        f = F @ f.reshape(-1, n).T
+    return f.reshape(G, G, G)
 
 
 def _analyze(f, A):
     """fftn(f)[modes] / G^3 for a G^3 grid array f and the (n, G) analysis
-    matrix A of _dft_analysis: _synthesize's products in mirror order."""
+    matrix A of _dft_analysis: _synthesize's three products, with A."""
     n, G = A.shape
-    f = (f.reshape(G * G, G) @ A.T).reshape(G, G, n)
-    f = np.matmul(A, f)  # (G, n, n): A times each (G, n) slab
-    return (A @ f.reshape(G, n * n)).reshape(n, n, n)
+    for _ in range(3):
+        f = A @ f.reshape(-1, G).T
+    return f.reshape(n, n, n)
 
 
 class _Kernel:
@@ -282,10 +281,8 @@ class _Kernel:
     evaluated on one axis only.
 
     field and crop are the module's pruned transforms _synthesize and
-    _analyze, three BLAS matrix products each against the read-only DFT
-    pair F = _dft_synthesis(M, G), A = _dft_analysis(F), built here once
-    per kernel; they map only the 2M+1 modes of each axis, so no call
-    pays for padding rows or per-axis FFT overhead.
+    _analyze, against the read-only DFT pair F = _dft_synthesis(M, G),
+    A = _dft_analysis(F), built here once per kernel.
 
     The Gaussian's Vhat(2 pi k / L) = b g(k1) g(k2) g(k3), and the box
     |k|_inf <= 2M factors by axis too, so the density convolution is
@@ -331,9 +328,9 @@ class _Kernel:
         overwrite; phi is the unit-density field."""
         dens = np.square(phi.real)
         dens += np.square(phi.imag)
-        # Axis 0, then 2, then 1, ping-ponging between two G^3 buffers: one
-        # C @ dens.reshape(G, G^2) gives bits that vary with the BLAS
-        # thread count at G >= 35, this order does not (checked to G = 98).
+        # Axis 0, then 2, then 1, ping-ponging between two G^3 buffers: as left
+        # products C @ y.reshape(-1, G).T the bits vary with the BLAS thread count
+        # at G >= 35, and as tall y.reshape(G, -1).T @ C it is slower at M >= 8.
         G = self.G
         y = np.matmul(self.bC, dens.transpose(1, 0, 2))  # (j, i', k)
         np.matmul(y.reshape(G * G, G), self.C, out=dens.reshape(G * G, G))  # (j, i', k')

@@ -17,9 +17,6 @@ settings.load_profile("deterministic")
 _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
 set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
-# V-hat(0) for the unit gaussian, (2 pi)^{3/2}; frozen reference value
-B_GAUSS = 15.749609945722419
-
 
 @pytest.fixture(scope="session")
 def gaussian():

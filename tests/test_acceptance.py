@@ -36,7 +36,7 @@ from torus_hartree import (
 )
 from torus_hartree.scan import _trajectory_filename
 
-from conftest import B_GAUSS
+from hartree_reference import B_GAUSS
 
 
 def test_01_mass_and_energy_conservation(gaussian):

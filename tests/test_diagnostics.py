@@ -49,7 +49,7 @@ from torus_hartree.diagnostics import (
 from torus_hartree.field import _get_kernel
 from torus_hartree.potential import vhat_grid
 
-from conftest import B_GAUSS
+from hartree_reference import B_GAUSS
 
 
 class TestEnergy:
@@ -336,6 +336,14 @@ class TestRecordOracle:
         assert rec.energy_per_particle == pytest.approx(epp, rel=1e-14, abs=0.0)
         assert rec.beta_gap == pytest.approx(exact_parseval_gap(st, gaussian),
                                              rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 6])
+    def test_near_condensate_gap_keeps_its_digits(self, gaussian, m):
+        # the gap is ~1e-6 here, so one rounding of beta(0) would cost ~1e-10 of it
+        st = make_state("perturbed", TorusLattice(float(m), m), 10.0,
+                        eps=1e-3, s=3.0, seed=m)
+        assert make_record(st, gaussian).beta_gap == pytest.approx(
+            exact_parseval_gap(st, gaussian), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     @pytest.mark.parametrize("rho", [1.0, 10.0, 1e3, 1e6])

@@ -52,7 +52,7 @@ from torus_hartree.evolution import (
 )
 from torus_hartree.potential import vhat_grid
 
-from conftest import B_GAUSS
+from hartree_reference import B_GAUSS
 
 
 def quasi_condensate(m=2, L=4.0, rho=10.0, eps=0.1, s=6.0, seed=1):

@@ -23,7 +23,7 @@ from torus_hartree import (
 from torus_hartree.field import _get_kernel, _Kernel
 from torus_hartree.potential import vhat_grid
 
-from conftest import B_GAUSS
+from hartree_reference import B_GAUSS
 
 
 # every float, NaN, infinities and subnormals included, with positive values drawn
