@@ -55,16 +55,17 @@ class EnvelopeDomainError(ValueError):
 
 def _interaction_and_beta_gap(state: SpectralState, model: GaussianPotential):
     """Interaction energy per particle and beta_gap from one synthesis on
-    the integrator's grid.
+    the kernel's record grid.
 
-    The kernel grid (G >= 4M+2) resolves the density |phi|^2 of the
+    The record grid (G >= 4M+2) resolves the density |phi|^2 of the
     unit-density field without aliasing, so beta = fftn(|phi|^2) / G^3 is
     the exact autocorrelation, and no spectrum is needed.  The interaction
-    takes the step's own convolution: half sum_k Vhat |beta|^2 is
-    sum(|phi|^2 conv) / (2 G^3).  By Parseval, beta(0) = sum |phi|^2 / G^3
-    and sum_{k != 0} |beta|^2 = sum (|phi|^2 - beta(0))^2 / G^3.
+    takes the step's circulant convolution on this grid: half
+    sum_k Vhat |beta|^2 is sum(|phi|^2 conv) / (2 G^3).  By Parseval,
+    beta(0) = sum |phi|^2 / G^3 and sum_{k != 0} |beta|^2 =
+    sum (|phi|^2 - beta(0))^2 / G^3.
     """
-    kernel = _get_kernel(model, state.lattice)
+    kernel = _get_kernel(model, state.lattice).record
     phi = kernel.field(state.alpha)
     conv = kernel.convolved_density(phi)
     dens = np.square(phi.real)

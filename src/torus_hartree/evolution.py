@@ -94,7 +94,7 @@ class IntegratorConfig:
 def rhs(state: SpectralState, model: GaussianPotential, method: str = "fft"):
     """d alpha / dt as a complex array on the lattice.
 
-    'fft' computes the nonlinearity pseudospectrally on the padded kernel
+    'fft' computes the nonlinearity pseudospectrally on the kernel's step
     grid; 'direct' performs the explicit double sum through the
     autocorrelation and serves as the oracle.
     """

@@ -271,49 +271,96 @@ def _analyze(f, A):
     return f.reshape(n, n, n)
 
 
+def _bandwidth(g) -> int:
+    """The least k <= 2M whose dropped Gaussian weight is at roundoff, for
+    the axis profile g[f] = Vhat(2 pi f / L) / b on f = 0..2M.
+
+    With a = sum_{|f|<=k} g(f) and d = sum_{k<|f|<=2M} g(f), the weight
+    that the box |k|_inf <= k drops from |k|_inf <= 2M is (a+d)^3 - a^3,
+    taken in its tail form d (3a^2 + 3ad + d^2): the difference of cubes
+    cancels in float64.  The least k with that weight <= 2^-53 is K.
+    """
+    two_sided = np.concatenate([g[:1], 2.0 * g[1:]])  # weight of |f| = k
+    a = np.cumsum(two_sided)
+    d = np.append(np.cumsum(two_sided[:0:-1])[::-1], 0.0)  # the tail, smallest terms first
+    return int(np.argmax(d * (3.0 * a * a + 3.0 * a * d + d * d) <= 2.0**-53))
+
+
 class _Kernel:
     """DFT matrices and a circulant for one (lattice, Gaussian model)
     combination: its transforms and convolution are matrix products, not FFTs.
 
-    The grid has at least 4M+2 points per axis, which makes the projected
-    nonlinear term and the quartic energy exact for cutoff-M data.  Vhat
-    is 0 beyond |k|_inf = 2M, which no cutoff-M density reaches, and is
-    evaluated on one axis only.
+    The Gaussian's Vhat(2 pi k / L) = b g(k1) g(k2) g(k3), and the box
+    |k|_inf <= K factors by axis too, so the density convolution is
+    b (C x C x C) applied to the density: three real matrix products
+    against the symmetric circulant C whose first column is ifft(g), g
+    set to 0 beyond K.  By Maxwell's theorem no other radial Vhat factors
+    by axis, which is why the Gaussian is the one potential family.
+
+    The step grid.  K = _bandwidth(g) <= 2M is the least bandwidth whose
+    dropped Gaussian weight is at most 2^-53; since |beta_k| <= beta_0 = 1,
+    the dropped part of V * |phi|^2 is at most 2^-53 b in sup norm, the
+    rounding the convolution makes anyway.  The grid density is exact on
+    |k|_inf <= K once G >= 2M + K + 1 (the aliases of cutoff-2M modes land
+    beyond K, where g is 0), and the crop of a product with modes <= M + K
+    onto |k|_inf <= M is alias-free on the same G.  So the step, Picard's
+    nonlinear term and rhs take G = _fast_len(2M + K + 1), or
+    _fast_len(4M + 2) when K = 2M.  Vhat is evaluated once, at f = 0..2M.
+
+    The record grid.  beta_gap sums |beta_k|^2 over all |k|_inf <= 2M by
+    Parseval, which needs G >= 4M + 1, so records take record: a second
+    kernel with K = 2M on the _fast_len(4M + 2) grid, built from this
+    one's g on first use, and this kernel itself when K = 2M.
 
     field and crop are the module's pruned transforms _synthesize and
     _analyze, against the read-only DFT pair F = _dft_synthesis(M, G),
-    A = _dft_analysis(F), built here once per kernel.
-
-    The Gaussian's Vhat(2 pi k / L) = b g(k1) g(k2) g(k3), and the box
-    |k|_inf <= 2M factors by axis too, so the density convolution is
-    b (C x C x C) applied to the density: three real matrix products
-    against the symmetric circulant C whose first column is ifft(g).  By
-    Maxwell's theorem no other radial Vhat factors by axis, which is why
-    the Gaussian is the one potential family.  The step and the record's
-    energy both take this convolution.  The kernel keeps no scratch
-    buffers, so threads of one process may share it: each call allocates
-    its own.  (Scan worker processes each build their own kernels.)
+    A = _dft_analysis(F), built here once per kernel.  The kernel keeps
+    no scratch buffers and not its model, so threads of one process may
+    share it (each call allocates its own) and it dies with the model.
+    (Scan worker processes each build their own kernels.)
     """
 
-    def __init__(self, lattice: TorusLattice, model: GaussianPotential):
+    def __init__(self, lattice: TorusLattice, source: GaussianPotential | _Kernel):
+        """source is the Gaussian model, or the step kernel whose record
+        grid this is, which passes on its b and g."""
         self.lattice = lattice
-        self.G = G = _fast_len(2 * lattice.size)
-        self.F = _dft_synthesis(lattice.M, G)
+        M = lattice.M
+        if isinstance(source, _Kernel):
+            self.b, self.g, self.K = source.b, source.g, 2 * M
+        else:
+            # g(f) = Vhat(2 pi f / L) / b on f = 0..2M, the one Vhat evaluation
+            self.b = source.b
+            self.g = source.fourier_profile_radial(
+                (2.0 * math.pi / float(lattice.L)) * np.arange(2 * M + 1.0)) / source.b
+            self.g.setflags(write=False)
+            self.K = _bandwidth(self.g)
+        K = self.K
+        self.G = G = _fast_len(4 * M + 2 if K == 2 * M else 2 * M + K + 1)
+        self.F = _dft_synthesis(M, G)
         self.A = _dft_analysis(self.F)
-        # g(f) = Vhat(2 pi |f| / L) / b on the grid frequencies, 0 beyond 2M
-        f = np.fft.fftfreq(G, 1.0 / G)
-        g, inside = np.zeros(G), np.abs(f) <= 2 * lattice.M
-        g[inside] = model.fourier_profile_radial((2.0 * math.pi / float(lattice.L))
-                                                 * np.abs(f[inside]))
-        column = np.fft.ifft(g / model.b).real
+        # g on the grid frequencies, 0 beyond K
+        f = np.minimum(np.arange(G), G - np.arange(G))
+        column = np.fft.ifft(np.where(f <= K, self.g[np.minimum(f, K)], 0.0)).real
         # g is even, so its column is too; mirror it exactly so C = C.T bit for bit
         column[G // 2 + 1:] = column[1:(G + 1) // 2][::-1]
         # the circulant C[j, m] = column[(j - m) mod G]
         self.C = column[np.subtract.outer(np.arange(G), np.arange(G)) % G]
-        self.bC = model.b * self.C
+        self.bC = self.b * self.C
         self.C.setflags(write=False)
         self.bC.setflags(write=False)
         self._phases = ()
+        self._record = None
+
+    @property
+    def record(self) -> "_Kernel":
+        """The record grid's kernel (K = 2M, G = _fast_len(4M + 2)): self
+        when the grids coincide, else built on first use and kept."""
+        if self.K == 2 * self.lattice.M:
+            return self
+        with _KERNELS_LOCK:
+            if self._record is None:
+                self._record = _Kernel(self.lattice, self)
+            return self._record
 
     def field(self, alpha):
         """Unit-density field on the G^3 grid: G^3 ifftn of the embedded alpha."""

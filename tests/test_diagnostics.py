@@ -311,13 +311,13 @@ def full_spectrum_route(state, model):
 
 
 def exact_parseval_gap(state, model):
-    """beta_gap of the kernel grid's density by Parseval, summed exactly.
+    """beta_gap of the record grid's density by Parseval, summed exactly.
 
     Each density value is an integer times 2^-k, so with s1 and s2 the
     integer sums of those integers and of their squares, beta(0) is
     s1 / (n 2^k) and the k != 0 sum of |beta|^2 is (n s2 - s1^2) / (n 2^k)^2.
     """
-    phi = _get_kernel(model, state.lattice).field(state.alpha)
+    phi = _get_kernel(model, state.lattice).record.field(state.alpha)
     dens = (phi.real**2 + phi.imag**2).ravel()
     k = 53 - int(np.min(np.frexp(dens)[1]))
     ints = [int(v) for v in np.ldexp(dens, k).tolist()]

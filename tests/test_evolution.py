@@ -228,6 +228,22 @@ class TestSplitStep:
         expected = half * cropped
         np.testing.assert_array_equal(step_split(st, gaussian, dt).alpha, expected)
 
+    @pytest.mark.parametrize("m, L", [(8, 4.0), (8, 8.0), (16, 16.0)])
+    @pytest.mark.parametrize("dt", [0.02, 0.0025])
+    def test_step_grid_matches_the_record_grid(self, gaussian, monkeypatch, m, L, dt):
+        # the step grid drops Vhat beyond K only where its weight is at roundoff
+        def end():
+            cur = quasi_condensate(m=m, L=L, eps=0.2, s=3.0)
+            for _ in range(10):
+                cur = step_split(cur, gaussian, dt)
+            return cur
+
+        kernel = _get_kernel(gaussian, TorusLattice(L, m))
+        assert kernel.G < kernel.record.G
+        narrow = end()
+        monkeypatch.setattr(evolution, "_get_kernel", lambda model, lat: kernel.record)
+        assert l2_dist(narrow, end()) <= 1e-13
+
     def test_tangent_phase_matches_cos_and_sin(self):
         # the step's phase for prescribed angles: a unit field, a density
         # of -theta at dt = 1, and a crop that keeps what it is given
@@ -456,13 +472,18 @@ class TestPicard:
             print("strang", hashlib.sha256(st.alpha.tobytes()).hexdigest())
             record = make_record(st, model)
             print("record", repr(record.energy_per_particle), repr(record.beta_gap))
+            for m in (25, 32):  # step grids G = 88 and 112
+                st = make_state("perturbed", TorusLattice(float(m), m), 10.0,
+                                eps=0.2, s=3.0, seed=m)
+                st = step_split(st, model, 1e-3)
+                print("strang", m, hashlib.sha256(st.alpha.tobytes()).hexdigest())
             """)
         path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
         outputs = [subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                                   text=True, env=dict(os.environ, PYTHONPATH=path,
                                                       OPENBLAS_NUM_THREADS=threads)).stdout
                    for threads in ("1", "2", "4")]
-        assert len(outputs[0].splitlines()) == 7
+        assert len(outputs[0].splitlines()) == 9
         assert outputs[0] == outputs[1] == outputs[2]
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -717,6 +738,27 @@ class TestKernelCache:
 
                     kernels = list(pool.map(lookup, range(workers), timeout=30))
                     assert all(k is kernels[0] for k in kernels)
+        finally:
+            sys.setswitchinterval(old_interval)
+
+    def test_concurrent_records_build_one_kernel(self):
+        # the record grid is built on first use: racing first records must agree
+        workers = 8
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                for _ in range(10):
+                    kernel = _Kernel(TorusLattice(4.0, 3), GaussianPotential())
+                    barrier = threading.Barrier(workers, timeout=10)
+
+                    def lookup(_):
+                        barrier.wait()
+                        return kernel.record
+
+                    records = list(pool.map(lookup, range(workers), timeout=30))
+                    assert records[0] is not kernel and records[0].G == 14
+                    assert all(r is records[0] for r in records)
         finally:
             sys.setswitchinterval(old_interval)
 

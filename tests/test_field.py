@@ -5,6 +5,7 @@ import math
 import re
 import struct
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -424,7 +425,13 @@ class TestKernel:
     def check(self, M, seed):
         lat = TorusLattice(float(M), M)
         model = GaussianPotential()
-        kernel = _Kernel(lat, model)
+        step = _Kernel(lat, model)
+        for kernel in (step, step.record):
+            self.check_kernel(kernel, model, seed)
+        return step
+
+    def check_kernel(self, kernel, model, seed):
+        lat = kernel.lattice
         alpha = random_state(lat, seed=seed).alpha
         phi_ref, conv_ref, nl_ref = full_grid_reference(kernel, model, alpha)
         phi = kernel.field(alpha)
@@ -437,13 +444,29 @@ class TestKernel:
         grid = grid[..., 0] + 1j * grid[..., 1]
         assert_rel_close(kernel.crop(grid),
                          np.fft.fftn(grid)[lat.embed_indexer(kernel.G)] / kernel.G**3)
-        return kernel
 
     @pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 8])
     def test_matches_full_grid(self, M):
-        # M = 8 gives the odd grid G = 35.
+        # M = 8 gives the odd record grid G = 35.
         kernel = self.check(M, seed=M)
-        assert kernel.G == next_fast_len(4 * M + 2)
+        K = kernel.K
+        assert kernel.G == next_fast_len(4 * M + 2 if K == 2 * M else 2 * M + K + 1)
+        assert kernel.record.G == next_fast_len(4 * M + 2)
+
+    @pytest.mark.parametrize("M, L, K, G", [(16, 16.0, 23, 56), (8, 8.0, 11, 28),
+                                            (2, 4.0, 4, 10)])
+    def test_bandwidth_is_the_least_at_roundoff(self, M, L, K, G):
+        # the dropped weight (a + d)^3 - a^3 of the kernel's float g, in exact arithmetic
+        kernel = _Kernel(TorusLattice(L, M), GaussianPotential())
+        weights = [Fraction(g) * (2 if f else 1) for f, g in enumerate(kernel.g.tolist())]
+        total, roundoff = sum(weights), Fraction(1, 2**53)
+
+        def dropped(k):
+            return total**3 - sum(weights[:k + 1]) ** 3
+
+        assert (kernel.K, kernel.G) == (K, G)
+        assert dropped(K) <= roundoff < dropped(K - 1)
+        assert (kernel.record is kernel) == (K == 2 * M)
 
     def test_fast_len_is_scipy_next_fast_len(self):
         n = range(1, 2001)

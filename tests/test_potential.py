@@ -211,7 +211,7 @@ class TestMomentumGrid:
         # the circulant as built from the G^3 vhat_grid cube, bit for bit
         kernel = _get_kernel(gaussian, TorusLattice(L, M))
         G = kernel.G
-        vhat = vhat_grid(gaussian, L, np.fft.fftfreq(G, 1.0 / G), limit=2 * M)
+        vhat = vhat_grid(gaussian, L, np.fft.fftfreq(G, 1.0 / G), limit=kernel.K)
         column = np.fft.ifft(vhat[:, 0, 0] / gaussian.b).real
         column[G // 2 + 1:] = column[1:(G + 1) // 2][::-1]
         ref = column[np.subtract.outer(np.arange(G), np.arange(G)) % G]
