@@ -1,45 +1,50 @@
-"""Feed measured state scalars into the closed-form bound calculators.
+"""Feed a measured state into the closed-form bound calculators.
 
-The excitation-number and quasi-vacuum-energy bounds take a handful of
-scalars (initial excitation mass n, energy offset e, smoothness sums,
-the potential constants) and return rigorous upper bounds with an
-exponential Gronwall rate omega.  Here the scalars are measured from an
-actual perturbed condensate rather than invented.
+The excitation-number and quasi-vacuum-energy bounds take the
+quasi-vacuum's scalars (excitation mass n, energy offset e, energy h_xi)
+beside the potential and condensate constants, and return rigorous upper
+bounds with an exponential Gronwall rate omega.  bound_inputs derives
+every constant from the model and an actual perturbed condensate, as
+``torus-hartree bound-report`` does: that state, saved as a snapshot and
+given to the CLI with the same n, e, h_xi, horizon and t, reports these
+numbers bit for bit.
 """
 
 import numpy as np
 
-from torus_hartree import (BoundInputs, GaussianPotential, TorusLattice,
-                           TrajectoryContext, excitation_bound, make_state,
-                           omega_coefficient, potential_l2,
-                           quasi_vacuum_energy_bound, tail_sum)
+from torus_hartree import (GaussianPotential, TorusLattice, bound_inputs,
+                           excitation_bound, make_state, omega_coefficient,
+                           quasi_vacuum_energy_bound)
+
+# the sixth-power dependence on S makes omega huge, so the bound is only
+# informative on the scale 1/omega; t is listed in those units
+T_MULTIPLES = (0.0, 0.5, 1.0, 2.0)
+
+
+def measure():
+    """The demo's model, state, bound inputs, horizon and omega."""
+    model = GaussianPotential()
+    state = make_state("perturbed_condensate", TorusLattice(8.0, 8), 100.0,
+                       eps=0.05, s=6.0, seed=21)
+    n = float(1.0 - np.max(np.abs(state.alpha)) ** 2)  # mass off the condensate mode
+    inputs = bound_inputs(state, model, n, e=0.0, h_xi=0.0)
+    horizon = 0.05 / model.b
+    omega = omega_coefficient(inputs.s_inf, inputs.d_inf, inputs.b, inputs.v2,
+                              model.C, horizon)
+    return model, state, inputs, horizon, omega
 
 
 def main():
-    model = GaussianPotential()
-    L, M, rho = 8.0, 8, 100.0
-    state = make_state("perturbed_condensate", TorusLattice(L, M), rho,
-                       eps=0.05, s=6.0, seed=21)
-    ctx = TrajectoryContext.from_state(state, model)
-
-    idx = state.lattice.index_of(ctx.k0)
-    n = float(1.0 - np.abs(state.alpha[idx]) ** 2)  # excitation mass
-    inputs = BoundInputs(n=n, e=0.0, h_xi=0.0,
-                         s_inf=ctx.s0, d_inf=tail_sum(state, 0.0),
-                         b=model.b, v2=potential_l2(model, L, M),
-                         rho=rho, L=L)
-
-    horizon = 0.05 / model.b
-    omega = omega_coefficient(ctx.s0, ctx.t0_kin, model.b, inputs.v2,
-                              model.C, horizon)
-    print(f"state: perturbed condensate, rho={rho:g}, L={L:g}, M={M}")
-    print(f"measured: n = {n:.3e}, S0 = {ctx.s0:.6f}, T0 = {ctx.t0_kin:.4f}")
+    model, state, inputs, horizon, omega = measure()
+    lat = state.lattice
+    print(f"state: perturbed condensate, rho={state.rho:g}, L={lat.L:g}, M={lat.M}")
+    print(f"measured: n = {inputs.n:.3e}, S0 = {inputs.s_inf:.6f}, "
+          f"T0 = {inputs.d_inf:.4f}")
+    print(f"model: b = {model.b:.6f}, v2 = {inputs.v2:.6f}, C = {model.C:.6g}")
     print(f"Gronwall rate omega({horizon:.2e}) = {omega:.4e}")
     print()
-    # the sixth-power dependence on S makes omega huge, so the bound is
-    # only informative on the scale 1/omega; list t in those units
     print(f"{'t (units of 1/omega)':>21} {'excitation bound':>17}")
-    for mult in (0.0, 0.5, 1.0, 2.0):
+    for mult in T_MULTIPLES:
         value = excitation_bound(inputs, omega, mult / omega)
         print(f"{mult:21.1f} {value:17.5f}")
     print()

@@ -22,7 +22,7 @@ from .evolution import (ContractionError, ConvergenceError, InstabilityError,
                         Trajectory, evolve, lifespan_guard, picard_solve, rhs,
                         step_rk4, step_split)
 from .diagnostics import (BoundInputs, DiagnosticsRecord, EnvelopeDomainError,
-                          TrajectoryContext, assumption_check,
+                          TrajectoryContext, assumption_check, bound_inputs,
                           energy_per_particle, energy_physical,
                           envelope_audit, excitation_bound, kinetic_tail,
                           make_record, omega_coefficient,

@@ -1,12 +1,12 @@
 """Command-line frontend.
 
-All numerics live in the library modules; this is a thin shell mapping
-subcommands to them.  Exit codes: 0 success, 1 IO error, a scan worker
-process that died or memory exhaustion, 2 invalid flags or config
-(unknown keys and non-finite numbers included), 3 verification failure
-or a numerical failure (instability, Picard contraction or convergence),
-or a scan with any row whose status is not ok (its table.csv and
-summary.json are written first).
+All numerics live in the library modules; this is a thin shell mapping subcommands
+to them (bound-report reads a potential and a state as simulate does, and
+diagnostics.bound_inputs derives its constants).  Exit codes: 0 success, 1 IO error,
+a scan worker process that died or memory exhaustion, 2 invalid flags or config
+(unknown keys and non-finite numbers included), 3 verification failure or a numerical
+failure (instability, Picard contraction or convergence), or a scan with any row
+whose status is not ok (its table.csv and summary.json are written first).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import diagnostics
-from .diagnostics import (BoundInputs, excitation_bound, format_float,
+from .diagnostics import (bound_inputs, excitation_bound, format_float,
                           omega_coefficient, quasi_vacuum_energy_bound,
                           run_report, write_trajectory_csv)
 from .evolution import (ContractionError, ConvergenceError, InstabilityError,
@@ -29,7 +29,7 @@ from .field import (FAMILY_PARAMS, STATE_FAMILIES, TorusLattice, _load_json, _re
                     make_state, pointwise_product, random_state, save_state,
                     time_reversal, wiener_norm)
 from .potential import GaussianPotential, _positive_finite, as_real, make_potential
-from .scan import load_plan, run_config, run_scan
+from .scan import config_state, load_plan, run_config, run_scan
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -115,24 +115,22 @@ def _cmd_bound_report(args):
     doc = _load_json(args.inputs)
     if not isinstance(doc, dict):
         raise ValueError(f"{args.inputs}: inputs must be a JSON object")
-    keys = ("n", "e", "h_xi", "s_inf", "d_inf", "b", "v2", "rho", "L",
-            "S0", "T0", "C", "horizon", "t")
-    extra = set(doc) - set(keys)
+    scalars = ("n", "e", "h_xi", "horizon", "t")
+    extra = set(doc) - {"potential", "state", "rho", "L", "M", *scalars}
     if extra:
         raise ValueError(f"{args.inputs}: unknown input keys {sorted(extra)}")
-    scalars = {key: as_real(_require(doc, key, args.inputs), key) for key in keys}
-    inputs = BoundInputs(n=scalars["n"], e=scalars["e"], h_xi=scalars["h_xi"],
-                         s_inf=scalars["s_inf"], d_inf=scalars["d_inf"],
-                         b=scalars["b"], v2=scalars["v2"],
-                         rho=scalars["rho"], L=scalars["L"])
+    n, e, h_xi, horizon, t = (as_real(_require(doc, key, args.inputs), key) for key in scalars)
+    model = make_potential(_require(doc, "potential", args.inputs))
+    inputs = bound_inputs(config_state(doc, args.inputs), model, n, e, h_xi)
     # each value is >= 1/rho > 0, so a bound that overflows is refused, never printed
     omega = _positive_finite(lambda: omega_coefficient(
-        scalars["S0"], scalars["T0"], scalars["b"], scalars["v2"], scalars["C"],
-        scalars["horizon"]), "omega")
+        inputs.s_inf, inputs.d_inf, inputs.b, inputs.v2, model.C, horizon), "omega")
+    if t > horizon:  # omega takes the envelopes at the horizon
+        raise ValueError(f"t = {t!r} is past horizon = {horizon!r}, where omega ends")
     report = {
         "omega": omega,
         "excitation_bound": _positive_finite(
-            lambda: excitation_bound(inputs, omega, scalars["t"]), "excitation_bound"),
+            lambda: excitation_bound(inputs, omega, t), "excitation_bound"),
         "quasi_vacuum_energy_bound": _positive_finite(
             lambda: quasi_vacuum_energy_bound(inputs), "quasi_vacuum_energy_bound"),
     }
@@ -304,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--suite", required=True, choices=sorted(SUITES))
 
     br = sub.add_parser("bound-report",
-                        help="evaluate the closed-form bound calculators")
-    br.add_argument("--inputs", required=True, help="scalar inputs JSON")
+                        help="evaluate the closed-form bounds for a model and state")
+    br.add_argument("--inputs", required=True, help="potential, state and scalars JSON")
     br.add_argument("--out", help="optional JSON output path")
 
     sc = sub.add_parser("scan", help="run a thermodynamic-limit scan plan")

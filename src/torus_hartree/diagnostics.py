@@ -15,12 +15,13 @@ from dataclasses import MISSING, dataclass, fields as dataclass_fields
 import numpy as np
 
 from .field import SpectralState, _get_kernel, s_sum, t_sum, to_physical
-from .potential import GaussianPotential, _positive_finite, as_real, vhat_grid
+from .potential import GaussianPotential, _positive_finite, as_real, potential_l2, vhat_grid
 
 __all__ = [
     "DiagnosticsRecord",
     "TrajectoryContext",
     "BoundInputs",
+    "bound_inputs",
     "EnvelopeDomainError",
     "CSV_COLUMNS",
     "energy_per_particle",
@@ -444,9 +445,9 @@ class BoundInputs:
     """Scalar inputs for the excitation and quasi-vacuum bounds.
 
     n: excitation fraction, e: energy-consistency gap per particle,
-    h_xi: quasi-vacuum energy per rho L^3, s_inf and d_inf: sup norms of
-    the field and its Laplacian over sqrt(rho), b and v2: potential
-    norms, plus rho and L.  All are finite and >= 0; rho and b are > 0.
+    h_xi: quasi-vacuum energy per rho L^3, s_inf and d_inf: bounds on the sup norms of the
+    field and its Laplacian over sqrt(rho) (S and T are; the bounds grow with both), b and
+    v2: potential norms, plus rho.  All are finite and >= 0; rho and b are > 0.
     """
 
     n: float
@@ -457,7 +458,6 @@ class BoundInputs:
     b: float
     v2: float
     rho: float
-    L: float
 
     def __post_init__(self):
         for f in dataclass_fields(self):
@@ -467,6 +467,13 @@ class BoundInputs:
                 raise ValueError(f"BoundInputs.{f.name} must be non-negative")
             if v == 0.0 and f.name in ("rho", "b"):
                 raise ValueError(f"BoundInputs.{f.name} must be positive")
+
+
+def bound_inputs(state: SpectralState, model: GaussianPotential, n, e, h_xi) -> BoundInputs:
+    """BoundInputs of a state under model: S0 and T0 as s_inf and d_inf, v2 summed to 2M."""
+    lat = state.lattice
+    return BoundInputs(n=n, e=e, h_xi=h_xi, s_inf=s_sum(state), d_inf=t_sum(state), b=model.b,
+                       v2=potential_l2(model, lat.L, 2 * lat.M), rho=state.rho)
 
 
 def omega_coefficient(s0: float, t0: float, b: float, v2: float,

@@ -98,7 +98,7 @@ class GaussianPotential:
     Closed forms: Vhat(p) = A (2 pi sigma^2)^{3/2} exp(-sigma^2 p^2 / 2)
     and b = Vhat(0), the integral of V.  Both V and Vhat are strictly
     positive, so every hypothesis of the well-posedness theory holds.
-    b and C must come out positive and finite.
+    b, 1 / b and C must come out positive and finite.
     """
 
     def __init__(self, amplitude=1.0, sigma=1.0, delta1=5.0, delta2=5.0):
@@ -110,6 +110,7 @@ class GaussianPotential:
             # the contraction estimates need summable p^2 * Vhat tails
             raise ValueError(f"delta2 must exceed 4, got {self.delta2}")
         self.b = _positive_finite(self._integral, "potential integral b")
+        _positive_finite(lambda: 1.0 / self.b, "1 / b")  # blow-up times scale as 1 / b
         self.C = _positive_finite(self._tight_decay_constant, "decay constant C")
 
     def _integral(self):
@@ -178,10 +179,14 @@ def vhat_grid(model: GaussianPotential, L, k1, limit=None):
 
 
 def potential_l2(model: GaussianPotential, L, M) -> float:
-    """Truncated-Parseval L2 norm sqrt((1/L^3) sum_{|k|_inf<=M} Vhat(2 pi k/L)^2)."""
+    """Upper bound on sqrt((1/L^3) sum_k Vhat(2 pi k/L)^2), k over all Z^3: the sum is b^2 (sum_f
+    exp(-a f^2))^3, a = (2 pi sigma/L)^2, exact over |f| <= M plus sqrt(pi/a) erfc(M sqrt(a))."""
     L = as_real(L, "L", positive=True)
     M = as_int(M, "M")
     if M < 0:
         raise ValueError("M must be >= 0")
-    vhat = vhat_grid(model, L, np.arange(-M, M + 1))
-    return float(math.sqrt(np.sum(vhat * vhat) / L**3))
+    root_a = 2.0 * math.pi * model.sigma / L
+    with np.errstate(over="ignore"):  # a term past the float range is exp(-inf) = 0
+        exact = 1.0 + 2.0 * float(np.sum(np.exp(-np.square(root_a * np.arange(1.0, M + 1.0)))))
+    return _positive_finite(lambda: model.b / L**1.5 * (
+        exact + math.sqrt(math.pi) / root_a * math.erfc(M * root_a)) ** 1.5, "potential L2 norm")

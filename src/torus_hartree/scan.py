@@ -1,4 +1,4 @@
-"""Thermodynamic-limit scan harness, and run_config, the one run path.
+"""Thermodynamic-limit scan harness, run_config, the one run path, and its state reader.
 
 A plan fixes a potential, ascending rho and L ladders, a cutoff rule
 M = ceil(kappa L), an initial-state family, and integrator settings.
@@ -20,8 +20,8 @@ from dataclasses import MISSING, dataclass, fields
 
 from . import diagnostics
 from .evolution import IntegratorConfig, Trajectory, check_run, evolve
-from .field import (FAMILY_PARAMS, STATE_FAMILIES, TorusLattice, _load_json, _require,
-                    as_mode, check_family_keys, load_state, make_state)
+from .field import (FAMILY_PARAMS, STATE_FAMILIES, SpectralState, TorusLattice, _load_json,
+                    _require, as_mode, check_family_keys, load_state, make_state)
 from .potential import as_bool, as_int, as_real, as_reals, make_potential
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "SCAN_COLUMNS",
     "load_plan",
     "point_config",
+    "config_state",
     "run_config",
     "run_scan",
     "write_scan_csv",
@@ -181,14 +182,8 @@ def _trajectory_filename(rho: float, L: float) -> str:
     return f"traj_rho{rho:g}_L{L:g}.csv"
 
 
-def run_config(cfg: dict, model, where: str = "config") -> Trajectory:
-    """Run a ``simulate`` config dict on model, records only; ``where`` names it in errors."""
-    integrator_keys = IntegratorConfig.__dataclass_fields__.keys()
-    extra = set(cfg) - {"potential", "state", "rho", "L", "M", "t_final",
-                        "stride"} - integrator_keys
-    if extra:
-        raise ValueError(f"{where}: unknown config keys {sorted(extra)}")
-
+def config_state(cfg: dict, where: str = "config") -> SpectralState:
+    """The initial state of a config's ``state`` block: a snapshot, or a family at rho, L, M."""
     block = _require(cfg, "state", where)
     if not isinstance(block, dict):
         raise ValueError(f"{where}: state must be a JSON object")
@@ -207,13 +202,23 @@ def run_config(cfg: dict, model, where: str = "config") -> Trajectory:
                 if given != have:
                     raise ValueError(f"{where}: {key} = {given!r} disagrees with the "
                                      f"snapshot's {key} = {have!r}")
-    else:
-        lattice = TorusLattice(_require(cfg, "L", where), _require(cfg, "M", where))
-        family = params.pop("family", None)
-        if family is None:
-            raise ValueError(f"{where}: state block needs 'family' or 'snapshot'")
-        state = make_state(family, lattice, _require(cfg, "rho", where), **params)
+        return state
+    lattice = TorusLattice(_require(cfg, "L", where), _require(cfg, "M", where))
+    family = params.pop("family", None)
+    if family is None:
+        raise ValueError(f"{where}: state block needs 'family' or 'snapshot'")
+    return make_state(family, lattice, _require(cfg, "rho", where), **params)
 
+
+def run_config(cfg: dict, model, where: str = "config") -> Trajectory:
+    """Run a ``simulate`` config dict on model, records only; ``where`` names it in errors."""
+    integrator_keys = IntegratorConfig.__dataclass_fields__.keys()
+    extra = set(cfg) - {"potential", "state", "rho", "L", "M", "t_final",
+                        "stride"} - integrator_keys
+    if extra:
+        raise ValueError(f"{where}: unknown config keys {sorted(extra)}")
+
+    state = config_state(cfg, where)
     _require(cfg, "dt", where)
     config = IntegratorConfig(**{k: cfg[k] for k in integrator_keys if k in cfg})
     return evolve(state, model, _require(cfg, "t_final", where), config,

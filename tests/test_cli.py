@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torus_hartree import cli, scan
-from torus_hartree.field import TorusLattice, load_state, make_state, save_state
+from torus_hartree import cli, diagnostics, scan
+from torus_hartree.field import TorusLattice, load_state, make_state, s_sum, save_state, t_sum
+from torus_hartree.potential import GaussianPotential, potential_l2
 
 
 def run(args):
@@ -326,7 +327,10 @@ class TestSimulate:
         ({"sigma": 1e200}, "potential integral b is beyond the float range"),
         ({"sigma": 1e-200}, "potential integral b must be positive and finite"),
         ({"amplitude": 1e300, "sigma": 1e3},
-         "potential integral b must be positive and finite")])
+         "potential integral b must be positive and finite"),
+        # a subnormal b once made the audit's blowup_time 1 / (2 S0^2 b) Infinity
+        ({"amplitude": 5e-324}, "1 / b must be positive and finite"),
+        ({"sigma": 1e-108}, "1 / b must be positive and finite")])
     def test_bad_potential_parameter(self, tmp_path, capsys, potential, message):
         cfg = write_config(tmp_path, potential={"family": "gaussian", **potential})
         code = run(["simulate", "--config", str(cfg),
@@ -585,12 +589,15 @@ class TestVerify:
 
 
 class TestBoundReport:
-    def inputs(self, tmp_path):
-        doc = {"n": 5.0, "e": 0.0, "h_xi": 0.0, "s_inf": 0.0, "d_inf": 0.0,
-               "b": 15.749609945722419, "v2": 2.366, "rho": 100.0, "L": 8.0,
-               "S0": 1.0, "T0": 0.1, "C": 16.0, "horizon": 1e-3, "t": 0.0}
+    # the quasi-vacuum scalars beside a simulate-style potential and state
+    DOC = {"potential": {"family": "gaussian"},
+           "state": {"family": "perturbed", "eps": 0.05, "s": 6.0, "seed": 21},
+           "rho": 100.0, "L": 4.0, "M": 3,
+           "n": 0.0, "e": 0.0, "h_xi": 0.0, "horizon": 0.01, "t": 0.0}
+
+    def inputs(self, tmp_path, **overrides):
         path = tmp_path / "inputs.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps({**self.DOC, **overrides}))
         return path
 
     def test_report_values(self, tmp_path, capsys):
@@ -602,18 +609,42 @@ class TestBoundReport:
         assert set(doc) == {"omega", "excitation_bound",
                             "quasi_vacuum_energy_bound"}
         assert doc["omega"] >= 1.0
-        # t = 0, h_xi = s_inf = 0: bound collapses to n + 1/rho
-        assert doc["excitation_bound"] == pytest.approx(5.01)
+        # t = 0, n = e = h_xi = 0: both bounds collapse to 1/rho
+        assert doc["excitation_bound"] == pytest.approx(0.01)
         assert doc["quasi_vacuum_energy_bound"] == pytest.approx(0.01)
         assert capsys.readouterr().out == out.read_text()
 
+    def test_constants_come_from_model_and_state(self, tmp_path, capsys):
+        model = GaussianPotential()
+        state = make_state("perturbed", TorusLattice(4.0, 3), 100.0, eps=0.05, s=6.0, seed=21)
+        n, t = 2e-3, 1e-4
+        assert run(["bound-report", "--inputs", str(self.inputs(tmp_path, n=n, t=t))]) == 0
+        inputs = diagnostics.bound_inputs(state, model, n, 0.0, 0.0)
+        assert (inputs.s_inf, inputs.d_inf, inputs.b) == (s_sum(state), t_sum(state), model.b)
+        assert inputs.v2 == potential_l2(model, 4.0, 6)
+        omega = diagnostics.omega_coefficient(inputs.s_inf, inputs.d_inf, inputs.b, inputs.v2,
+                                              model.C, 0.01)
+        assert json.loads(capsys.readouterr().out) == {
+            "omega": omega, "excitation_bound": diagnostics.excitation_bound(inputs, omega, t),
+            "quasi_vacuum_energy_bound": diagnostics.quasi_vacuum_energy_bound(inputs)}
+
     def test_unknown_input_key(self, tmp_path, capsys):
-        path = self.inputs(tmp_path)
-        path.write_text(json.dumps({**json.loads(path.read_text()), "C_typo": 1e-3}))
+        path = self.inputs(tmp_path, C_typo=1e-3)
         out = tmp_path / "report.json"
         assert run(["bound-report", "--inputs", str(path), "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {path}: unknown input keys ['C_typo']\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["b", "v2", "C", "S0", "T0", "s_inf", "d_inf"])
+    def test_derived_constant_is_not_an_input(self, tmp_path, capsys, key):
+        # a typed C = 1e-3 once printed a bound 26 orders below the certified one
+        path = self.inputs(tmp_path, **{key: 1e-3})
+        out = tmp_path / "report.json"
+        assert run(["bound-report", "--inputs", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: unknown input keys [{key!r}]\n"
         assert captured.out == ""
         assert not out.exists()
 
@@ -624,17 +655,18 @@ class TestBoundReport:
         assert "missing required key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value,message", [
-        ("rho", 0, "BoundInputs.rho must be positive"),
-        ("b", 0, "BoundInputs.b must be positive"),
-        ("t", 100, "excitation_bound is beyond the float range for these settings"),
-        ("t", 1e308, "excitation_bound must be positive and finite for these settings, got inf"),
-        ("horizon", -1, "horizon must be non-negative"),
-        ("S0", -1.1, "S0 must be non-negative"),
-        ("T0", -0.2, "T0 must be non-negative"),
-        ("C", -3, "C must be non-negative")])
+        pytest.param("rho", 0, "rho must be positive and finite, got 0", id="rho-0"),
+        ("n", -1, "BoundInputs.n must be non-negative"),
+        pytest.param("t", 0.01, "excitation_bound is beyond the float range for these settings",
+                     id="t-horizon-overflow"),
+        pytest.param("n", 1e308, "excitation_bound must be positive and finite for these "
+                     "settings, got inf", id="n-1e308-inf"),
+        pytest.param("t", 0.0100001, "t = 0.0100001 is past horizon = 0.01, where omega ends",
+                     id="t-past-horizon"),
+        ("t", -1, "t must be non-negative"),
+        ("horizon", -1, "horizon must be non-negative")])
     def test_out_of_range_input(self, tmp_path, capsys, key, value, message):
-        path = self.inputs(tmp_path)
-        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+        path = self.inputs(tmp_path, **{key: value})
         out = tmp_path / "report.json"
         assert run(["bound-report", "--inputs", str(path), "--out", str(out)]) == 2
         captured = capsys.readouterr()
@@ -832,8 +864,8 @@ class TestScan:
 
 # Hostile values substituted for one key at a time: a top-level key of a
 # simulate config, scan plan or bound-report input, a potential or snapshot
-# key, a key of the simulate state block or of the plan's family_params, or
-# the path of a {"snapshot": path} state block.
+# key, a key of the simulate or bound-report potential or state block or of
+# the plan's family_params, or the path of a {"snapshot": path} state block.
 HOSTILE = (None, True, "x", [], {}, [1], -1, 0, 1e308, 1e-308, 5e-324,
            math.nan, math.inf, -math.inf)
 GAUSSIAN = {"family": "gaussian", "amplitude": 1.0, "sigma": 1.0,
@@ -848,16 +880,16 @@ PLAN = {"potential": GAUSSIAN, "rho_values": [10.0], "L_values": [2.0],
         "t_final": 1e-3, "dt": 1e-3, "method": "split_strang", "kappa": 0.5,
         "stride": 1, "master_seed": 0,
         "write_trajectories": False, "summary_columns": ["beta_gap"]}
-BOUND = {"n": 5.0, "e": 0.0, "h_xi": 0.0, "s_inf": 0.0, "d_inf": 0.0,
-         "b": 15.749609945722419, "v2": 2.366, "rho": 100.0, "L": 8.0,
-         "S0": 1.0, "T0": 0.1, "C": 16.0, "horizon": 1e-3, "t": 0.0}
+BOUND = {"potential": GAUSSIAN, "state": SIMULATE["state"], "rho": 10.0, "L": 4.0, "M": 1,
+         "n": 5.0, "e": 0.0, "h_xi": 0.0, "horizon": 1e-3, "t": 0.0}
 SNAPSHOT_KEYS = ("format", "version", "L", "M", "rho", "t", "family", "seed",
                  "encoding", "order", "data")
 SLOTS = ([("simulate", k) for k in SIMULATE] + [("plan", k) for k in PLAN]
          + [("bound", k) for k in BOUND]
-         + [("potential", k) for k in (*GAUSSIAN, "C")]
+         + [(doc, k) for doc in ("potential", "bound_potential") for k in (*GAUSSIAN, "C")]
          + [("snapshot", k) for k in SNAPSHOT_KEYS]
-         + [("state", k) for k in ("family", "eps", "s", "seed", "theta", "k0")]
+         + [(doc, k) for doc in ("state", "bound_state")
+            for k in ("family", "eps", "s", "seed", "theta", "k0")]
          + [("family_params", k) for k in ("eps0", "s", "eps_rule", "k0", "theta")]
          + [("snapshot_path", "snapshot")])
 # A tiny positive dt is left out: t_final / dt steps of it is a valid request
@@ -890,7 +922,9 @@ def _run_hostile(tmp, doc, key, value):
     if doc == "family_params":
         return _run_input(tmp, "scan", {**PLAN, "family_params":
                                         {**PLAN["family_params"], key: value}})
-    cfg = dict(SIMULATE)
+    command, cfg = "simulate", dict(SIMULATE)
+    if doc.startswith("bound_"):  # bound-report reads its potential and state as simulate does
+        command, cfg, doc = "bound-report", dict(BOUND), doc[len("bound_"):]
     if doc == "potential":
         cfg["potential"] = {**GAUSSIAN, key: value}
     elif doc == "state":
@@ -907,7 +941,7 @@ def _run_hostile(tmp, doc, key, value):
         with open(snap, "w") as fh:
             json.dump({**header, key: value}, fh)
         cfg["state"] = {"snapshot": snap}
-    return _run_input(tmp, "simulate", cfg)
+    return _run_input(tmp, command, cfg)
 
 
 @pytest.mark.parametrize("command,doc", [("simulate", SIMULATE), ("scan", PLAN),

@@ -570,12 +570,12 @@ class TestBoundCalculators:
 
     def test_excitation_bound_at_zero_time(self):
         inputs = BoundInputs(n=5.0, e=0.0, h_xi=0.0, s_inf=0.0, d_inf=0.0,
-                             b=B_GAUSS, v2=2.36, rho=100.0, L=8.0)
+                             b=B_GAUSS, v2=2.36, rho=100.0)
         assert excitation_bound(inputs, 40000.0, 0.0) == pytest.approx(5.01)
 
     def test_excitation_bound_formula(self):
         inputs = BoundInputs(n=0.1, e=0.0, h_xi=0.2, s_inf=1.5, d_inf=0.0,
-                             b=2.0, v2=1.0, rho=50.0, L=4.0)
+                             b=2.0, v2=1.0, rho=50.0)
         omega, t = 3.0, 0.01
         ewt = math.exp(omega * t)
         expected = (ewt * (2 * 0.2 + ((5 * 2.0 + 0.25) * 1.5**2 + 1) * 0.1)
@@ -585,7 +585,7 @@ class TestBoundCalculators:
 
     def test_quasi_vacuum_bound_formula(self):
         inputs = BoundInputs(n=0.04, e=0.3, h_xi=0.0, s_inf=1.2, d_inf=0.7,
-                             b=2.0, v2=1.5, rho=25.0, L=4.0)
+                             b=2.0, v2=1.5, rho=25.0)
         expected = (2 * 0.3 + 1 / 25.0 + (14 * 2.0 + 2.25) * 1.44 * 0.04
                     + 2 * (0.7 + 2.0 * 1.2**3) * 0.2)
         assert quasi_vacuum_energy_bound(inputs) == pytest.approx(
@@ -594,9 +594,9 @@ class TestBoundCalculators:
     def test_inputs_validated(self):
         with pytest.raises(ValueError):
             BoundInputs(n=-0.1, e=0.0, h_xi=0.0, s_inf=0.0, d_inf=0.0,
-                        b=1.0, v2=0.0, rho=1.0, L=1.0)
+                        b=1.0, v2=0.0, rho=1.0)
         inputs = BoundInputs(n=0.0, e=0.0, h_xi=0.0, s_inf=0.0, d_inf=0.0,
-                             b=1.0, v2=0.0, rho=1.0, L=1.0)
+                             b=1.0, v2=0.0, rho=1.0)
         with pytest.raises(ValueError):
             excitation_bound(inputs, 1.0, -1.0)
         for key in ("rho", "b"):
@@ -606,10 +606,10 @@ class TestBoundCalculators:
             omega_coefficient(1.0, 0.0, 1.0, 0.0, 1.0, -1.0)
 
     @pytest.mark.parametrize("key,value", [
-        ("n", math.nan), ("s_inf", math.inf), ("rho", True), ("L", "4"), ("b", None)])
+        ("n", math.nan), ("s_inf", math.inf), ("rho", True), ("b", None)])
     def test_inputs_must_be_finite_numbers(self, key, value):
         kwargs = dict(n=0.1, e=0.0, h_xi=0.0, s_inf=1.0, d_inf=0.0,
-                      b=1.0, v2=0.0, rho=10.0, L=4.0)
+                      b=1.0, v2=0.0, rho=10.0)
         with pytest.raises(ValueError, match=f"BoundInputs.{key} must be a finite number"):
             BoundInputs(**{**kwargs, key: value})
 

@@ -84,9 +84,11 @@ class TestGaussian:
         ({"amplitude": 1e300, "sigma": 1e3},
          "potential integral b must be positive and finite"),
         ({"sigma": 1e-100}, "decay constant C is beyond the float range"),
-        ({"delta2": 1e308}, "decay constant C must be positive and finite")])
+        ({"delta2": 1e308}, "decay constant C must be positive and finite"),
+        ({"amplitude": 5e-324}, "1 / b must be positive and finite"),
+        ({"sigma": 1e-108}, "1 / b must be positive and finite")])
     def test_rejects_extreme_parameters(self, params, message):
-        # finite settings whose b or C leaves the float range
+        # finite settings whose b, 1 / b or C leaves the float range
         with pytest.raises(ValueError, match=message):
             make_potential({"family": "gaussian", **params})
 
@@ -114,7 +116,7 @@ class TestGaussian:
             model = make_potential(config)
         except ValueError:
             return
-        assert 0.0 < model.b < math.inf
+        assert 0.0 < model.b < math.inf and 1.0 / model.b < math.inf
         assert 0.0 < model.C < math.inf
 
 
@@ -178,11 +180,28 @@ class TestMomentumGrid:
         assert errs[-1] < 1e-6
         assert errs[0] > errs[-1]
 
-    def test_l2_single_site(self, gaussian):
-        # M = 0 keeps only the zero mode: vhat(0)/L^{3/2}
-        L = 4.0
-        assert potential_l2(gaussian, L, 0) == pytest.approx(
-            gaussian.b / L**1.5, rel=1e-13)
+    @staticmethod
+    def whole_lattice_l2(model, L):
+        # Vhat^2 = b^2 exp(-a |k|^2) factors by axis; the axis sum runs until its terms underflow
+        a = (2.0 * math.pi * model.sigma / L) ** 2
+        f = np.arange(-int(40.0 / math.sqrt(a)) - 1, int(40.0 / math.sqrt(a)) + 2)
+        return model.b / L**1.5 * math.fsum(np.exp(-a * f * f)) ** 1.5
+
+    @pytest.mark.parametrize("L, M", [(4.0, 3), (8.0, 8), (16.0, 16), (32.0, 8), (100.0, 10)])
+    def test_l2_bounds_the_whole_lattice_norm(self, gaussian, L, M):
+        # the |f| > M tail is bounded, not dropped: (100, 10) once gave 1.2347 against 2.35973
+        whole = self.whole_lattice_l2(gaussian, L)
+        for m in (0, M, 2 * M):
+            assert potential_l2(gaussian, L, m) >= whole * (1.0 - 1e-15)
+        assert potential_l2(gaussian, L, 0) > potential_l2(gaussian, L, M)
+
+    @pytest.mark.parametrize("L, M", [(4.0, 3), (8.0, 8), (16.0, 16)])
+    def test_l2_is_the_whole_lattice_norm_once_the_tail_vanishes(self, gaussian, L, M):
+        # at 2M, the cutoff bound_inputs takes, 2 pi M sigma / L >= 6 at these points
+        cube = vhat_grid(gaussian, L, np.arange(-3 * M, 3 * M + 1))
+        whole = math.sqrt(math.fsum(np.square(cube).ravel()) / L**3)
+        assert potential_l2(gaussian, L, 2 * M) == pytest.approx(whole, rel=1e-14, abs=0.0)
+        assert self.whole_lattice_l2(gaussian, L) == pytest.approx(whole, rel=1e-14, abs=0.0)
 
     def test_l2_rejects_bad_arguments(self, gaussian):
         with pytest.raises(ValueError):
