@@ -58,7 +58,7 @@ def _interaction_and_beta_gap(state: SpectralState, model: GaussianPotential):
     """Interaction energy per particle and beta_gap from one synthesis on
     the kernel's record grid.
 
-    The record grid (G >= 4M+2) resolves the density |phi|^2 of the
+    The record grid (G >= 4M+1) resolves the density |phi|^2 of the
     unit-density field without aliasing, so beta = fftn(|phi|^2) / G^3 is
     the exact autocorrelation, and no spectrum is needed.  The interaction
     takes the step's circulant convolution on this grid: half
@@ -470,10 +470,9 @@ class BoundInputs:
 
 
 def bound_inputs(state: SpectralState, model: GaussianPotential, n, e, h_xi) -> BoundInputs:
-    """BoundInputs of a state under model: S0 and T0 as s_inf and d_inf, v2 summed to 2M."""
-    lat = state.lattice
+    """BoundInputs of a state under model: S0 and T0 as s_inf and d_inf, v2 over all of Z^3."""
     return BoundInputs(n=n, e=e, h_xi=h_xi, s_inf=s_sum(state), d_inf=t_sum(state), b=model.b,
-                       v2=potential_l2(model, lat.L, 2 * lat.M), rho=state.rho)
+                       v2=potential_l2(model, state.lattice.L), rho=state.rho)
 
 
 def omega_coefficient(s0: float, t0: float, b: float, v2: float,

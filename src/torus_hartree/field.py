@@ -245,30 +245,21 @@ def _dft_analysis(F):
     return A
 
 
-def _synthesize(alpha, F):
-    """G^3 ifftn of the (n, n, n) array alpha embedded at its modes' grid
-    indices, for the (G, n) synthesis matrix F of _dft_synthesis.
+def _transform(f, T):
+    """The pruned transform of a (q, q, q) cube to a (p, p, p) one by the
+    (p, q) matrix T: F of _dft_synthesis gives the G^3 ifftn of the modes
+    embedded at their grid indices, the unit-density field on x_j = j L / G,
+    and A of _dft_analysis gives fftn(f)[modes] / G^3.
 
-    Pruned (FFTW's "pruned FFTs"): each product F @ f.reshape(-1, n).T maps
-    only the n = 2M+1 modes of the last axis and puts its grid axis first,
-    so three whole-array products (3 BLAS calls; F on the left, as the tall
-    f.reshape(n, -1).T @ F.T is slower) end in C order.  With F from the
-    lattice's M this is the unit-density field of alpha on x_j = j L / G.
+    Pruned (FFTW's "pruned FFTs"): each product T @ f.reshape(-1, q).T maps
+    the last axis alone and puts its new axis first, so three whole-array
+    products (3 BLAS calls; T on the left, as the tall f.reshape(q, -1).T @
+    T.T is slower) end in C order.
     """
-    G, n = F.shape
-    f = alpha
+    p, q = T.shape
     for _ in range(3):
-        f = F @ f.reshape(-1, n).T
-    return f.reshape(G, G, G)
-
-
-def _analyze(f, A):
-    """fftn(f)[modes] / G^3 for a G^3 grid array f and the (n, G) analysis
-    matrix A of _dft_analysis: _synthesize's three products, with A."""
-    n, G = A.shape
-    for _ in range(3):
-        f = A @ f.reshape(-1, G).T
-    return f.reshape(n, n, n)
+        f = T @ f.reshape(-1, q).T
+    return f.reshape(p, p, p)
 
 
 def _bandwidth(g) -> int:
@@ -287,8 +278,8 @@ def _bandwidth(g) -> int:
 
 
 class _Kernel:
-    """DFT matrices and a circulant for one (lattice, Gaussian model)
-    combination: its transforms and convolution are matrix products, not FFTs.
+    """DFT matrices and a circulant for one lattice and Gaussian profile:
+    its transforms and convolution are matrix products, not FFTs.
 
     The Gaussian's Vhat(2 pi k / L) = b g(k1) g(k2) g(k3), and the box
     |k|_inf <= K factors by axis too, so the density convolution is
@@ -297,55 +288,39 @@ class _Kernel:
     set to 0 beyond K.  By Maxwell's theorem no other radial Vhat factors
     by axis, which is why the Gaussian is the one potential family.
 
-    The step grid.  K = _bandwidth(g) <= 2M is the least bandwidth whose
-    dropped Gaussian weight is at most 2^-53; since |beta_k| <= beta_0 = 1,
-    the dropped part of V * |phi|^2 is at most 2^-53 b in sup norm, the
-    rounding the convolution makes anyway.  The grid density is exact on
-    |k|_inf <= K once G >= 2M + K + 1 (the aliases of cutoff-2M modes land
-    beyond K, where g is 0), and the crop of a product with modes <= M + K
-    onto |k|_inf <= M is alias-free on the same G.  So the step, Picard's
-    nonlinear term and rhs take G = _fast_len(2M + K + 1), or
-    _fast_len(4M + 2) when K = 2M.  Vhat is evaluated once, at f = 0..2M.
+    The grid.  Cutoff-M data has a density with modes |k|_inf <= 2M; on
+    G = _fast_len(2M + K + 1) its aliases land beyond K, where g is 0, so it
+    is exact on |k|_inf <= K, and the crop of a product with modes <= M + K
+    onto |k|_inf <= M is alias-free.  The step kernel of _get_kernel, which
+    the step, Picard's nonlinear term and rhs take, has K = _bandwidth(g),
+    the least K <= 2M whose dropped Gaussian weight is at most 2^-53: since
+    |beta_k| <= beta_0 = 1, the dropped part of V * |phi|^2 is at most
+    2^-53 b in sup norm, the rounding the convolution makes anyway.
+    Records take record, the kernel with K = 2M, on whose grid
+    _fast_len(4M + 1) (pointwise_product's) the Parseval sum of beta_gap
+    over all |k|_inf <= 2M is exact.
 
-    The record grid.  beta_gap sums |beta_k|^2 over all |k|_inf <= 2M by
-    Parseval, which needs G >= 4M + 1, so records take record: a second
-    kernel with K = 2M on the _fast_len(4M + 2) grid, built from this
-    one's g on first use, and this kernel itself when K = 2M.
-
-    field and crop are the module's pruned transforms _synthesize and
-    _analyze, against the read-only DFT pair F = _dft_synthesis(M, G),
-    A = _dft_analysis(F), built here once per kernel.  The kernel keeps
-    no scratch buffers and not its model, so threads of one process may
-    share it (each call allocates its own) and it dies with the model.
-    (Scan worker processes each build their own kernels.)
+    field and crop are _transform against the read-only DFT pair
+    F = _dft_synthesis(M, G), A = _dft_analysis(F).  The kernel keeps no
+    scratch buffers and not its model, so threads of one process may share
+    it (each call allocates its own; scan workers build their own) and it
+    dies with the model.
     """
 
-    def __init__(self, lattice: TorusLattice, source: GaussianPotential | _Kernel):
-        """source is the Gaussian model, or the step kernel whose record
-        grid this is, which passes on its b and g."""
-        self.lattice = lattice
-        M = lattice.M
-        if isinstance(source, _Kernel):
-            self.b, self.g, self.K = source.b, source.g, 2 * M
-        else:
-            # g(f) = Vhat(2 pi f / L) / b on f = 0..2M, the one Vhat evaluation
-            self.b = source.b
-            self.g = source.fourier_profile_radial(
-                (2.0 * math.pi / float(lattice.L)) * np.arange(2 * M + 1.0)) / source.b
-            self.g.setflags(write=False)
-            self.K = _bandwidth(self.g)
-        K = self.K
-        self.G = G = _fast_len(4 * M + 2 if K == 2 * M else 2 * M + K + 1)
-        self.F = _dft_synthesis(M, G)
+    def __init__(self, lattice: TorusLattice, b: float, g, K: int):
+        """g is the read-only axis profile Vhat(2 pi f / L) / b on f = 0..2M."""
+        self.lattice, self.b, self.g, self.K = lattice, b, g, K
+        self.G = G = _fast_len(2 * lattice.M + K + 1)
+        self.F = _dft_synthesis(lattice.M, G)
         self.A = _dft_analysis(self.F)
         # g on the grid frequencies, 0 beyond K
         f = np.minimum(np.arange(G), G - np.arange(G))
-        column = np.fft.ifft(np.where(f <= K, self.g[np.minimum(f, K)], 0.0)).real
+        column = np.fft.ifft(np.where(f <= K, g[np.minimum(f, K)], 0.0)).real
         # g is even, so its column is too; mirror it exactly so C = C.T bit for bit
         column[G // 2 + 1:] = column[1:(G + 1) // 2][::-1]
         # the circulant C[j, m] = column[(j - m) mod G]
         self.C = column[np.subtract.outer(np.arange(G), np.arange(G)) % G]
-        self.bC = self.b * self.C
+        self.bC = b * self.C
         self.C.setflags(write=False)
         self.bC.setflags(write=False)
         self._phases = ()
@@ -353,22 +328,23 @@ class _Kernel:
 
     @property
     def record(self) -> "_Kernel":
-        """The record grid's kernel (K = 2M, G = _fast_len(4M + 2)): self
-        when the grids coincide, else built on first use and kept."""
-        if self.K == 2 * self.lattice.M:
+        """The kernel with K = 2M and this one's b and g: self if K = 2M,
+        else built on first use and kept."""
+        K = 2 * self.lattice.M
+        if self.K == K:
             return self
         with _KERNELS_LOCK:
             if self._record is None:
-                self._record = _Kernel(self.lattice, self)
+                self._record = _Kernel(self.lattice, self.b, self.g, K)
             return self._record
 
     def field(self, alpha):
         """Unit-density field on the G^3 grid: G^3 ifftn of the embedded alpha."""
-        return _synthesize(alpha, self.F)
+        return _transform(alpha, self.F)
 
     def crop(self, phi):
         """Lattice coefficients of a grid field: fftn(phi)[lattice] / G^3."""
-        return _analyze(phi, self.A)
+        return _transform(phi, self.A)
 
     def convolved_density(self, phi):
         """(V_L * |phi|^2)(x) on the grid, as a new array the caller may
@@ -411,7 +387,11 @@ def _get_kernel(model: GaussianPotential, lattice: TorusLattice) -> _Kernel:
     with _KERNELS_LOCK:
         kernels = _KERNELS.setdefault(model, {})
         if lattice not in kernels:
-            kernels[lattice] = _Kernel(lattice, model)
+            # g(f) = Vhat(2 pi f / L) / b on f = 0..2M, the one Vhat evaluation
+            g = model.fourier_profile_radial(
+                (2.0 * math.pi / lattice.L) * np.arange(2 * lattice.M + 1.0)) / model.b
+            g.setflags(write=False)
+            kernels[lattice] = _Kernel(lattice, model.b, g, _bandwidth(g))
         return kernels[lattice]
 
 
@@ -503,10 +483,10 @@ def pointwise_product(a: SpectralState, b: SpectralState) -> SpectralState:
     lat = a.lattice
     G = _fast_len(2 * lat.size - 1)
     F = _dft_synthesis(lat.M, G)
-    prod = _synthesize(a.alpha, F) * _synthesize(b.alpha, F)
+    prod = _transform(a.alpha, F) * _transform(b.alpha, F)
     diff = difference_lattice(lat)
     A = _dft_analysis(_dft_synthesis(diff.M, G))
-    return SpectralState(diff, a.rho, a.t, _analyze(prod, A))
+    return SpectralState(diff, a.rho, a.t, _transform(prod, A))
 
 
 def _normalize(alpha, where: str):

@@ -178,15 +178,21 @@ def vhat_grid(model: GaussianPotential, L, k1, limit=None):
     return out
 
 
-def potential_l2(model: GaussianPotential, L, M) -> float:
-    """Upper bound on sqrt((1/L^3) sum_k Vhat(2 pi k/L)^2), k over all Z^3: the sum is b^2 (sum_f
-    exp(-a f^2))^3, a = (2 pi sigma/L)^2, exact over |f| <= M plus sqrt(pi/a) erfc(M sqrt(a))."""
+def potential_l2(model: GaussianPotential, L) -> float:
+    """sqrt((1/L^3) sum_k Vhat(2 pi k/L)^2) over all k in Z^3, an upper bound exact to roundoff.
+
+    The sum is b^2 theta(r)^3, theta(r) = sum_f exp(-(r f)^2), r = 2 pi sigma / L: for r^2 >= pi,
+    |f| <= 5 plus the tail bound sqrt(pi) erfc(5 r) / r < 1e-34, else by the Poisson dual
+    theta(r) = sqrt(pi) theta(pi / r) / r, whose (pi / r)^2 > pi."""
     L = as_real(L, "L", positive=True)
-    M = as_int(M, "M")
-    if M < 0:
-        raise ValueError("M must be >= 0")
-    root_a = 2.0 * math.pi * model.sigma / L
-    with np.errstate(over="ignore"):  # a term past the float range is exp(-inf) = 0
-        exact = 1.0 + 2.0 * float(np.sum(np.exp(-np.square(root_a * np.arange(1.0, M + 1.0)))))
-    return _positive_finite(lambda: model.b / L**1.5 * (
-        exact + math.sqrt(math.pi) / root_a * math.erfc(M * root_a)) ** 1.5, "potential L2 norm")
+
+    def theta(r):  # (r f)^2 past the float range is inf, and exp(-inf) = 0
+        return (1.0 + 2.0 * math.fsum(math.exp(-(r * f) * (r * f)) for f in range(1, 6))
+                + math.sqrt(math.pi) / r * math.erfc(5.0 * r))
+
+    def norm():
+        r = 2.0 * math.pi * model.sigma / L
+        return model.b / L**1.5 * (theta(r) if r * r >= math.pi
+                                   else math.sqrt(math.pi) / r * theta(math.pi / r)) ** 1.5
+
+    return _positive_finite(norm, "potential L2 norm")

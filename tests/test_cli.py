@@ -621,7 +621,7 @@ class TestBoundReport:
         assert run(["bound-report", "--inputs", str(self.inputs(tmp_path, n=n, t=t))]) == 0
         inputs = diagnostics.bound_inputs(state, model, n, 0.0, 0.0)
         assert (inputs.s_inf, inputs.d_inf, inputs.b) == (s_sum(state), t_sum(state), model.b)
-        assert inputs.v2 == potential_l2(model, 4.0, 6)
+        assert inputs.v2 == potential_l2(model, 4.0)
         omega = diagnostics.omega_coefficient(inputs.s_inf, inputs.d_inf, inputs.b, inputs.v2,
                                               model.C, 0.01)
         assert json.loads(capsys.readouterr().out) == {

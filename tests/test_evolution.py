@@ -749,7 +749,7 @@ class TestKernelCache:
         try:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 for _ in range(10):
-                    kernel = _Kernel(TorusLattice(4.0, 3), GaussianPotential())
+                    kernel = _get_kernel(GaussianPotential(), TorusLattice(4.0, 3))
                     barrier = threading.Barrier(workers, timeout=10)
 
                     def lookup(_):

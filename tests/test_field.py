@@ -37,8 +37,8 @@ from torus_hartree import (
     to_physical,
     wiener_norm,
 )
-from torus_hartree.field import (_analyze, _dft_analysis, _dft_synthesis, _fast_len,
-                                 _Kernel, _synthesize)
+from torus_hartree.field import (_dft_analysis, _dft_synthesis, _fast_len, _get_kernel,
+                                 _transform)
 from torus_hartree.potential import vhat_grid
 
 
@@ -425,7 +425,7 @@ class TestKernel:
     def check(self, M, seed):
         lat = TorusLattice(float(M), M)
         model = GaussianPotential()
-        step = _Kernel(lat, model)
+        step = _get_kernel(model, lat)
         for kernel in (step, step.record):
             self.check_kernel(kernel, model, seed)
         return step
@@ -447,17 +447,28 @@ class TestKernel:
 
     @pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 8])
     def test_matches_full_grid(self, M):
-        # M = 8 gives the odd record grid G = 35.
+        # M = 2 and 8 give the odd record grids G = 9 and 33
         kernel = self.check(M, seed=M)
-        K = kernel.K
-        assert kernel.G == next_fast_len(4 * M + 2 if K == 2 * M else 2 * M + K + 1)
-        assert kernel.record.G == next_fast_len(4 * M + 2)
+        assert kernel.G == next_fast_len(2 * M + kernel.K + 1)
+        assert kernel.record.G == next_fast_len(4 * M + 1)
+
+    @pytest.mark.parametrize("M", range(1, 13))
+    @pytest.mark.parametrize("L_is_M", [True, False])
+    def test_one_grid_rule(self, M, L_is_M):
+        # L = M (kappa 1) and L = 4: every kernel takes G = next_fast_len(2M + K + 1),
+        # so the record kernel (K = 2M) takes pointwise_product's grid
+        lat = TorusLattice(float(M) if L_is_M else 4.0, M)
+        kernel = _get_kernel(GaussianPotential(), lat)
+        assert kernel.G == _fast_len(2 * M + kernel.K + 1)
+        assert kernel.record.G == _fast_len(4 * M + 1)
+        assert kernel.record.K == 2 * M
+        assert (kernel.record is kernel) == (kernel.K == 2 * M)
 
     @pytest.mark.parametrize("M, L, K, G", [(16, 16.0, 23, 56), (8, 8.0, 11, 28),
-                                            (2, 4.0, 4, 10)])
+                                            (2, 4.0, 4, 9)])
     def test_bandwidth_is_the_least_at_roundoff(self, M, L, K, G):
         # the dropped weight (a + d)^3 - a^3 of the kernel's float g, in exact arithmetic
-        kernel = _Kernel(TorusLattice(L, M), GaussianPotential())
+        kernel = _get_kernel(GaussianPotential(), TorusLattice(L, M))
         weights = [Fraction(g) * (2 if f else 1) for f, g in enumerate(kernel.g.tolist())]
         total, roundoff = sum(weights), Fraction(1, 2**53)
 
@@ -479,12 +490,12 @@ class TestKernel:
 
     @pytest.mark.parametrize("M", [1, 2, 3, 4, 5])
     def test_transforms_on_kernel_and_odd_grids(self, M):
-        # the kernel's grid (even for M <= 5), an odd padded one and the
-        # unpadded odd one, against the full numpy transforms
+        # the record grid (odd for M = 1, 2, 5), an even padded one, an odd
+        # padded one and the unpadded odd one, against the full numpy transforms
         lat = TorusLattice(4.0, M)
         alpha = random_state(lat, seed=60 + M).alpha
         rng = np.random.default_rng(M)
-        for G in (next_fast_len(4 * M + 2), 4 * M + 3, lat.size):
+        for G in (next_fast_len(4 * M + 1), 4 * M + 2, 4 * M + 3, lat.size):
             F = _dft_synthesis(M, G)
             A = _dft_analysis(F)
             assert not F.flags.writeable and not A.flags.writeable
@@ -493,12 +504,12 @@ class TestKernel:
             idx = lat.embed_indexer(G)
             cube = np.zeros((G, G, G), dtype=complex)
             cube[idx] = alpha
-            phi = _synthesize(alpha, F)
+            phi = _transform(alpha, F)
             assert_rel_close(phi, G**3 * np.fft.ifftn(cube))
-            assert np.max(np.abs(_analyze(phi, A) - alpha)) <= 1e-14
+            assert np.max(np.abs(_transform(phi, A) - alpha)) <= 1e-14
             grid = rng.normal(size=(G, G, G)) + 1j * rng.normal(size=(G, G, G))
-            assert_rel_close(_analyze(grid, A), np.fft.fftn(grid)[idx] / G**3)
-            assert_rel_close(_analyze(grid.real, A), np.fft.fftn(grid.real)[idx] / G**3)
+            assert_rel_close(_transform(grid, A), np.fft.fftn(grid)[idx] / G**3)
+            assert_rel_close(_transform(grid.real, A), np.fft.fftn(grid.real)[idx] / G**3)
 
 
 class TestPointwiseProduct:

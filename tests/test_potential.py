@@ -20,7 +20,8 @@ from torus_hartree import (
     make_potential,
     potential_l2,
 )
-from torus_hartree.field import _get_kernel, _Kernel
+from torus_hartree.diagnostics import bound_inputs
+from torus_hartree.field import _get_kernel, make_state
 from torus_hartree.potential import vhat_grid
 
 from hartree_reference import B_GAUSS
@@ -174,9 +175,7 @@ class TestMomentumGrid:
     def test_l2_truncation_approaches_whole_space_norm(self, gaussian):
         # ||V_infty||_2 = pi^{3/4} for the unit gaussian
         target = math.pi ** 0.75
-        vals = [potential_l2(gaussian, L, M) for L, M in
-                [(4.0, 4), (8.0, 16), (16.0, 48)]]
-        errs = [abs(v - target) for v in vals]
+        errs = [abs(potential_l2(gaussian, L) - target) for L in (4.0, 8.0, 16.0)]
         assert errs[-1] < 1e-6
         assert errs[0] > errs[-1]
 
@@ -189,32 +188,42 @@ class TestMomentumGrid:
 
     @pytest.mark.parametrize("L, M", [(4.0, 3), (8.0, 8), (16.0, 16), (32.0, 8), (100.0, 10)])
     def test_l2_bounds_the_whole_lattice_norm(self, gaussian, L, M):
-        # the |f| > M tail is bounded, not dropped: (100, 10) once gave 1.2347 against 2.35973
+        # bound_inputs' v2 is the whole-lattice norm whatever the state's cutoff: at (100, 10)
+        # the sum to |f| <= M gave 1.2347, and to 2M plus an erfc tail 2.38496, against 2.35973
         whole = self.whole_lattice_l2(gaussian, L)
-        for m in (0, M, 2 * M):
-            assert potential_l2(gaussian, L, m) >= whole * (1.0 - 1e-15)
-        assert potential_l2(gaussian, L, 0) > potential_l2(gaussian, L, M)
+        v2 = bound_inputs(make_state("plane_wave", TorusLattice(L, M), 1.0),
+                          gaussian, 0.0, 0.0, 0.0).v2
+        assert v2 == potential_l2(gaussian, L) >= whole * (1.0 - 1e-15)
+        assert v2 == pytest.approx(whole, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 3.0])
+    def test_l2_is_the_whole_lattice_norm_at_every_kappa(self, sigma):
+        # direct terms for (2 pi sigma / L)^2 >= pi, the Poisson dual below
+        model = GaussianPotential(sigma=sigma)
+        for L in np.geomspace(0.01, 1e4, 61):
+            whole = self.whole_lattice_l2(model, L)
+            assert potential_l2(model, L) == pytest.approx(whole, rel=1e-15, abs=0.0)
+        meet = 2.0 * math.sqrt(math.pi) * sigma  # where the two routes meet
+        assert potential_l2(model, math.nextafter(meet, 0.0)) == pytest.approx(
+            potential_l2(model, math.nextafter(meet, math.inf)), rel=1e-15, abs=0.0)
+        # the L -> infinity limit b / (2 sigma sqrt(pi))^{3/2} stays finite
+        assert potential_l2(model, 1e200) == pytest.approx(
+            model.b / (2.0 * sigma * math.sqrt(math.pi)) ** 1.5, rel=1e-14)
 
     @pytest.mark.parametrize("L, M", [(4.0, 3), (8.0, 8), (16.0, 16)])
     def test_l2_is_the_whole_lattice_norm_once_the_tail_vanishes(self, gaussian, L, M):
-        # at 2M, the cutoff bound_inputs takes, 2 pi M sigma / L >= 6 at these points
+        # the vhat_grid cube |k|_inf <= 3M holds all of the sum at these points
         cube = vhat_grid(gaussian, L, np.arange(-3 * M, 3 * M + 1))
         whole = math.sqrt(math.fsum(np.square(cube).ravel()) / L**3)
-        assert potential_l2(gaussian, L, 2 * M) == pytest.approx(whole, rel=1e-14, abs=0.0)
+        assert potential_l2(gaussian, L) == pytest.approx(whole, rel=1e-14, abs=0.0)
         assert self.whole_lattice_l2(gaussian, L) == pytest.approx(whole, rel=1e-14, abs=0.0)
 
     def test_l2_rejects_bad_arguments(self, gaussian):
-        with pytest.raises(ValueError):
-            potential_l2(gaussian, 0.0, 4)
-        with pytest.raises(ValueError):
-            potential_l2(gaussian, 4.0, -1)
-
-    @pytest.mark.parametrize("L, M", [(math.nan, 2), (math.inf, 2), (True, 2),
-                                      (4.0, 2.7), (4.0, math.nan), (4.0, True)])
-    def test_l2_rejects_non_finite_and_non_integral(self, gaussian, L, M):
-        with pytest.raises(ValueError):
-            potential_l2(gaussian, L, M)
-
+        # non-finite, non-positive and non-numeric boxes; at L = 1e-300 the norm
+        # b / L^{3/2} is past the float range
+        for L in (0.0, -4.0, 1e-300, math.nan, math.inf, True, "4"):
+            with pytest.raises(ValueError):
+                potential_l2(gaussian, L)
 
     def test_vhat_grid_limit_zeroes_outer_frequencies(self, gaussian):
         k1 = np.fft.fftfreq(10, 1.0 / 10)
@@ -242,7 +251,7 @@ class TestMomentumGrid:
         profile, points = model.fourier_profile_radial, []
         monkeypatch.setattr(model, "fourier_profile_radial",
                             lambda p: points.append(np.size(p)) or profile(p))
-        kernel = _Kernel(TorusLattice(16.0, 16), model)
+        kernel = _get_kernel(model, TorusLattice(16.0, 16))
         held = {name: (v if v.base is None else v.base).size
                 for name, v in vars(kernel).items() if isinstance(v, np.ndarray)}
         assert held and max(held.values()) < kernel.G**3, held
