@@ -218,10 +218,19 @@ class TestMomentumGrid:
         assert potential_l2(gaussian, L) == pytest.approx(whole, rel=1e-14, abs=0.0)
         assert self.whole_lattice_l2(gaussian, L) == pytest.approx(whole, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("L, M", [(math.nan, 2), (math.inf, 2), (True, 2)])
+    def test_l2_rejects_non_finite_and_non_integral(self, gaussian, L, M):
+        # a non-finite or boolean box is refused by potential_l2 as by the
+        # lattice it would size, whatever the (valid) M
+        with pytest.raises(ValueError):
+            potential_l2(gaussian, L)
+        with pytest.raises(ValueError):
+            TorusLattice(L, M)
+
     def test_l2_rejects_bad_arguments(self, gaussian):
-        # non-finite, non-positive and non-numeric boxes; at L = 1e-300 the norm
+        # non-positive and non-numeric boxes; at L = 1e-300 the norm
         # b / L^{3/2} is past the float range
-        for L in (0.0, -4.0, 1e-300, math.nan, math.inf, True, "4"):
+        for L in (0.0, -4.0, 1e-300, "4"):
             with pytest.raises(ValueError):
                 potential_l2(gaussian, L)
 
