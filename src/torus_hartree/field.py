@@ -289,16 +289,17 @@ class _Kernel:
     by axis, which is why the Gaussian is the one potential family.
 
     The grid.  Cutoff-M data has a density with modes |k|_inf <= 2M; on
-    G = _fast_len(2M + K + 1) its aliases land beyond K, where g is 0, so it
-    is exact on |k|_inf <= K, and the crop of a product with modes <= M + K
-    onto |k|_inf <= M is alias-free.  The step kernel of _get_kernel, which
-    the step, Picard's nonlinear term and rhs take, has K = _bandwidth(g),
-    the least K <= 2M whose dropped Gaussian weight is at most 2^-53: since
-    |beta_k| <= beta_0 = 1, the dropped part of V * |phi|^2 is at most
-    2^-53 b in sup norm, the rounding the convolution makes anyway.
-    Records take record, the kernel with K = 2M, on whose grid
-    _fast_len(4M + 1) (pointwise_product's) the Parseval sum of beta_gap
-    over all |k|_inf <= 2M is exact.
+    G >= 2M + K + 1 its aliases land beyond K, where g is 0, and the crop
+    of a product with modes <= M + K onto |k|_inf <= M is alias-free, so
+    picard_solve and rhs are exact.  _get_kernel takes K = _bandwidth(g),
+    the least K <= 2M whose dropped Gaussian weight is at most 2^-53 (as
+    |beta_k| <= beta_0 = 1, the dropped part of V * |phi|^2 is then at most
+    2^-53 b in sup norm), and G = _fast_len(2M + K + 1).  The Strang step's
+    crop of exp(i theta) phi also aliases the phase's second-order modes,
+    up to M + 2K: at roundoff while g is tiny near K, not always once
+    K = 2M (8.3e-14 at L = 4, M = 2 on G = 9, 5e-16 on 10).  So the K = 2M
+    kernel, which records take as record (Parseval over |k|_inf <= 2M
+    needs G >= 4M + 1), is on _fast_len(4M + 2).
 
     field and crop are _transform against the read-only DFT pair
     F = _dft_synthesis(M, G), A = _dft_analysis(F).  The kernel keeps no
@@ -310,8 +311,9 @@ class _Kernel:
     def __init__(self, lattice: TorusLattice, b: float, g, K: int):
         """g is the read-only axis profile Vhat(2 pi f / L) / b on f = 0..2M."""
         self.lattice, self.b, self.g, self.K = lattice, b, g, K
-        self.G = G = _fast_len(2 * lattice.M + K + 1)
-        self.F = _dft_synthesis(lattice.M, G)
+        M = lattice.M
+        self.G = G = _fast_len(4 * M + 2 if K == 2 * M else 2 * M + K + 1)
+        self.F = _dft_synthesis(M, G)
         self.A = _dft_analysis(self.F)
         # g on the grid frequencies, 0 beyond K
         f = np.minimum(np.arange(G), G - np.arange(G))

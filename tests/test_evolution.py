@@ -39,7 +39,7 @@ from torus_hartree import (
     time_reversal,
 )
 import torus_hartree
-from torus_hartree import diagnostics, evolution
+from torus_hartree import diagnostics, evolution, field
 from numpy.polynomial.legendre import leggauss
 
 from torus_hartree.evolution import (
@@ -243,6 +243,25 @@ class TestSplitStep:
         narrow = end()
         monkeypatch.setattr(evolution, "_get_kernel", lambda model, lat: kernel.record)
         assert l2_dist(narrow, end()) <= 1e-13
+
+    def test_capped_bandwidth_step_covers_the_phase(self, gaussian, monkeypatch):
+        # at K = 2M the pointwise phase's second-order modes reach M + 2K and alias
+        # onto the crop: the kernel's _fast_len(4M + 2) = 10 meets G = 15, alias-free
+        # to second order, at roundoff, and the minimal _fast_len(4M + 1) = 9 does not
+        st = quasi_condensate(m=2, L=4.0, eps=0.2, s=3.0)
+        kernel = _get_kernel(gaussian, st.lattice)
+        assert (kernel.K, kernel.G) == (4, 10)
+        kept = step_split(st, gaussian, 0.02)
+
+        def step_on(G):
+            monkeypatch.setattr(field, "_fast_len", lambda n: G)
+            grid = _Kernel(st.lattice, kernel.b, kernel.g, kernel.K)
+            monkeypatch.setattr(evolution, "_get_kernel", lambda model, lat: grid)
+            return step_split(st, gaussian, 0.02)
+
+        wide, narrow = step_on(15), step_on(9)
+        assert l2_dist(kept, wide) <= 2e-15
+        assert l2_dist(narrow, wide) >= 2e-14
 
     def test_tangent_phase_matches_cos_and_sin(self):
         # the step's phase for prescribed angles: a unit field, a density

@@ -447,25 +447,27 @@ class TestKernel:
 
     @pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 8])
     def test_matches_full_grid(self, M):
-        # M = 2 and 8 give the odd record grids G = 9 and 33
+        # M = 8 gives the odd record grid G = 35.
         kernel = self.check(M, seed=M)
-        assert kernel.G == next_fast_len(2 * M + kernel.K + 1)
-        assert kernel.record.G == next_fast_len(4 * M + 1)
+        K = kernel.K
+        assert kernel.G == next_fast_len(4 * M + 2 if K == 2 * M else 2 * M + K + 1)
+        assert kernel.record.G == next_fast_len(4 * M + 2)
 
     @pytest.mark.parametrize("M", range(1, 13))
     @pytest.mark.parametrize("L_is_M", [True, False])
-    def test_one_grid_rule(self, M, L_is_M):
-        # L = M (kappa 1) and L = 4: every kernel takes G = next_fast_len(2M + K + 1),
-        # so the record kernel (K = 2M) takes pointwise_product's grid
+    def test_grid_rule(self, M, L_is_M):
+        # L = M (kappa 1) and L = 4: the step grid is next_fast_len(2M + K + 1) below
+        # K = 2M, and the record kernel (K = 2M) takes next_fast_len(4M + 2)
         lat = TorusLattice(float(M) if L_is_M else 4.0, M)
         kernel = _get_kernel(GaussianPotential(), lat)
-        assert kernel.G == _fast_len(2 * M + kernel.K + 1)
-        assert kernel.record.G == _fast_len(4 * M + 1)
+        K = kernel.K
+        assert kernel.G == _fast_len(4 * M + 2 if K == 2 * M else 2 * M + K + 1)
+        assert kernel.record.G == _fast_len(4 * M + 2)
         assert kernel.record.K == 2 * M
-        assert (kernel.record is kernel) == (kernel.K == 2 * M)
+        assert (kernel.record is kernel) == (K == 2 * M)
 
     @pytest.mark.parametrize("M, L, K, G", [(16, 16.0, 23, 56), (8, 8.0, 11, 28),
-                                            (2, 4.0, 4, 9)])
+                                            (2, 4.0, 4, 10)])
     def test_bandwidth_is_the_least_at_roundoff(self, M, L, K, G):
         # the dropped weight (a + d)^3 - a^3 of the kernel's float g, in exact arithmetic
         kernel = _get_kernel(GaussianPotential(), TorusLattice(L, M))
@@ -490,12 +492,13 @@ class TestKernel:
 
     @pytest.mark.parametrize("M", [1, 2, 3, 4, 5])
     def test_transforms_on_kernel_and_odd_grids(self, M):
-        # the record grid (odd for M = 1, 2, 5), an even padded one, an odd
-        # padded one and the unpadded odd one, against the full numpy transforms
+        # pointwise_product's grid (odd for M = 1, 2, 5), the kernel's record grid
+        # (even for M <= 5), an odd padded one and the unpadded odd one, against
+        # the full numpy transforms
         lat = TorusLattice(4.0, M)
         alpha = random_state(lat, seed=60 + M).alpha
         rng = np.random.default_rng(M)
-        for G in (next_fast_len(4 * M + 1), 4 * M + 2, 4 * M + 3, lat.size):
+        for G in (next_fast_len(4 * M + 1), next_fast_len(4 * M + 2), 4 * M + 3, lat.size):
             F = _dft_synthesis(M, G)
             A = _dft_analysis(F)
             assert not F.flags.writeable and not A.flags.writeable
