@@ -310,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--plan", required=True, help="scan plan JSON")
     sc.add_argument("--out", required=True, help="output directory")
     sc.add_argument("--workers", type=int, default=1,
-                    help="worker processes, forked; rows stay in plan order (default: 1)")
+                    help="worker processes: this one runs the heaviest share and "
+                         "min(n, points) - 1 forked children the rest; a one-point plan "
+                         "forks nothing; rows stay in plan order (default: 1)")
     return p
 
 

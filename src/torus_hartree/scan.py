@@ -274,14 +274,20 @@ def run_scan(plan: ScanPlan, out_dir=None, workers: int = 1) -> list:
     the scan.  When ``out_dir`` is given, writes table.csv, summary.json,
     and one trajectory CSV per point.
 
-    With ``workers`` = n > 1, min(n, points) forked children run the
-    points: sorted largest M first, child k takes every n-th one from the
-    k-th, and the rows are put back in plan order.  A child that dies
-    raises ``ChildProcessError`` and nothing more is written.  Fork is
-    required: a spawned child would pay the package import (~0.2 s,
-    mostly numpy's) again.  Fork copies only the calling thread, so no
-    other thread of the caller may hold a lock the points take (the
-    kernel cache's, say) while the children start.
+    With ``workers`` = n > 1 the points are sorted largest M first and
+    share k takes every n-th one from the k-th on, for k < min(n, points).
+    The caller forks one child for each share but the first, then runs
+    share 0 itself, and the rows are put back in plan order; a one-point
+    plan forks nothing.  The caller takes share 0, the heaviest, because
+    a point costs more in a fresh child (its first point faults in the
+    pages it copies) than in the warm caller.  A child that dies raises
+    ``ChildProcessError``; an exception out of the caller's own share
+    terminates and reaps every child first.  Either way nothing more is
+    written.  Fork is required: a spawned child would pay the package
+    import (~0.2 s, mostly numpy's) again.  Fork copies only the calling
+    thread, so every child is forked before the caller starts its share,
+    and no other thread of the caller may hold a lock the points take
+    (the kernel cache's, say) while the children start.
     """
     workers = as_int(workers, "workers")
     if workers < 1:
@@ -302,18 +308,28 @@ def run_scan(plan: ScanPlan, out_dir=None, workers: int = 1) -> list:
         # the largest (slowest) points first, dealt round robin, so none starts last
         by_cost = sorted(points, key=lambda ij: -plan.cutoff(plan.L_values[ij[1]]))
         n = min(workers, len(points))
-        children, done = [], {}
-        for share in (by_cost[k::n] for k in range(n)):
-            recv, send = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.get_context("fork").Process(
-                target=_run_share, args=(plan, model, share, out_dir, send))
-            child.start()
-            send.close()  # the child then holds the only copy, so its death reads as EOF
-            children.append((child, recv))
-        for child, recv in children:  # a child blocks on send until its pipe is read
-            with recv, contextlib.suppress(EOFError):
-                done.update(recv.recv())
-            child.join()
+        shares = [by_cost[k::n] for k in range(n)]
+        children = []
+        try:
+            for share in shares[1:]:
+                recv, send = multiprocessing.Pipe(duplex=False)
+                child = multiprocessing.get_context("fork").Process(
+                    target=_run_share, args=(plan, model, share, out_dir, send))
+                child.start()
+                send.close()  # the child then holds the only copy, so its death reads as EOF
+                children.append((child, recv))
+            # only after every fork, so no child is forked while the caller holds a lock
+            done = {ij: _run_point(plan, model, *ij, out_dir) for ij in shares[0]}
+            for child, recv in children:  # a child blocks on send until its pipe is read
+                with recv, contextlib.suppress(EOFError):
+                    done.update(recv.recv())
+                child.join()
+        except BaseException:  # an interrupt, say: reap every child before it propagates
+            for child, recv in children:
+                child.terminate()
+                child.join()
+                recv.close()
+            raise
         codes = [child.exitcode for child, _ in children]
         if any(codes) or len(done) < len(points):
             raise ChildProcessError(f"worker exit codes {codes}")

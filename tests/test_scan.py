@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import multiprocessing
 import os
 
 import pytest
@@ -388,16 +389,21 @@ class TestProcessPool:
         monkeypatch.setattr(scan, "_run_point", logged)  # forked workers inherit it
         return log
 
-    def shares(self, log, plan):
-        """The points each worker ran, in its order; the workers=1 run is the parent's."""
+    def shares(self, log, plan, workers):
+        """The caller's share of the multi-worker pass, and each child's, in their order.
+
+        The caller runs the whole workers=1 pass first, then share 0 of the
+        multi-worker pass; min(workers, points) - 1 children run the rest.
+        """
         shares = {}
         for line in log.read_text(encoding="ascii").splitlines():
             pid, i_rho, i_L = map(int, line.split())
             shares.setdefault(pid, []).append((i_rho, i_L))
-        serial = shares.pop(os.getpid())
-        assert serial == [(i, j) for i in range(len(plan.rho_values))
-                          for j in range(len(plan.L_values))]
-        return sorted(shares.values())
+        points = [(i, j) for i in range(len(plan.rho_values)) for j in range(len(plan.L_values))]
+        caller = shares.pop(os.getpid())
+        assert caller[:len(points)] == points
+        assert len(shares) == min(workers, len(points)) - 1
+        return caller[len(points):], sorted(shares.values())
 
     def run_both(self, tmp_path, plan, workers):
         outs = {}
@@ -406,6 +412,7 @@ class TestProcessPool:
             records = run_scan(plan, out_dir=outs[w], workers=w)
             assert [(r.rho, r.L) for r in records] == [
                 (rho, L) for rho in plan.rho_values for L in plan.L_values]
+            assert multiprocessing.active_children() == []  # no worker leaked
         assert_same_outputs(outs[1], outs[workers])
         return records
 
@@ -413,14 +420,41 @@ class TestProcessPool:
         plan = small_plan(rho_values=[1.0, 2.0], L_values=[2.0, 3.0, 4.0],
                           t_final=2e-3, dt=1e-3)
         self.run_both(tmp_path, plan, 2)
-        # largest M first, (0, 2), (1, 2), (0, 1), (1, 1), (0, 0), (1, 0), dealt round robin
-        assert self.shares(point_log, plan) == [[(0, 2), (0, 1), (0, 0)],
-                                                [(1, 2), (1, 1), (1, 0)]]
+        # largest M first, (0, 2), (1, 2), (0, 1), (1, 1), (0, 0), (1, 0), dealt round robin;
+        # the caller runs share 0
+        assert self.shares(point_log, plan, 2) == ([(0, 2), (0, 1), (0, 0)],
+                                                   [[(1, 2), (1, 1), (1, 0)]])
 
     def test_more_workers_than_points(self, tmp_path, point_log):
         plan = small_plan(rho_values=[1.0, 2.0], t_final=2e-3, dt=1e-3)
         self.run_both(tmp_path, plan, 5)
-        assert self.shares(point_log, plan) == [[(0, 0)], [(1, 0)]]
+        assert self.shares(point_log, plan, 5) == ([(0, 0)], [[(1, 0)]])
+
+    def test_one_point_plan_forks_nothing(self, tmp_path, point_log):
+        plan = small_plan(rho_values=[1.0], t_final=2e-3, dt=1e-3)
+        self.run_both(tmp_path, plan, 4)
+        assert self.shares(point_log, plan, 4) == ([(0, 0)], [])
+
+    def test_interrupt_in_the_callers_share_reaps_every_child(self, tmp_path, monkeypatch):
+        run_point = scan._run_point
+        caller = os.getpid()
+
+        def interrupted(plan, model, i_rho, i_L, out_dir):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            return run_point(plan, model, i_rho, i_L, out_dir)
+
+        monkeypatch.setattr(scan, "_run_point", interrupted)  # forked workers inherit it
+        plan = small_plan(rho_values=[1.0, 2.0, 4.0], L_values=[2.0, 3.0],
+                          t_final=2e-3, dt=1e-3)
+        out = tmp_path / "scan"
+        with pytest.raises(KeyboardInterrupt):
+            run_scan(plan, out_dir=out, workers=3)
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):  # no zombie left to wait for
+            os.waitpid(-1, os.WNOHANG)
+        assert not (out / "table.csv").exists()
+        assert not (out / "summary.json").exists()
 
     def test_point_failing_in_a_worker(self, tmp_path):
         # k0 = (3, 0, 0) lies outside the M = 2 lattice but inside M = 4
