@@ -9,6 +9,7 @@ so synthetic inputs can be audited independently of any simulation.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
 
@@ -55,31 +56,32 @@ class EnvelopeDomainError(ValueError):
 # energy
 
 def _interaction_and_beta_gap(state: SpectralState, model: GaussianPotential):
-    """Interaction energy per particle and beta_gap from one synthesis on
-    the kernel's record grid.
+    """Interaction energy per particle and beta_gap from one synthesis and
+    one density pass on the kernel's record grid.
 
     The record grid (G >= 4M+1) resolves the density |phi|^2 of the
     unit-density field without aliasing, so beta = fftn(|phi|^2) / G^3 is
     the exact autocorrelation, and no spectrum is needed.  The interaction
-    takes the step's circulant convolution on this grid: half
+    takes the step's circulant convolution of that density: half
     sum_k Vhat |beta|^2 is sum(|phi|^2 conv) / (2 G^3).  By Parseval,
     beta(0) = sum |phi|^2 / G^3 and sum_{k != 0} |beta|^2 =
     sum (|phi|^2 - beta(0))^2 / G^3.
     """
     kernel = _get_kernel(model, state.lattice).record
     phi = kernel.field(state.alpha)
-    conv = kernel.convolved_density(phi)
     dens = np.square(phi.real)
     dens += np.square(phi.imag, out=phi.imag)  # phi is ours: square in place
+    del phi  # before the convolution allocates its two G^3 buffers
+    conv = kernel.convolve(dens, np.empty_like(dens))
     n = dens.size
     conv *= dens
-    interaction = 0.5 * float(np.sum(conv)) / n
-    beta0 = float(np.sum(dens)) / n
+    interaction = 0.5 * float(np.add.reduce(conv, axis=None)) / n  # np.sum's reduce
+    beta0 = float(np.add.reduce(dens, axis=None)) / n
     dens -= beta0
     # carry beta0's rounding as the residual mean r, so the gap keeps its digits near 0
-    r = float(np.sum(dens)) / n
+    r = float(np.add.reduce(dens, axis=None)) / n
     off = (beta0 - 1.0) + r
-    variance = float(np.sum(np.square(dens, out=dens))) / n - r * r
+    variance = float(np.add.reduce(np.square(dens, out=dens), axis=None)) / n - r * r
     return interaction, variance + abs(off * (2.0 + off))
 
 
@@ -154,15 +156,18 @@ def u_mass_envelope(u0_mass_sq: float, s0: float, b: float, t: float) -> float:
 # ---------------------------------------------------------------------------
 # tails and condensate metrics
 
-def _beyond(lat, radius):
-    """Per-site mask of the modes of Euclidean radius |m| > radius."""
-    return lat.norm_sq > float(radius) ** 2
+@functools.lru_cache(maxsize=8)  # each record takes two, at ceil(M / 2) and at L
+def _beyond(lat, radius: float):
+    """Read-only per-site mask of the modes of Euclidean radius |m| > radius."""
+    mask = lat.norm_sq > float(radius) ** 2
+    mask.setflags(write=False)
+    return mask
 
 
 def tail_sum(state: SpectralState, m_prime: float) -> float:
     """sum of |alpha(m)| over Euclidean radius |m| > m_prime."""
     lat = state.lattice
-    return lat.ordered_sum(np.abs(state.alpha) * _beyond(lat, m_prime))
+    return lat.ordered_sum(np.abs(state.alpha) * _beyond(lat, float(m_prime)))
 
 
 def kinetic_tail(state: SpectralState, c: float = 1.0) -> float:
@@ -240,9 +245,8 @@ class TrajectoryContext:
                    k0=None, theta=None) -> "TrajectoryContext":
         s0 = _positive_finite(lambda: s_sum(state), "S0 = sum |alpha|")
         lat = state.lattice
-        a = np.abs(state.alpha)
         if k0 is None:
-            k0 = _argmax_mode(lat, a)[0]
+            k0 = _argmax_mode(lat, np.abs(state.alpha))[0]
         idx = lat.index_of(k0)
         if theta is None:
             theta = float(np.angle(state.alpha[idx]))
@@ -284,24 +288,26 @@ def _comparison_wave(state: SpectralState, ctx: TrajectoryContext):
     """omega_L = 4 pi^2 |k0|^2 / L^2 + b and the per-site |u|^2 at state.t,
     where u = alpha - exp(i (theta - omega_L (t - t0))) delta_k0."""
     lat = state.lattice
-    k0 = np.asarray(ctx.k0)
-    omega_l = 4.0 * math.pi**2 * float(k0 @ k0) / lat.L**2 + ctx.b
+    idx = tuple(v + lat.M for v in ctx.k0)  # from_state checked k0's three ints
+    if not all(0 <= i < lat.size for i in idx):
+        raise ValueError(f"mode {ctx.k0} outside cutoff M={lat.M}")
+    omega_l = 4.0 * math.pi**2 * float(sum(v * v for v in ctx.k0)) / lat.L**2 + ctx.b
     phase = ctx.theta - omega_l * (state.t - ctx.t0)
-    return omega_l, _wave_deviation(state.alpha, lat.index_of(k0), phase) ** 2
+    return omega_l, _wave_deviation(state.alpha, idx, phase) ** 2
 
 
 def _argmax_mode(lattice, a_abs):
     """The mode of largest |alpha|, the first in C order on ties, and its array index."""
-    idx = np.unravel_index(int(np.argmax(a_abs)), lattice.shape)
-    return tuple(int(i) - lattice.M for i in idx), idx
+    i, jk = divmod(int(np.argmax(a_abs)), lattice.size**2)
+    idx = (i, *divmod(jk, lattice.size))
+    return tuple(v - lattice.M for v in idx), idx
 
 
 def _record_sums(state: SpectralState, context):
-    """make_record's lattice sums, from one ordered_sums call: mass, l1 and
-    l2^2 deviation, tail_sum at ceil(M / 2), kinetic_tail at c = 1, kinetic
-    energy, S, T and (with a context) the u mass; then k_star and |alpha(k_star)|.
-    Each row is the per-site array of the function named, bit for bit, and
-    is written in place into the one stack."""
+    """make_record's lattice sums from one ordered_sums call (mass, l1 and l2^2
+    deviation, tail_sum at ceil(M / 2), kinetic_tail at c = 1, kinetic energy, S,
+    T and, with a context, the u mass), then k_star and |alpha(k_star)|.  Each row
+    is the per-site array of the function named, bit for bit, written in place."""
     lat = state.lattice
     a = state.alpha
     stack = np.empty((8 if context is None else 9, *lat.shape))

@@ -3,9 +3,9 @@
 The order parameter on the box [-L/2, L/2)^3 at density rho is carried
 as truncated Fourier coefficients alpha(n), |n|_inf <= M, normalized so
 that sum |alpha|^2 = 1 (the physical field is then sqrt(rho) times the
-unit-density synthesis).  Each lattice sum is one np.add.reduce over a
-contiguous array, in an order fixed by its length alone, so results are
-bit-reproducible across runs and thread counts.
+unit-density synthesis).  Lattice sums are rows of one np.add.reduce over a
+C-contiguous (k, n) stack, each bit for bit its row's reduce alone, in an
+order fixed by n, so results are bit-reproducible across runs and threads.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ __all__ = [
 
 SNAPSHOT_FORMAT = "torus-hartree-state"
 SNAPSHOT_VERSION = 1
+SNAPSHOT_LAYOUT = {"encoding": "base64/float64-le", "order": "shell-lex"}
 
 
 def as_mode(value, name: str = "k0") -> tuple:
@@ -121,14 +122,14 @@ class TorusLattice:
         return perm
 
     def ordered_sums(self, stack) -> list:
-        """Sum each per-site array of a (k, ...) stack in C order.  Each row
-        is its own np.add.reduce over a contiguous array, bit for bit the
-        sum of that array alone; one np.sum(..., axis=1) over the stack is not."""
-        v = np.asarray(stack)
+        """Sum each per-site array of a (k, ...) stack in C order by one
+        np.add.reduce(rows, axis=1) over the C-contiguous (k, n) stack, bit for
+        bit each row's own np.add.reduce, past numpy's 8192-element buffer too."""
+        v = np.ascontiguousarray(stack)
         n = self.size**3
         if v.ndim < 1 or v.size != len(v) * n:
             raise ValueError("array does not match lattice size")
-        return [float(np.add.reduce(r)) for r in np.ascontiguousarray(v).reshape(len(v), n)]
+        return np.add.reduce(v.reshape(len(v), n), axis=1, dtype=float).tolist()
 
     def ordered_sum(self, values) -> float:
         """Sum a per-site array as one row of ordered_sums."""
@@ -302,7 +303,8 @@ class _Kernel:
     needs G >= 4M + 1), is on _fast_len(4M + 2).
 
     field and crop are _transform against the read-only DFT pair
-    F = _dft_synthesis(M, G), A = _dft_analysis(F).  The kernel keeps no
+    F = _dft_synthesis(M, G), A = _dft_analysis(F); convolve takes a grid
+    density, |phi|^2 from convolved_density or a record's.  The kernel keeps no
     scratch buffers and not its model, so threads of one process may share
     it (each call allocates its own; scan workers build their own) and it
     dies with the model.
@@ -353,13 +355,18 @@ class _Kernel:
         overwrite; phi is the unit-density field."""
         dens = np.square(phi.real)
         dens += np.square(phi.imag)
+        return self.convolve(dens, dens)
+
+    def convolve(self, dens, scratch):
+        """V_L * dens = b (C x C x C) dens as a new array; scratch, a C-contiguous
+        G^3 float array that may be dens itself, is overwritten."""
         # Axis 0, then 2, then 1, ping-ponging between two G^3 buffers: as left
         # products C @ y.reshape(-1, G).T the bits vary with the BLAS thread count
         # at G >= 35, and as tall y.reshape(G, -1).T @ C it is slower at M >= 8.
         G = self.G
         y = np.matmul(self.bC, dens.transpose(1, 0, 2))  # (j, i', k)
-        np.matmul(y.reshape(G * G, G), self.C, out=dens.reshape(G * G, G))  # (j, i', k')
-        return np.matmul(self.C, dens.transpose(1, 0, 2), out=y)  # (i', j', k')
+        np.matmul(y.reshape(G * G, G), self.C, out=scratch.reshape(G * G, G))  # (j, i', k')
+        return np.matmul(self.C, scratch.transpose(1, 0, 2), out=y)  # (i', j', k')
 
     def nonlinear(self, alpha):
         """Projected convolution term P_M[(V_L * |phi|^2) phi] in coefficients."""
@@ -626,8 +633,7 @@ def save_state(state: SpectralState, path, family=None, seed=None):
         "t": state.t,
         "family": family,
         "seed": seed,
-        "encoding": "base64/float64-le",
-        "order": "shell-lex",
+        **SNAPSHOT_LAYOUT,
         "data": base64.b64encode(buf.tobytes()).decode("ascii"),
     }
     with open(path, "w", encoding="ascii") as fh:
@@ -650,13 +656,16 @@ def _require(doc, key, where):
 
 
 def load_state(path) -> SpectralState:
-    """Read a snapshot written by save_state; validates normalization."""
+    """Read a snapshot in save_state's one layout; validates normalization."""
     doc = _load_json(path)
     if not isinstance(doc, dict) or doc.get("format") != SNAPSHOT_FORMAT:
         raise ValueError(f"{path}: not a state snapshot")
     version = doc.get("version")
     if type(version) is not int or version != SNAPSHOT_VERSION:  # not True or 1.0
         raise ValueError(f"{path}: unsupported snapshot version {version!r}")
+    for key, value in SNAPSHOT_LAYOUT.items():  # the only layout save_state writes
+        if _require(doc, key, path) != value:
+            raise ValueError(f"{path}: unsupported snapshot {key} {doc[key]!r}")
     lat = TorusLattice(_require(doc, "L", path), _require(doc, "M", path))
     data = _require(doc, "data", path)
     if not isinstance(data, str):

@@ -452,7 +452,12 @@ class TestSimulate:
          "in.state: missing required key 'L'"),
         (lambda doc: {**doc, "version": True}, "in.state: unsupported snapshot version True"),
         (lambda doc: {**doc, "version": 1.0}, "in.state: unsupported snapshot version 1.0"),
-        (lambda doc: {**doc, "version": "1"}, "in.state: unsupported snapshot version '1'")])
+        (lambda doc: {**doc, "version": "1"}, "in.state: unsupported snapshot version '1'"),
+        (lambda doc: {**doc, "order": "lex"}, "in.state: unsupported snapshot order 'lex'"),
+        (lambda doc: {**doc, "encoding": "base64/float32-le"},
+         "in.state: unsupported snapshot encoding 'base64/float32-le'"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "order"},
+         "in.state: missing required key 'order'")])
     def test_bad_snapshot_header(self, tmp_path, capsys, edit, message):
         snap = tmp_path / "in.state"
         save_state(make_state("plane_wave", TorusLattice(4.0, 1), 10.0), snap)

@@ -2,6 +2,8 @@
 
 import csv
 import math
+import tracemalloc
+from dataclasses import fields as dataclass_fields
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -280,6 +282,126 @@ class TestRecordSums:
                 assert (st.mass, s_sum(st), t_sum(st), tail_sum(st, math.ceil(m / 2)),
                         kinetic_tail(st)) == (rec.mass, rec.S, rec.T, rec.tail_half_M,
                                               rec.kinetic_tail)
+
+
+def two_pass_interaction_and_beta_gap(state, model):
+    """The record's interaction and beta_gap by two density passes, one
+    inside the convolution and one for the Parseval sums, each sum an np.sum:
+    the bit reference for the record's one density pass."""
+    kernel = _get_kernel(model, state.lattice).record
+    phi = kernel.field(state.alpha)
+    G = kernel.G
+    dens = np.square(phi.real)
+    dens += np.square(phi.imag)
+    y = np.matmul(kernel.bC, dens.transpose(1, 0, 2))
+    np.matmul(y.reshape(G * G, G), kernel.C, out=dens.reshape(G * G, G))
+    conv = np.matmul(kernel.C, dens.transpose(1, 0, 2), out=y)
+    dens = np.square(phi.real)
+    dens += np.square(phi.imag, out=phi.imag)
+    n = dens.size
+    conv *= dens
+    interaction = 0.5 * float(np.sum(conv)) / n
+    beta0 = float(np.sum(dens)) / n
+    dens -= beta0
+    r = float(np.sum(dens)) / n
+    off = (beta0 - 1.0) + r
+    variance = float(np.sum(np.square(dens, out=dens))) / n - r * r
+    return interaction, variance + abs(off * (2.0 + off))
+
+
+def per_row_record_sums(state, context):
+    """The record's lattice sums with each row reduced alone, its masks,
+    k_star index and comparison wave built on every call: the bit reference
+    for the cached masks and the one row reduce."""
+    lat = state.lattice
+    a = state.alpha
+    stack = np.empty((8 if context is None else 9, *lat.shape))
+    abs_sq, dabs, dabs_sq, tail, ktail, kinetic, a_abs, t_site = stack[:8]
+    np.abs(a, out=a_abs)
+    idx = np.unravel_index(int(np.argmax(a_abs)), lat.shape)
+    u = a.copy()
+    u[idx] -= np.exp(1j * float(np.angle(a[idx])))
+    dabs[...] = np.abs(u)
+    np.square(a_abs, out=abs_sq)
+    np.square(dabs, out=dabs_sq)
+    np.multiply(a_abs, lat.norm_sq > float(math.ceil(lat.M / 2)) ** 2, out=tail)
+    np.multiply(lat.omega, a_abs, out=t_site)
+    np.multiply(t_site, lat.norm_sq > float(lat.L) ** 2, out=ktail)
+    np.multiply(lat.omega, abs_sq, out=kinetic)
+    if context is not None:
+        k0 = np.asarray(context.k0)
+        omega_l = 4.0 * math.pi**2 * float(k0 @ k0) / lat.L**2 + context.b
+        w = a.copy()
+        w[lat.index_of(k0)] -= np.exp(1j * (context.theta - omega_l * (state.t - context.t0)))
+        stack[8] = np.abs(w) ** 2
+    sums = [float(np.add.reduce(row)) for row in stack.reshape(len(stack), -1)]
+    return sums, tuple(int(i) - lat.M for i in idx), float(a_abs[idx])
+
+
+def two_pass_record(state, model, context):
+    """make_record built from the two references above."""
+    lat = state.lattice
+    sums, k_star, a_star = per_row_record_sums(state, context)
+    mass, l1_dev, l2_sq, tail_half, ktail, kinetic, s, t_kin = sums[:8]
+    interaction, beta_gap = two_pass_interaction_and_beta_gap(state, model)
+    epp = kinetic + interaction
+    s_env = t_env = u_env = u_mass = math.nan
+    if context is not None:
+        s_env, t_env, u_env = diagnostics._envelopes(context, state.t)
+        u_mass = sums[8]
+    return DiagnosticsRecord(
+        t=state.t, mass=mass, energy=state.rho * lat.L**3 * epp, energy_per_particle=epp,
+        S=s, T=t_kin, k_star=k_star, condensate_fraction=a_star**2, l1_dev=l1_dev,
+        l2_dev=math.sqrt(l2_sq), tail_half_M=tail_half, beta_gap=beta_gap,
+        s_envelope=s_env, t_envelope=t_env, u_mass_sq=u_mass, u_mass_envelope=u_env,
+        kinetic_tail=ktail)
+
+
+class TestRecordBits:
+    @pytest.mark.parametrize("L,m", [(2.0, 2), (3.0, 3), (4.0, 4),  # K < 2M
+                                     (4.0, 2),  # K = 2M: the record kernel is the step's
+                                     (16.0, 16)])
+    def test_every_field_equals_the_two_pass_reference(self, gaussian, L, m):
+        lat = TorusLattice(L, m)
+        kernel = _get_kernel(gaussian, lat)
+        assert (kernel.record is kernel) == (kernel.K == 2 * m) == ((L, m) == (4.0, 2))
+        for k0 in ((0, 0, 0), (1, -1, 0)):  # centred and off-centre condensates
+            st0 = make_state("perturbed", lat, 10.0, k0=k0, eps=0.2, s=3.0, seed=m)
+            ctx = TrajectoryContext.from_state(st0, gaussian)
+            later = st0.with_alpha(np.roll(st0.alpha, 1, axis=0) * np.exp(0.7j), t=2e-3)
+            past_blowup = st0.with_alpha(st0.alpha, t=2.0 * ctx.blowup_time)
+            for st in (st0, later, past_blowup):
+                for c in (None, ctx):
+                    got, want = make_record(st, gaussian, c), two_pass_record(st, gaussian, c)
+                    # repr keeps every bit and makes NaN equal to NaN
+                    assert {f.name: repr(getattr(got, f.name)) for f in dataclass_fields(got)} \
+                        == {f.name: repr(getattr(want, f.name)) for f in dataclass_fields(want)}
+
+    @pytest.mark.parametrize("k0", [(3, 0, 0), (0, -3, 0), (0, 0, -4)])
+    def test_context_mode_outside_the_lattice_is_refused(self, gaussian, k0):
+        # a context made on a larger lattice: its k0 must not wrap to another site
+        big = make_state("plane_wave", TorusLattice(4.0, 4), 10.0, k0=k0)
+        ctx = TrajectoryContext.from_state(big, gaussian)
+        st = make_state("perturbed", TorusLattice(4.0, 2), 10.0, eps=0.2, s=3.0, seed=1)
+        with pytest.raises(ValueError, match=r"outside cutoff M=2"):
+            make_record(st, gaussian, ctx)
+
+    @pytest.mark.parametrize("m", [8, 16])
+    def test_peak_memory(self, gaussian, m):
+        # phi is dropped before the convolution's two buffers: 24 G^3 bytes
+        # at the peak, 1.5 complex G^3 cubes; with phi alive it would be 2.5
+        st = make_state("perturbed", TorusLattice(float(m), m), 10.0, eps=0.2, s=3.0, seed=m)
+        ctx = TrajectoryContext.from_state(st, gaussian)
+        make_record(st, gaussian, ctx)  # builds the kernels and the masks
+        G = _get_kernel(gaussian, st.lattice).record.G
+        tracemalloc.start()
+        try:
+            make_record(st, gaussian, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack = 9 * st.alpha.size * 8  # the record's nine lattice-sized sum rows
+        assert peak <= 1.5 * 16 * G**3 + stack
 
 
 def direct_route(state, model):

@@ -476,7 +476,7 @@ class TestPicard:
             import hashlib
             from torus_hartree import (GaussianPotential, TorusLattice, autocorrelation,
                                        lifespan_guard, make_state, picard_solve, step_split)
-            from torus_hartree.diagnostics import make_record
+            from torus_hartree.diagnostics import TrajectoryContext, make_record
             model = GaussianPotential()
             for m in (3, 8):
                 st = make_state("perturbed", TorusLattice(4.0, m), 10.0, eps=0.05, s=6.0, seed=1)
@@ -491,6 +491,10 @@ class TestPicard:
             print("strang", hashlib.sha256(st.alpha.tobytes()).hexdigest())
             record = make_record(st, model)
             print("record", repr(record.energy_per_particle), repr(record.beta_gap))
+            st = make_state("perturbed", TorusLattice(3.0, 3), 10.0, k0=(1, 0, 0),
+                            eps=0.2, s=3.0, seed=4)
+            ctx = TrajectoryContext.from_state(st, model)
+            print("record", 3, repr(make_record(st, model, ctx)))
             for m in (25, 32):  # step grids G = 88 and 112
                 st = make_state("perturbed", TorusLattice(float(m), m), 10.0,
                                 eps=0.2, s=3.0, seed=m)
@@ -502,7 +506,7 @@ class TestPicard:
                                   text=True, env=dict(os.environ, PYTHONPATH=path,
                                                       OPENBLAS_NUM_THREADS=threads)).stdout
                    for threads in ("1", "2", "4")]
-        assert len(outputs[0].splitlines()) == 9
+        assert len(outputs[0].splitlines()) == 10
         assert outputs[0] == outputs[1] == outputs[2]
 
     @pytest.mark.parametrize("m", [1, 2, 3])

@@ -123,6 +123,24 @@ class TestLattice:
             assert got == [lat.ordered_sum(x) for x in stack[:height]]
             assert all(type(v) is float for v in got)
 
+    @pytest.mark.parametrize("n", [27, 343, 35937, 68921])  # M = 1, 3, 16, 20
+    @pytest.mark.parametrize("height", [1, 9, 64])
+    def test_ordered_sums_are_the_per_row_reduces(self, height, n):
+        # one reduce over the (k, n) stack keeps each row's own reduce bits,
+        # past numpy's 8192-element buffer too, whatever the input layout
+        lat = TorusLattice(4.0, (round(n ** (1 / 3)) - 1) // 2)
+        rng = np.random.default_rng(n + height)
+        rows = np.exp2(rng.uniform(-26.0, 26.0, (height, n)))
+        rows *= rng.choice([-1.0, 1.0], size=rows.shape)
+        expected = [float(np.add.reduce(r)).hex() for r in rows]
+        assert [v.hex() for v in lat.ordered_sums(rows)] == expected
+        assert [v.hex() for v in lat.ordered_sums(rows.reshape(height, *lat.shape))] == expected
+        # non-contiguous stacks: rows in reverse order, and strided rows
+        assert [v.hex() for v in lat.ordered_sums(rows[::-1])] == expected[::-1]
+        strided = np.repeat(rows, 2, axis=1)[:, ::2]
+        assert not strided.flags.c_contiguous
+        assert [v.hex() for v in lat.ordered_sums(strided)] == expected
+
     def test_ordered_sums_refuse_a_stack_of_the_wrong_size(self):
         lat = TorusLattice(4.0, 2)
         for bad in (np.zeros((3, 5, 5, 4)), np.zeros((5, 5, 5)), np.float64(1.0),
@@ -654,6 +672,26 @@ class TestSnapshots:
         assert doc["version"] == 1
         assert doc["L"] == 4.0 and doc["M"] == 1 and doc["rho"] == 2.0
         assert doc["family"] == "plane_wave"
+
+    @pytest.mark.parametrize("key,value", [
+        ("order", "lex"), ("order", None), ("order", ["shell-lex"]),
+        ("encoding", "base64/float64-be"), ("encoding", "base64/float32-le"), ("encoding", 1)])
+    def test_rejects_another_layout(self, tmp_path, key, value):
+        # a snapshot declaring another layout would load with its sites
+        # permuted or its numbers misread, so every layout but save_state's is refused
+        st_ = make_state("perturbed", TorusLattice(4.0, 2), 10.0, eps=0.1, s=5.0, seed=3)
+        path = tmp_path / "state.json"
+        save_state(st_, path)
+        good = json.loads(path.read_text())
+        assert (good["encoding"], good["order"]) == ("base64/float64-le", "shell-lex")
+        path.write_text(json.dumps({**good, key: value}))
+        with pytest.raises(ValueError) as err:
+            load_state(path)
+        assert str(err.value) == f"{path}: unsupported snapshot {key} {value!r}"
+        del good[key]
+        path.write_text(json.dumps(good))
+        with pytest.raises(ValueError, match=f"{path}: missing required key '{key}'"):
+            load_state(path)
 
     def test_rejects_unknown_format(self, tmp_path):
         path = tmp_path / "state.json"
