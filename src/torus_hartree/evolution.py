@@ -262,15 +262,20 @@ def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float
     The integral is evaluated on Gauss-Legendre nodes through the exact
     integration matrix of the degree q-1 interpolant, with q doubling
     until the endpoint moves by less than 0.1 tol (q = 4, 8, 16, 32, 64).
-    The q = 4 pass starts at the free flight (g = alpha0); each doubled
-    pass starts from the previous pass's solution, interpolated to its
-    nodes.  Every iterate, the interpolated starts included, must stay
-    inside the contraction ball of radius tau times the initial A^2 norm.
+    The q = 4 pass starts from a two-call predictor: with h0 = NL(alpha0)
+    and h_m the node term at the Euler midpoint m = t/2, node s starts at
+    alpha0 - i (s h0 + s^2 / (2 m) (h_m - h0)), the exact integral of the
+    terms' linear interpolant, which is third order in t.  A predictor
+    outside the contraction ball is dropped for the free flight
+    (g = alpha0), so the predictor refuses no solve.  Each doubled pass
+    starts from the previous pass's solution, interpolated to its nodes.
+    Every iterate, the interpolated starts included, must stay inside the
+    contraction ball of radius tau times the initial A^2 norm.
 
     A pass's endpoint is the Gauss quadrature of the node terms of its
     converging sweep, so it belongs to the collocation polynomial of the
     returned iterate and costs no further kernel calls.  A solve that
-    settles at q = 8 after k sweeps at q = 4 makes 4 k + 8 calls.
+    settles at q = 8 after k sweeps at q = 4 makes 2 + 4 k + 8 calls.
     The nodes, weights and matrices do not depend on t and are built once
     per q; the ball and delta norms of all q nodes take one ordered_sums
     call.  tau, tol and max_iter are checked by IntegratorConfig, as
@@ -313,7 +318,15 @@ def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float
         # node axis first: rot[i] = exp(i omega s_i), g[i] is the iterate at s_i
         rot = np.exp((0.5j * t) * (nodes + 1.0)[:, None, None, None] * omega)
         if prev_end is None:
-            g = np.array([a0] * q)
+            # the docstring's two-call predictor, or the free flight outside the ball
+            m = 0.5 * t
+            h0 = kernel.nonlinear(a0)
+            rot_m = np.exp((1j * m) * omega)
+            h_m = rot_m * kernel.nonlinear(np.conj(rot_m) * (a0 - (1j * m) * h0))
+            s = (0.5 * t) * (nodes + 1.0)[:, None, None, None]
+            g = a0 - 1j * (s * h0 + (s * s / t) * (h_m - h0))  # s^2 / (2 m) = s^2 / t
+            if max_a2norm(g) > ball:
+                g = np.array([a0] * q)
         else:
             g = (_doubling(q // 2) @ g.reshape(q // 2, -1)).reshape(q, *lat.shape)
             check_ball(g)

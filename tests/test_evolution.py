@@ -106,6 +106,22 @@ def picard_per_node(state, model, t, tau=1.5, tol=1e-10, max_iter=100):
     raise AssertionError("reference quadrature did not settle")
 
 
+def q4_fixed_point(state, model, t, sweeps=60):
+    """The converged q = 4 collocation iterate of picard_solve's rotating
+    frame, one array per node, with the node rotations exp(i omega s_i)."""
+    lat = state.lattice
+    kernel = _get_kernel(model, lat)
+    nodes, _ = leggauss(4)
+    Q = 0.5 * t * _integration_matrix(nodes)
+    rot = [np.exp(1j * s * lat.omega) for s in 0.5 * t * (nodes + 1.0)]
+    a0 = state.alpha
+    g = [a0] * 4
+    for _ in range(sweeps):
+        h = [rot[i] * kernel.nonlinear(np.conj(rot[i]) * g[i]) for i in range(4)]
+        g = [a0 - 1j * sum(Q[i, j] * h[j] for j in range(4)) for i in range(4)]
+    return g, rot
+
+
 class TestRhs:
     def test_plane_wave_closed_form(self, gaussian):
         # single mode: beta = delta_0, so d alpha/dt = -i (omega + b) alpha
@@ -424,21 +440,21 @@ class TestPicard:
 
     @staticmethod
     def count_calls(monkeypatch):
-        # the list gets one entry per kernel.nonlinear call
+        # the list gets each kernel.nonlinear call's argument
         calls = []
         nonlinear = _Kernel.nonlinear
 
         def counted(kernel, alpha):
-            calls.append(None)
+            calls.append(alpha)
             return nonlinear(kernel, alpha)
 
         monkeypatch.setattr(_Kernel, "nonlinear", counted)
         return calls
 
     def test_doubled_passes_start_warm(self, gaussian, monkeypatch):
-        # q = 4 sweeps from the free flight; q = 8 starts from its solution
-        # and settles in one sweep, and each endpoint reuses its pass's last
-        # sweep: 4 sweeps + 8 * 1 kernel calls
+        # q = 4 sweeps from the two-call predictor; q = 8 starts from its
+        # solution and settles in one sweep, and each endpoint reuses its
+        # pass's last sweep: 2 predictor calls + 4 per sweep + 8
         calls = self.count_calls(monkeypatch)
         st = quasi_condensate(m=3, eps=0.05)
         guard = lifespan_guard(st, gaussian).guard
@@ -447,7 +463,7 @@ class TestPicard:
             calls.clear()
             picard_solve(st, gaussian, frac * guard)
             counts.append(len(calls))
-        assert counts == [24, 28, 28, 32]
+        assert counts == [18, 22, 22, 26]
 
     def test_tight_tolerance_climbs_the_ladder(self, gaussian, monkeypatch):
         # near the guard and at tol = 1e-14 the q = 4 and 8 endpoints differ
@@ -467,8 +483,51 @@ class TestPicard:
         t = 0.9 * lifespan_guard(st, gaussian).guard
         out = picard_solve(st, gaussian, t, tol=1e-14)
         assert rungs[0] == 4 and max(rungs) == 32
-        assert len(calls) == 116
+        assert len(calls) == 110
         assert np.max(np.abs(out.alpha - picard_per_node(st, gaussian, t, tol=1e-14))) <= 1e-14
+
+    def test_predictor_is_third_order(self, gaussian, monkeypatch):
+        # the q = 4 pass's first sweep evaluates the nodes at the predictor
+        # (calls 2-5, rotated back by exp(-i omega s_i)); its A^2 distance to
+        # the converged q = 4 iterate falls 8x per halving of t, the free
+        # flight's 2x
+        calls = self.count_calls(monkeypatch)
+        st = quasi_condensate(m=3, eps=0.05)
+        lat = st.lattice
+        guard = lifespan_guard(st, gaussian).guard
+        dists = []
+        for frac in (0.8, 0.4, 0.2, 0.1):
+            t = frac * guard
+            g, rot = q4_fixed_point(st, gaussian, t)
+            calls.clear()
+            picard_solve(st, gaussian, t)
+            starts = [rot[i] * calls[2 + i] for i in range(4)]
+            dists.append([max(lat.ordered_sum(lat.a2_weight * np.abs(x[i] - g[i]))
+                              for i in range(4)) for x in (starts, [st.alpha] * 4)])
+        for (pred, free), (half_pred, half_free) in zip(dists, dists[1:]):
+            assert pred / half_pred >= 6.0
+            assert 1.9 <= free / half_free <= 2.1
+
+    def test_predictor_outside_the_ball_falls_back_to_the_free_flight(self, gaussian, monkeypatch):
+        # at 0.9 of the guard the predictor's largest node norm is 8.4e-6
+        # above the initial one, so at tau = 1 + 1e-6 it leaves the ball and
+        # the q = 4 pass starts from the free flight (calls 2-5); that pass's
+        # first sweep leaves the ball too (by 1.6e-3), and the error names
+        # its norm, not the predictor's, as a solve without a predictor does
+        calls = self.count_calls(monkeypatch)
+        st = quasi_condensate(m=3, eps=0.05)
+        lat = st.lattice
+        t = 0.9 * lifespan_guard(st, gaussian).guard
+        nodes, _, S = _quadrature(4)
+        rot = np.exp((0.5j * t) * (nodes + 1.0)[:, None, None, None] * lat.omega)
+        free_flight = np.conj(rot) * np.array([st.alpha] * 4)
+        h = rot * np.array([_get_kernel(gaussian, lat).nonlinear(a) for a in free_flight])
+        sweep = st.alpha - 1j * ((0.5 * t) * S @ h.reshape(4, -1)).reshape(4, *lat.shape)
+        worst = max(lat.ordered_sums(lat.a2_weight * np.abs(sweep)))
+        calls.clear()
+        with pytest.raises(ContractionError, match=re.escape(f"iterate norm {worst:.6g} left")):
+            picard_solve(st, gaussian, t, tau=1.0 + 1e-6)
+        assert len(calls) == 6 and np.array_equal(np.array(calls[2:]), free_flight)
 
     def test_bit_identical_across_blas_threads(self):
         src = os.path.dirname(os.path.dirname(torus_hartree.__file__))
@@ -613,6 +672,26 @@ class TestEvolve:
                                   keep_states=False).final_state
         assert l2_dist(ends["split_strang"], ends["picard"]) < 1e-8
         assert l2_dist(ends["rk4"], ends["picard"]) < 1e-10
+
+    def test_picard_method_chains_predicted_solves(self, gaussian, monkeypatch):
+        # one picard_solve per step: the end state chains the per-node
+        # reference, and the run's kernel calls are its steps' solves, each
+        # 2 predictor calls + 4 per sweep + 8 (+ 16 ...), so 2 mod 4
+        calls = TestPicard.count_calls(monkeypatch)
+        st = quasi_condensate(m=3)
+        dt = 0.05 * lifespan_guard(st, gaussian).guard
+        traj = evolve(st, gaussian, 4 * dt, IntegratorConfig(method="picard", dt=dt))
+        run_calls = len(calls)
+        ref = st.alpha
+        per_step = []
+        for before, after in zip(traj.states, traj.states[1:]):
+            ref = picard_per_node(st.with_alpha(ref), gaussian, dt)
+            calls.clear()
+            assert np.array_equal(picard_solve(before, gaussian, dt).alpha, after.alpha)
+            per_step.append(len(calls))
+        assert len(per_step) == 4 and all(n % 4 == 2 for n in per_step)
+        assert run_calls == sum(per_step)
+        assert np.max(np.abs(traj.final_state.alpha - ref)) <= 1e-14
 
     def test_picard_method_guards_full_horizon(self, gaussian):
         st = quasi_condensate()
