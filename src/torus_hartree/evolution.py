@@ -22,7 +22,6 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legvander
 
 from . import diagnostics
 from .field import _Kernel  # noqa: F401  (perfbench/tracing.py wraps evolution._Kernel)
@@ -217,6 +216,7 @@ def _check_guard(state, model, t, name):
 def _integration_matrix(nodes):
     """The t-free integration matrix S: with s_i = t (nodes_i + 1) / 2,
     Q = (0.5 t) S has (Q h)_i = int_0^{s_i} interpolant(h) ds."""
+    from numpy.polynomial.legendre import legvander  # ~3 ms to import; only Picard needs it
     q = nodes.size
     vander = legvander(nodes, q)  # columns P_0 .. P_q
     B = np.empty((q, q))
@@ -229,6 +229,7 @@ def _integration_matrix(nodes):
 def _interpolation_matrix(nodes, new_nodes):
     """Matrix P with (P g)_i = interpolant(g)(new_nodes[i]), where the
     interpolant is the degree q-1 polynomial through the values g at nodes."""
+    from numpy.polynomial.legendre import legvander
     q = nodes.size
     return np.linalg.solve(legvander(nodes, q - 1).T, legvander(new_nodes, q - 1).T).T
 
@@ -237,6 +238,7 @@ def _interpolation_matrix(nodes, new_nodes):
 def _quadrature(q):
     """Read-only (nodes, weights, S) of the q-point Gauss-Legendre rule, S
     from _integration_matrix; none depends on t, so each q is built once."""
+    from numpy.polynomial.legendre import leggauss
     nodes, weights = leggauss(q)
     out = nodes, weights, _integration_matrix(nodes)
     for a in out:
@@ -257,29 +259,32 @@ def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float
                  max_iter: int = 100) -> SpectralState:
     """Solve the Duhamel fixed point up to t_target by collocation.
 
-    Works in the rotating frame g(s) = exp(i omega s) alpha(s), where the
-    Duhamel map reads g = alpha0 - i int_0^t exp(i omega s) NL(alpha(s)) ds.
-    The integral is evaluated on Gauss-Legendre nodes through the exact
-    integration matrix of the degree q-1 interpolant, with q doubling
-    until the endpoint moves by less than 0.1 tol (q = 4, 8, 16, 32, 64).
-    The q = 4 pass starts from a two-call predictor: with h0 = NL(alpha0)
-    and h_m the node term at the Euler midpoint m = t/2, node s starts at
-    alpha0 - i (s h0 + s^2 / (2 m) (h_m - h0)), the exact integral of the
-    terms' linear interpolant, which is third order in t.  A predictor
-    outside the contraction ball is dropped for the free flight
-    (g = alpha0), so the predictor refuses no solve.  Each doubled pass
-    starts from the previous pass's solution, interpolated to its nodes.
-    Every iterate, the interpolated starts included, must stay inside the
-    contraction ball of radius tau times the initial A^2 norm.
+    Works in the mean-field frame g(s) = exp(i (omega + c) s) alpha(s), where
+    g = alpha0 - i int_0^t (exp(i (omega + c) s) NL(alpha(s)) - c g(s)) ds.
+    For every real constant c this is an exact change of variables whose
+    phases are A^2 isometries, so neither the fixed point nor the ball check
+    depends on c.  c = b mass, the k = 0 term of V * |alpha|^2, is constant
+    since mass is, and takes out the phase all modes share: a plane wave's
+    node terms vanish.  The integral is evaluated on Gauss-Legendre nodes
+    through the exact integration matrix of the degree q-1 interpolant, with
+    q doubling until the endpoint moves by less than 0.1 tol (q = 4, 8, 16,
+    32, 64).  The q = 4 pass starts from a two-call predictor: with h0 and
+    h_m the node terms at 0 and at the Euler midpoint m = t/2, node s starts
+    at alpha0 - i (s h0 + s^2 / (2 m) (h_m - h0)), the exact integral of the
+    terms' linear interpolant, third order in t.  A predictor outside the
+    contraction ball is dropped for the free flight (g = alpha0), so it
+    refuses no solve.  Each doubled pass starts from the previous pass's
+    solution, interpolated to its nodes.  Every iterate, the interpolated
+    starts included, must stay inside the contraction ball of radius tau
+    times the initial A^2 norm.
 
-    A pass's endpoint is the Gauss quadrature of the node terms of its
-    converging sweep, so it belongs to the collocation polynomial of the
-    returned iterate and costs no further kernel calls.  A solve that
-    settles at q = 8 after k sweeps at q = 4 makes 2 + 4 k + 8 calls.
-    The nodes, weights and matrices do not depend on t and are built once
-    per q; the ball and delta norms of all q nodes take one ordered_sums
-    call.  tau, tol and max_iter are checked by IntegratorConfig, as
-    evolve's picard method checks them.
+    A pass's endpoint is the Gauss quadrature of its converging sweep's node
+    terms, at no further kernel call.  A solve that settles at q = 8 after k
+    sweeps at q = 4 makes 2 + 4 k + 8 calls: k = 1 for a plane wave, 1-2 for
+    a perturbed M = 3 state at 0.05-0.3 of the guard.  Nodes, weights and
+    matrices are built once per q; the ball and delta norms of all q nodes
+    take one ordered_sums call.  tau, tol and max_iter are checked by
+    IntegratorConfig, as in evolve.
     """
     t = as_real(t_target, "t_target")
     if t < 0.0:
@@ -292,7 +297,8 @@ def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float
 
     lat = state.lattice
     kernel = _get_kernel(model, lat)
-    omega = lat.omega
+    c = model.b * state.mass  # the k = 0 term of V * |alpha|^2, constant along the flow
+    freq = lat.omega + c
     w2 = lat.a2_weight
 
     def a2norm(arr):
@@ -315,14 +321,15 @@ def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float
     for q in (4, 8, 16, 32, 64):
         nodes, weights, S = _quadrature(q)
         Q = (0.5 * t) * S
-        # node axis first: rot[i] = exp(i omega s_i), g[i] is the iterate at s_i
-        rot = np.exp((0.5j * t) * (nodes + 1.0)[:, None, None, None] * omega)
+        # node axis first: rot[i] = exp(i (omega + c) s_i), g[i] is the iterate at s_i
+        rot = np.exp((0.5j * t) * (nodes + 1.0)[:, None, None, None] * freq)
         if prev_end is None:
             # the docstring's two-call predictor, or the free flight outside the ball
             m = 0.5 * t
-            h0 = kernel.nonlinear(a0)
-            rot_m = np.exp((1j * m) * omega)
-            h_m = rot_m * kernel.nonlinear(np.conj(rot_m) * (a0 - (1j * m) * h0))
+            h0 = kernel.nonlinear(a0) - c * a0
+            rot_m = np.exp((1j * m) * freq)
+            g_m = a0 - (1j * m) * h0
+            h_m = rot_m * kernel.nonlinear(np.conj(rot_m) * g_m) - c * g_m
             s = (0.5 * t) * (nodes + 1.0)[:, None, None, None]
             g = a0 - 1j * (s * h0 + (s * s / t) * (h_m - h0))  # s^2 / (2 m) = s^2 / t
             if max_a2norm(g) > ball:
@@ -333,7 +340,7 @@ def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float
 
         def node_terms(g):
             terms = np.array([kernel.nonlinear(a) for a in np.conj(rot) * g])
-            return np.multiply(rot, terms, out=terms)  # operand order: see step_split
+            return np.multiply(rot, terms, out=terms) - c * g  # operand order: see step_split
 
         for _ in range(max_iter):
             h = node_terms(g)
@@ -351,7 +358,7 @@ def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float
         # the converging sweep's terms: g is within tol of the iterate they were taken at;
         # einsum, not a BLAS gemv, whose threaded reduction order varies with thread count
         integral = np.einsum("j,j...->...", (0.5 * t) * weights, h)
-        end = np.exp(-1j * omega * t) * (a0 - 1j * integral)
+        end = np.exp(-1j * freq * t) * (a0 - 1j * integral)
         if prev_end is not None and a2norm(end - prev_end) < 0.1 * tol:
             return state.with_alpha(end, t=state.t + t)
         prev_end = end

@@ -115,9 +115,11 @@ class TorusLattice:
 
     @cached_property
     def order(self):
-        """Snapshot order, a flat-index permutation: |n|^2 shells, then
-        lexicographic n, which is C order, so one stable sort by |n|^2 gives it."""
-        perm = np.argsort(self.norm_sq.ravel(), kind="stable")
+        """Snapshot order, a flat-index permutation: |n|^2 shells, then lexicographic
+        n, which is C order, so one stable sort by |n|^2 <= 3 M^2 gives it."""
+        # integer keys of the least type: a radix sort up to 16 bits, 3x float's at M = 16
+        keys = self.norm_sq.ravel().astype(np.min_scalar_type(3 * self.M**2))
+        perm = np.argsort(keys, kind="stable")
         perm.setflags(write=False)
         return perm
 

@@ -100,6 +100,13 @@ class TestLattice:
         keys = (g[2].ravel(), g[1].ravel(), g[0].ravel(), lat.norm_sq.ravel())
         assert np.array_equal(lat.order, np.lexsort(keys))
 
+    @pytest.mark.parametrize("m", [*range(1, 25), 64])
+    def test_order_equals_the_float_key_sort(self, m):
+        # order sorts integer keys; the permutation is the stable sort of the
+        # float |n|^2 it replaced, across the uint8 to uint16 switch at M = 10
+        lat = TorusLattice(4.0, m)
+        assert np.array_equal(lat.order, np.argsort(lat.norm_sq.ravel(), kind="stable"))
+
     def test_ordered_sum_matches_fsum(self, rng):
         lat = TorusLattice(4.0, 3)
         x = rng.normal(size=lat.shape)

@@ -37,14 +37,15 @@ def test_traced_names_resolve():
 
 def test_cli_import_loads_no_concurrent_futures():
     # concurrent.futures and its process module cost every CLI call ~9 ms to
-    # import, and multiprocessing 6-10 ms; only a scan with workers > 1 needs it
+    # import, and multiprocessing 6-10 ms; only a scan with workers > 1 needs
+    # them.  numpy.polynomial costs 2.5-4 ms, and only picard_solve needs it.
     src = str(ROOT / "src")
     path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
-    code = ("import sys, torus_hartree.cli; "
-            "print([m in sys.modules for m in ('concurrent.futures', 'multiprocessing')])")
+    code = ("import sys, torus_hartree.cli; print([m in sys.modules for m in "
+            "('concurrent.futures', 'multiprocessing', 'numpy.polynomial')])")
     proc = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=path))
-    assert proc.stdout == "[False, False]\n"
+    assert proc.stdout == "[False, False, False]\n"
 
 
 # public helpers deleted because no program path, demo or benchmark called them
