@@ -247,11 +247,15 @@ def _quadrature(q):
 
 
 @functools.cache
-def _doubling(q):
-    """The read-only interpolation matrix from the q to the 2q Gauss nodes."""
-    P = _interpolation_matrix(_quadrature(q)[0], _quadrature(2 * q)[0])
+def _interpolation(q, r):
+    """The read-only interpolation matrix from the q to the r Gauss nodes."""
+    P = _interpolation_matrix(_quadrature(q)[0], _quadrature(r)[0])
     P.setflags(write=False)
     return P
+
+
+# picard_solve's Gauss rules: q = 3 is certified against q = 4, then doubling
+_RULES = (3, 4, 8, 16, 32, 64)
 
 
 def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float,
@@ -267,23 +271,24 @@ def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float
     since mass is, and takes out the phase all modes share: a plane wave's
     node terms vanish.  The integral is evaluated on Gauss-Legendre nodes
     through the exact integration matrix of the degree q-1 interpolant, with
-    q doubling until the endpoint moves by less than 0.1 tol (q = 4, 8, 16,
-    32, 64).  The q = 4 pass starts from a two-call predictor: with h0 and
-    h_m the node terms at 0 and at the Euler midpoint m = t/2, node s starts
-    at alpha0 - i (s h0 + s^2 / (2 m) (h_m - h0)), the exact integral of the
+    q climbing the rules _RULES = (3, 4, 8, 16, 32, 64) until the endpoint
+    moves by less than 0.1 tol from the previous rule's.  The q = 3 pass
+    starts from a two-call predictor: with h0 and h_m the node terms at 0
+    and at the Euler midpoint m = t/2, node s starts at
+    alpha0 - i (s h0 + s^2 / (2 m) (h_m - h0)), the exact integral of the
     terms' linear interpolant, third order in t.  A predictor outside the
     contraction ball is dropped for the free flight (g = alpha0), so it
-    refuses no solve.  Each doubled pass starts from the previous pass's
+    refuses no solve.  Each later pass starts from the previous pass's
     solution, interpolated to its nodes.  Every iterate, the interpolated
     starts included, must stay inside the contraction ball of radius tau
     times the initial A^2 norm.
 
     A pass's endpoint is the Gauss quadrature of its converging sweep's node
-    terms, at no further kernel call.  A solve that settles at q = 8 after k
-    sweeps at q = 4 makes 2 + 4 k + 8 calls: k = 1 for a plane wave, 1-2 for
+    terms, at no further kernel call.  A solve that settles at q = 4 after k
+    sweeps at q = 3 makes 2 + 3 k + 4 calls: k = 1 for a plane wave, 1-2 for
     a perturbed M = 3 state at 0.05-0.3 of the guard.  Nodes, weights and
-    matrices are built once per q; the ball and delta norms of all q nodes
-    take one ordered_sums call.  tau, tol and max_iter are checked by
+    matrices are built once per rule; the ball and delta norms of all q
+    nodes take one ordered_sums call.  tau, tol and max_iter are checked by
     IntegratorConfig, as in evolve.
     """
     t = as_real(t_target, "t_target")
@@ -318,7 +323,7 @@ def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float
                 f"{ball:.6g} (tau = {tau})")
 
     prev_end = None
-    for q in (4, 8, 16, 32, 64):
+    for q in _RULES:
         nodes, weights, S = _quadrature(q)
         Q = (0.5 * t) * S
         # node axis first: rot[i] = exp(i (omega + c) s_i), g[i] is the iterate at s_i
@@ -335,7 +340,8 @@ def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float
             if max_a2norm(g) > ball:
                 g = np.array([a0] * q)
         else:
-            g = (_doubling(q // 2) @ g.reshape(q // 2, -1)).reshape(q, *lat.shape)
+            p = len(g)
+            g = (_interpolation(p, q) @ g.reshape(p, -1)).reshape(q, *lat.shape)
             check_ball(g)
 
         def node_terms(g):
@@ -362,7 +368,7 @@ def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float
         if prev_end is not None and a2norm(end - prev_end) < 0.1 * tol:
             return state.with_alpha(end, t=state.t + t)
         prev_end = end
-    raise ConvergenceError("Duhamel quadrature did not settle at 64 nodes")
+    raise ConvergenceError(f"Duhamel quadrature did not settle at {_RULES[-1]} nodes")
 
 
 @dataclass

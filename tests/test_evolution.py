@@ -43,10 +43,11 @@ from torus_hartree import diagnostics, evolution, field
 from numpy.polynomial.legendre import leggauss
 
 from torus_hartree.evolution import (
+    _RULES,
     _Kernel,
-    _doubling,
     _get_kernel,
     _integration_matrix,
+    _interpolation,
     _interpolation_matrix,
     _quadrature,
 )
@@ -67,8 +68,9 @@ def l2_dist(a, b):
 def picard_per_node(state, model, t, tau=1.5, tol=1e-10, max_iter=100):
     """picard_solve's fixed point with one array per node and explicit
     sums over nodes, from the free flight in the kinetic-only frame
-    exp(i omega s): the independent reference for its predictor, its
-    mean-field frame and its stacked node algebra."""
+    exp(i omega s), on the rules q = 4, 8, ..., 64: the independent
+    reference for its predictor, its mean-field frame, its stacked node
+    algebra and its first pair of rules, q = 3 and 4."""
     lat = state.lattice
     kernel = _get_kernel(model, lat)
     omega, w2 = lat.omega, lat.a2_weight
@@ -109,21 +111,21 @@ def picard_per_node(state, model, t, tau=1.5, tol=1e-10, max_iter=100):
     raise ConvergenceError("reference quadrature did not settle")
 
 
-def q4_fixed_point(state, model, t, sweeps=60):
-    """The converged q = 4 collocation iterate of picard_solve's mean-field
+def q3_fixed_point(state, model, t, sweeps=60):
+    """The converged q = 3 collocation iterate of picard_solve's mean-field
     frame, one array per node, with the node rotations exp(i (omega + c) s_i),
     c = b mass."""
     lat = state.lattice
     kernel = _get_kernel(model, lat)
     c = model.b * state.mass
-    nodes, _ = leggauss(4)
+    nodes, _ = leggauss(3)
     Q = 0.5 * t * _integration_matrix(nodes)
     rot = [np.exp(1j * s * (lat.omega + c)) for s in 0.5 * t * (nodes + 1.0)]
     a0 = state.alpha
-    g = [a0] * 4
+    g = [a0] * 3
     for _ in range(sweeps):
-        h = [rot[i] * kernel.nonlinear(np.conj(rot[i]) * g[i]) - c * g[i] for i in range(4)]
-        g = [a0 - 1j * sum(Q[i, j] * h[j] for j in range(4)) for i in range(4)]
+        h = [rot[i] * kernel.nonlinear(np.conj(rot[i]) * g[i]) - c * g[i] for i in range(3)]
+        g = [a0 - 1j * sum(Q[i, j] * h[j] for j in range(3)) for i in range(3)]
     return g, rot
 
 
@@ -417,26 +419,31 @@ class TestPicard:
             np.testing.assert_allclose(Q @ u**k, t * u ** (k + 1) / (k + 1),
                                        rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("q", [8, 16])
+    @pytest.mark.parametrize("q", _RULES[:-1])
     def test_interpolation_matrix_reproduces_polynomials(self, q):
-        # (P p(s))_i = p(s'_i) for every p of degree < q, from q to 2q nodes
-        nodes, new_nodes = _quadrature(q)[0], _quadrature(2 * q)[0]
-        P = _doubling(q)
+        # (P p(s))_i = p(s'_i) for every p of degree < q, from the q nodes to
+        # the r of the next rule picard_solve climbs to
+        r = _RULES[_RULES.index(q) + 1]
+        nodes, new_nodes = _quadrature(q)[0], _quadrature(r)[0]
+        P = _interpolation(q, r)
         u, new_u = 0.5 * (nodes + 1.0), 0.5 * (new_nodes + 1.0)
         for k in range(q):
             np.testing.assert_allclose(P @ u**k, new_u**k, rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("q", [4, 8, 16, 32, 64])
+    @pytest.mark.parametrize("q", _RULES)
     def test_quadrature_cache_is_read_only_and_uncached_equal(self, q):
-        # picard_solve's per-q data equals a fresh build, bit for bit, and
-        # cannot be written through, so no solve can corrupt the next one
+        # picard_solve's per-q data, and the interpolation to the next rule,
+        # equal a fresh build, bit for bit, and cannot be written through, so
+        # no solve can corrupt the next one
         nodes, weights, S = _quadrature(q)
         assert _quadrature(q)[2] is S
         fresh_nodes, fresh_weights = leggauss(q)
         built = [(nodes, fresh_nodes), (weights, fresh_weights),
                  (S, _integration_matrix(fresh_nodes))]
-        if q < 64:
-            built.append((_doubling(q), _interpolation_matrix(fresh_nodes, leggauss(2 * q)[0])))
+        if q < _RULES[-1]:
+            r = _RULES[_RULES.index(q) + 1]
+            assert _interpolation(q, r) is _interpolation(q, r)
+            built.append((_interpolation(q, r), _interpolation_matrix(fresh_nodes, leggauss(r)[0])))
         for cached, fresh in built:
             assert np.array_equal(cached, fresh)
             assert not cached.flags.writeable
@@ -457,9 +464,9 @@ class TestPicard:
         return calls
 
     def test_doubled_passes_start_warm(self, gaussian, monkeypatch):
-        # q = 4 sweeps from the two-call predictor; q = 8 starts from its
+        # q = 3 sweeps from the two-call predictor; q = 4 starts from its
         # solution and settles in one sweep, and each endpoint reuses its
-        # pass's last sweep: 2 predictor calls + 4 per sweep + 8
+        # pass's last sweep: 2 predictor calls + 3 per sweep + 4
         calls = self.count_calls(monkeypatch)
         st = quasi_condensate(m=3, eps=0.05)
         guard = lifespan_guard(st, gaussian).guard
@@ -468,13 +475,14 @@ class TestPicard:
             calls.clear()
             picard_solve(st, gaussian, frac * guard)
             counts.append(len(calls))
-        assert counts == [14, 14, 18, 18]
+        assert counts == [9, 9, 12, 12]
 
     def test_tight_tolerance_climbs_the_ladder(self, gaussian, monkeypatch):
-        # near the guard and at tol = 1e-14 the q = 4 and 8 endpoints differ
-        # by more than 0.1 tol, so the solve goes on to q = 16 and 32; a
-        # _doubling build asks for no q above the pass that needs it, so the
-        # largest q asked for is the top pass
+        # near the guard and at tol = 1e-14 the q = 3 and 4 endpoints differ
+        # by more than 0.1 tol, so the solve goes on to q = 8, 16 and 32; an
+        # _interpolation build asks for no q above the pass that needs it, so
+        # the rules asked for, in order, are the passes made.  The q = 3 pass
+        # costs 9 calls over the 78 of a ladder that starts at q = 4
         calls = self.count_calls(monkeypatch)
         rungs = []
         quadrature = evolution._quadrature
@@ -487,14 +495,14 @@ class TestPicard:
         st = quasi_condensate(m=3, eps=0.05)
         t = 0.9 * lifespan_guard(st, gaussian).guard
         out = picard_solve(st, gaussian, t, tol=1e-14)
-        assert rungs[0] == 4 and max(rungs) == 32
-        assert len(calls) == 78
+        assert list(dict.fromkeys(rungs)) == [3, 4, 8, 16, 32]
+        assert len(calls) == 87
         assert np.max(np.abs(out.alpha - picard_per_node(st, gaussian, t, tol=1e-14))) <= 1e-14
 
     def test_predictor_is_third_order(self, gaussian, monkeypatch):
-        # the q = 4 pass's first sweep evaluates the nodes at the predictor
-        # (calls 2-5, rotated back by exp(-i (omega + c) s_i)); its A^2 distance to
-        # the converged q = 4 iterate falls 8x per halving of t, the free
+        # the q = 3 pass's first sweep evaluates the nodes at the predictor
+        # (calls 2-4, rotated back by exp(-i (omega + c) s_i)); its A^2 distance to
+        # the converged q = 3 iterate falls 8x per halving of t, the free
         # flight's 2x
         calls = self.count_calls(monkeypatch)
         st = quasi_condensate(m=3, eps=0.05)
@@ -503,38 +511,38 @@ class TestPicard:
         dists = []
         for frac in (0.8, 0.4, 0.2, 0.1):
             t = frac * guard
-            g, rot = q4_fixed_point(st, gaussian, t)
+            g, rot = q3_fixed_point(st, gaussian, t)
             calls.clear()
             picard_solve(st, gaussian, t)
-            starts = [rot[i] * calls[2 + i] for i in range(4)]
+            starts = [rot[i] * calls[2 + i] for i in range(3)]
             dists.append([max(lat.ordered_sum(lat.a2_weight * np.abs(x[i] - g[i]))
-                              for i in range(4)) for x in (starts, [st.alpha] * 4)])
+                              for i in range(3)) for x in (starts, [st.alpha] * 3)])
         for (pred, free), (half_pred, half_free) in zip(dists, dists[1:]):
             assert pred / half_pred >= 6.0
             assert 1.9 <= free / half_free <= 2.1
 
     def test_predictor_outside_the_ball_falls_back_to_the_free_flight(self, gaussian, monkeypatch):
-        # at 0.9 of the guard the predictor's largest node norm is 5.8e-6
+        # at 0.9 of the guard the predictor's largest node norm is 5.4187e-6
         # above the initial one, so at tau = 1 + 1e-6 it leaves the ball and
-        # the q = 4 pass starts from the free flight (calls 2-5); that pass's
-        # first sweep leaves the ball too (by 5.9e-6), and the error names
+        # the q = 3 pass starts from the free flight (calls 2-4); that pass's
+        # first sweep leaves the ball too (by 5.4223e-6), and the error names
         # its norm, not the predictor's, as a solve without a predictor does
         calls = self.count_calls(monkeypatch)
         st = quasi_condensate(m=3, eps=0.05)
         lat = st.lattice
         t = 0.9 * lifespan_guard(st, gaussian).guard
-        nodes, _, S = _quadrature(4)
+        nodes, _, S = _quadrature(3)
         c = gaussian.b * st.mass
         rot = np.exp((0.5j * t) * (nodes + 1.0)[:, None, None, None] * (lat.omega + c))
-        free_flight = np.conj(rot) * np.array([st.alpha] * 4)
+        free_flight = np.conj(rot) * np.array([st.alpha] * 3)
         h = rot * np.array([_get_kernel(gaussian, lat).nonlinear(a) for a in free_flight])
-        h -= c * np.array([st.alpha] * 4)
-        sweep = st.alpha - 1j * ((0.5 * t) * S @ h.reshape(4, -1)).reshape(4, *lat.shape)
+        h -= c * np.array([st.alpha] * 3)
+        sweep = st.alpha - 1j * ((0.5 * t) * S @ h.reshape(3, -1)).reshape(3, *lat.shape)
         worst = max(lat.ordered_sums(lat.a2_weight * np.abs(sweep)))
         calls.clear()
         with pytest.raises(ContractionError, match=re.escape(f"iterate norm {worst:.6g} left")):
             picard_solve(st, gaussian, t, tau=1.0 + 1e-6)
-        assert len(calls) == 6 and np.array_equal(np.array(calls[2:]), free_flight)
+        assert len(calls) == 5 and np.array_equal(np.array(calls[2:]), free_flight)
 
     @pytest.mark.parametrize("k0, scale", [((0, 0, 0), 1.0), ((2, -1, 1), 1.0),
                                            ((0, 0, 0), 1.5), ((1, 0, -2), 1.5)])
@@ -542,8 +550,8 @@ class TestPicard:
     def test_plane_waves_settle_in_the_first_sweep(self, gaussian, monkeypatch, k0, scale, frac):
         # a plane wave of mass m turns at omega(k0) + b m, which the mean-field
         # frame exp(i (omega + b mass) s) rotates out: its node terms vanish to
-        # roundoff, so the q = 4 and 8 passes each settle in their first sweep,
-        # 2 + 4 + 8 calls; a frame turning at b, not b mass, misses the scaled
+        # roundoff, so the q = 3 and 4 passes each settle in their first sweep,
+        # 2 + 3 + 4 calls; a frame turning at b, not b mass, misses the scaled
         # waves (mass 2.25) by 1.25 b and needs more sweeps
         calls = self.count_calls(monkeypatch)
         lat = TorusLattice(4.0, 3)
@@ -552,7 +560,7 @@ class TestPicard:
         t = frac * lifespan_guard(st, gaussian).guard
         out = picard_solve(st, gaussian, t)
         rate = 4 * math.pi**2 * sum(k * k for k in k0) / lat.L**2 + gaussian.b * scale**2
-        assert len(calls) == 14
+        assert len(calls) == 9
         assert np.max(np.abs(out.alpha - np.exp(-1j * rate * t) * st.alpha)) <= 1e-14
 
     def test_frame_matches_the_kinetic_frame_reference(self):
@@ -594,6 +602,52 @@ class TestPicard:
                                 ref = picard_per_node(st, model, t)
                             assert np.max(np.abs(got - ref)) <= 1e-14
         assert seen == {(False, False), (True, True), (False, True)}
+
+    def test_three_node_pass_certified_by_four(self, monkeypatch):
+        # picard_solve's first pair of rules is q = 3 and 4, picard_per_node's
+        # is q = 4 and 8: at tol 1e-10 and 1e-13 every endpoint is within
+        # 0.1 tol of the reference solved at tol 1e-15, and under tight balls
+        # the solve refuses exactly where the same solve on the rules from
+        # q = 4 up does (some refuse at tau = 1 + 1e-6, none at 1.05)
+        def outcome(st, model, t, tau, tol):
+            try:
+                return picard_solve(st, model, t, tau=tau, tol=tol).alpha
+            except (ContractionError, ConvergenceError) as err:
+                return type(err)
+
+        refused = set()
+        for m in (1, 2, 3):
+            lat = TorusLattice(4.0, m)
+            perturbed = make_state("perturbed", lat, 10.0, eps=0.2, s=3.0, seed=m)
+            points = [(GaussianPotential(), perturbed),
+                      (GaussianPotential(amplitude=30.0), perturbed),
+                      (GaussianPotential(), random_state(lat, 10.0, seed=m))]
+            for model, st in points:
+                for frac in (0.05, 0.5, 0.99):
+                    t = frac * lifespan_guard(st, model).guard
+                    ref = picard_per_node(st, model, t, tol=1e-15)
+                    for tol in (1e-10, 1e-13):
+                        for tau in (1.5, 1.05, 1.0 + 1e-6):
+                            got = outcome(st, model, t, tau, tol)
+                            with monkeypatch.context() as patch:
+                                patch.setattr(evolution, "_RULES", _RULES[1:])
+                                from_four = outcome(st, model, t, tau, tol)
+                            if isinstance(got, type):
+                                assert from_four is got
+                                refused.add(tau)
+                            else:
+                                assert not isinstance(from_four, type)
+                                assert np.max(np.abs(got - ref)) < 0.1 * tol
+        assert refused == {1.0 + 1e-6}
+
+    def test_unsettled_quadrature_names_the_top_rule(self, gaussian, monkeypatch):
+        # at tol 1e-14 near the guard the q = 3 and 4 endpoints differ by
+        # more than 0.1 tol, so a ladder that stops at q = 4 cannot settle
+        monkeypatch.setattr(evolution, "_RULES", (3, 4))
+        st = quasi_condensate(m=3, eps=0.05)
+        t = 0.9 * lifespan_guard(st, gaussian).guard
+        with pytest.raises(ConvergenceError, match="did not settle at 4 nodes"):
+            picard_solve(st, gaussian, t, tol=1e-14)
 
     def test_bit_identical_across_blas_threads(self):
         src = os.path.dirname(os.path.dirname(torus_hartree.__file__))
@@ -742,7 +796,7 @@ class TestEvolve:
     def test_picard_method_chains_predicted_solves(self, gaussian, monkeypatch):
         # one picard_solve per step: the end state chains the per-node
         # reference, and the run's kernel calls are its steps' solves, each
-        # 2 predictor calls + 4 per sweep + 8 (+ 16 ...), so 2 mod 4
+        # settling at q = 4: 2 predictor calls + 3 per sweep + 4, so 0 mod 3
         calls = TestPicard.count_calls(monkeypatch)
         st = quasi_condensate(m=3)
         dt = 0.05 * lifespan_guard(st, gaussian).guard
@@ -755,7 +809,7 @@ class TestEvolve:
             calls.clear()
             assert np.array_equal(picard_solve(before, gaussian, dt).alpha, after.alpha)
             per_step.append(len(calls))
-        assert len(per_step) == 4 and all(n % 4 == 2 for n in per_step)
+        assert len(per_step) == 4 and all(n % 3 == 0 for n in per_step)
         assert run_calls == sum(per_step)
         assert np.max(np.abs(traj.final_state.alpha - ref)) <= 1e-14
 
