@@ -5,8 +5,8 @@ to them (bound-report reads a potential and a state as simulate does, and
 diagnostics.bound_inputs derives its constants).  Exit codes: 0 success, 1 IO error,
 a scan worker process that died or memory exhaustion, 2 invalid flags or config
 (unknown keys and non-finite numbers included), 3 verification failure or a numerical
-failure (instability, Picard contraction or convergence), or a scan with any row
-whose status is not ok (its table.csv and summary.json are written first).
+failure (instability, Picard contraction or convergence), a simulate run whose report
+is not ok or a scan with any row whose status is not ok (outputs are written first).
 """
 
 from __future__ import annotations
@@ -93,12 +93,12 @@ def _cmd_simulate(args):
     if not isinstance(cfg, dict):
         raise ValueError(f"{args.config}: config must be a JSON object")
     model = make_potential(_require(cfg, "potential", args.config))
-    traj = run_config(cfg, model, args.config)
+    traj, report = run_config(cfg, model, args.config)
 
     write_trajectory_csv(traj.records, args.out)
     if args.audit:
         with open(args.audit, "w", encoding="ascii") as fh:
-            json.dump(run_report(traj).audit, fh, indent=1, sort_keys=True)
+            json.dump(report.flat(), fh, indent=1, sort_keys=True)
             fh.write("\n")
     if args.final_state:
         save_state(traj.final_state, args.final_state)
@@ -108,6 +108,9 @@ def _cmd_simulate(args):
     print(f"final: t={format_float(final.t)} mass={format_float(final.mass)} "
           f"energy={format_float(final.energy)} "
           f"condensate_fraction={format_float(final.condensate_fraction)}")
+    if report.status != "ok":
+        print(f"error: {report.status}", file=sys.stderr)
+        return EXIT_VERIFY
     return EXIT_OK
 
 
@@ -294,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run a configured evolution, write trajectory CSV")
     sim.add_argument("--config", required=True, help="run config JSON")
     sim.add_argument("--out", required=True, help="trajectory CSV path")
-    sim.add_argument("--audit", help="also write the envelope audit JSON here")
+    sim.add_argument("--audit", help="also write the run report JSON here")
     sim.add_argument("--final-state", dest="final_state",
                      help="also write the final snapshot here")
 

@@ -31,6 +31,7 @@ __all__ = [
     "t_envelope",
     "u_mass_envelope",
     "AUDIT_TOLERANCE",
+    "MASS_TOLERANCE",
     "envelope_audit",
     "RunReport",
     "run_report",
@@ -356,6 +357,7 @@ def make_record(state: SpectralState, model: GaussianPotential,
 # envelope audit, run report and comparison wave
 
 AUDIT_TOLERANCE = 1e-6
+MASS_TOLERANCE = 1e-6  # a run whose max |mass - 1| exceeds it has left the normalised flow
 
 
 def envelope_audit(trajectory) -> dict:
@@ -391,29 +393,39 @@ def envelope_audit(trajectory) -> dict:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Run-wide numbers of one trajectory.  The energy drift is relative to
-    the first energy, NaN when that is 0 or not finite; the min margins are
-    NaN when no record is in the envelopes' domain; audit is envelope_audit's."""
+    """Run-wide numbers of one trajectory.  The energy drift is relative to the first
+    energy, NaN when that is 0 or not finite; the min margins are NaN when no record is
+    in the envelopes' domain, and records_past_blowup counts the rest; status is "ok",
+    or "unhealthy: ..." when max_mass_dev > MASS_TOLERANCE; audit is envelope_audit's."""
 
     max_mass_dev: float
     max_energy_drift: float
     min_s_margin: float
     min_t_margin: float
+    records_past_blowup: int
+    status: str
     audit: dict
+
+    def flat(self) -> dict:
+        """The audit's keys, passed only if status is ok too, and every other field."""
+        doc = {f.name: getattr(self, f.name) for f in dataclass_fields(self) if f.name != "audit"}
+        return {**self.audit, **doc, "passed": self.audit["passed"] and self.status == "ok"}
 
 
 def run_report(trajectory) -> RunReport:
-    """Drift, envelope margins and the envelope audit, from one audit pass."""
+    """Drift, envelope margins, the envelope audit and the verdict, from one audit pass."""
     records = trajectory.records
     e0 = records[0].energy
     drift = math.nan
     if math.isfinite(e0) and e0 != 0.0:
         drift = max(abs(r.energy - e0) / abs(e0) for r in records)
     audit = envelope_audit(trajectory)
-    scored = [e for e in audit["records"] if "s_margin" in e]
-    return RunReport(max(abs(r.mass - 1.0) for r in records), drift,
-                     min((e["s_margin"] for e in scored), default=math.nan),
-                     min((e["t_margin"] for e in scored), default=math.nan), audit)
+    scored = [e for e in audit["records"] if e["in_domain"]]
+    mass_dev = float(np.max([abs(r.mass - 1.0) for r in records]))  # NaN if any is NaN
+    status = "ok" if mass_dev <= MASS_TOLERANCE else (
+        f"unhealthy: max |mass - 1| = {mass_dev:.3e} > MASS_TOLERANCE = {MASS_TOLERANCE:g}")
+    margins = [min((e[k] for e in scored), default=math.nan) for k in ("s_margin", "t_margin")]
+    return RunReport(mass_dev, drift, *margins, len(records) - len(scored), status, audit)
 
 
 def plane_wave_comparison(trajectory, k0, theta: float, model: GaussianPotential) -> dict:

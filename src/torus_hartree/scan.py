@@ -19,7 +19,7 @@ import time
 from dataclasses import MISSING, dataclass, fields
 
 from . import diagnostics
-from .evolution import IntegratorConfig, Trajectory, check_run, evolve
+from .evolution import IntegratorConfig, check_run, evolve
 from .field import (FAMILY_PARAMS, STATE_FAMILIES, SpectralState, TorusLattice, _load_json,
                     _require, as_mode, check_family_keys, load_state, make_state)
 from .potential import as_bool, as_int, as_real, as_reals, make_potential
@@ -210,8 +210,8 @@ def config_state(cfg: dict, where: str = "config") -> SpectralState:
     return make_state(family, lattice, _require(cfg, "rho", where), **params)
 
 
-def run_config(cfg: dict, model, where: str = "config") -> Trajectory:
-    """Run a ``simulate`` config dict on model, records only; ``where`` names it in errors."""
+def run_config(cfg: dict, model, where: str = "config") -> tuple:
+    """Run a simulate config, records only: (trajectory, RunReport); where names it in errors."""
     integrator_keys = IntegratorConfig.__dataclass_fields__.keys()
     extra = set(cfg) - {"potential", "state", "rho", "L", "M", "t_final",
                         "stride"} - integrator_keys
@@ -221,8 +221,9 @@ def run_config(cfg: dict, model, where: str = "config") -> Trajectory:
     state = config_state(cfg, where)
     _require(cfg, "dt", where)
     config = IntegratorConfig(**{k: cfg[k] for k in integrator_keys if k in cfg})
-    return evolve(state, model, _require(cfg, "t_final", where), config,
+    traj = evolve(state, model, _require(cfg, "t_final", where), config,
                   stride=cfg.get("stride", 1), keep_states=False)
+    return traj, diagnostics.run_report(traj)
 
 
 def point_config(plan: ScanPlan, i_rho: int, i_L: int) -> dict:
@@ -243,12 +244,11 @@ def _run_point(plan: ScanPlan, model, i_rho: int, i_L: int, out_dir) -> ScanReco
     rec = ScanRecord(rho=rho, L=L, M=cfg["M"], seed=f"{plan.master_seed}:{i_rho}:{i_L}")
     started = time.perf_counter()
     try:
-        traj = run_config(cfg, model)
+        traj, report = run_config(cfg, model)
         final = traj.records[-1]
-        for source in (final, diagnostics.run_report(traj)):
-            for name in SCAN_COLUMNS:
-                if name in source.__dataclass_fields__:
-                    setattr(rec, name, getattr(source, name))
+        for source in (final, report):  # report.status is the row's status
+            for name in source.__dataclass_fields__.keys() & SCAN_COLUMNS:
+                setattr(rec, name, getattr(source, name))
         rec.n_particles = rho * L**3
         rec.final_t = final.t
         rec.energy_gap = abs(final.energy_per_particle - 0.5 * model.b)

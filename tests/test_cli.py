@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torus_hartree import cli, diagnostics, scan
+from torus_hartree.evolution import IntegratorConfig, evolve
 from torus_hartree.field import TorusLattice, load_state, make_state, s_sum, save_state, t_sum
 from torus_hartree.potential import GaussianPotential, potential_l2
 
@@ -130,6 +131,13 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+# a run that visibly leaves the normalised flow: Strang at dt 1 on a Gaussian of amplitude
+# 1e6 loses most of its mass in the first step, and 5 of its 6 records are past blow-up
+LOST_MASS = {"potential": {"family": "gaussian", "amplitude": 1e6}, "M": 3,
+             "dt": 1, "t_final": 5, "method": "split_strang"}
+UNHEALTHY = "unhealthy: max |mass - 1| = "
+
+
 def with_coefficient(doc, value):
     """A snapshot document with its eighth stored float set to value."""
     data = np.frombuffer(base64.b64decode(doc["data"]), dtype="<f8").copy()
@@ -160,6 +168,46 @@ class TestSimulate:
 
         st = load_state(final)
         assert st.t == pytest.approx(5e-3)
+
+    def test_audit_json_extends_the_envelope_audit(self, tmp_path, capsys):
+        audit = tmp_path / "audit.json"
+        assert run(["simulate", "--config", str(write_config(tmp_path)),
+                    "--out", str(tmp_path / "t.csv"), "--audit", str(audit)]) == 0
+        capsys.readouterr()
+        doc = json.loads(audit.read_text())
+        # the same run, built apart from the CLI; the audit JSON held its envelope audit
+        state = make_state("perturbed", TorusLattice(4.0, 2), 10.0, eps=0.05, s=6.0, seed=11)
+        traj = evolve(state, GaussianPotential(), 5e-3, IntegratorConfig(dt=1e-3),
+                      keep_states=False)
+        before = json.loads(json.dumps(diagnostics.envelope_audit(traj)))
+        assert set(before) == {"passed", "flags", "records", "blowup_time"}
+        assert {key: doc[key] for key in before} == before
+        report = diagnostics.run_report(traj)
+        gained = {"max_mass_dev", "max_energy_drift", "min_s_margin", "min_t_margin",
+                  "records_past_blowup", "status"}
+        assert set(doc) - set(before) == gained
+        assert {key: doc[key] for key in gained} == {key: getattr(report, key) for key in gained}
+        assert doc["status"] == "ok" and doc["records_past_blowup"] == 0
+
+    def test_run_that_lost_its_mass_exits_3(self, tmp_path, capsys):
+        out, audit, final = tmp_path / "t.csv", tmp_path / "audit.json", tmp_path / "final"
+        code = run(["simulate", "--config", str(write_config(tmp_path, **LOST_MASS)),
+                    "--out", str(out), "--audit", str(audit), "--final-state", str(final)])
+        assert code == 3
+        text, err = capsys.readouterr()
+        assert f"wrote {out} (6 records)" in text
+        doc = json.loads(audit.read_text())
+        assert err == f"error: {doc['status']}\n"
+        assert doc["status"].startswith(UNHEALTHY)
+        assert doc["status"].endswith(" > MASS_TOLERANCE = 1e-06")
+        assert doc["passed"] is False and doc["max_mass_dev"] > 0.5
+        # the envelopes judged the one record before blow-up; the rest are only counted
+        assert doc["flags"] == 0 and doc["records_past_blowup"] == 5
+        with open(out, newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == 6
+        # the snapshot is written, and refused as a start state like any unnormalised one
+        with pytest.raises(ValueError, match="deviates from 1"):
+            load_state(final)
 
     def test_simulate_from_snapshot(self, tmp_path, capsys):
         snap = tmp_path / "in.state"
@@ -573,6 +621,40 @@ class TestHeapPolicy:
         capsys.readouterr()
 
 
+class TestOneReportPerRun:
+    """run_config builds each run's RunReport once; simulate and scan only read it."""
+
+    @pytest.fixture
+    def report_calls(self, monkeypatch):
+        calls = []
+        real = diagnostics.run_report
+
+        def counted(traj):
+            calls.append(traj)
+            return real(traj)
+
+        # cli's own name too, so a second report built there would be counted
+        monkeypatch.setattr(diagnostics, "run_report", counted)
+        monkeypatch.setattr(cli, "run_report", counted)
+        return calls
+
+    @pytest.mark.parametrize("audit", [False, True])
+    def test_simulate(self, tmp_path, capsys, report_calls, audit):
+        argv = ["simulate", "--config", str(write_config(tmp_path)),
+                "--out", str(tmp_path / "t.csv")]
+        assert run(argv + ["--audit", str(tmp_path / "a.json")] * audit) == 0
+        capsys.readouterr()
+        assert len(report_calls) == 1
+
+    def test_scan(self, report_calls):
+        plan = scan.ScanPlan(potential={"family": "gaussian"}, rho_values=[1.0, 4.0, 16.0],
+                             L_values=[2.0], family="perturbed",
+                             family_params={"eps0": 0.2, "s": 6.0}, t_final=2e-3, dt=1e-3)
+        rows = scan.run_scan(plan, workers=1)
+        assert [row.status for row in rows] == ["ok"] * 3
+        assert len(report_calls) == 3
+
+
 class TestVerify:
     @pytest.mark.parametrize("suite", ["algebra", "oracle"])
     def test_suite_passes(self, suite, capsys):
@@ -710,6 +792,24 @@ class TestScan:
         assert "rho=1 L=2: failed:" in text
         assert err == "error: 2 of 2 scan points did not run ok\n"
         assert (out / "table.csv").exists() and (out / "summary.json").exists()
+
+    def test_run_that_lost_its_mass_fails_its_row(self, tmp_path, capsys):
+        # LOST_MASS as a one-point plan: rho 10, L 4, M = ceil(0.75 * 4) = 3, eps 0.05
+        plan = self.plan(tmp_path, potential=LOST_MASS["potential"], rho_values=[10.0],
+                         L_values=[4.0], kappa=0.75, master_seed=11,
+                         family_params={"eps0": 0.05, "eps_rule": "fixed", "s": 6.0},
+                         t_final=5.0, dt=1.0)
+        out = tmp_path / "scan"
+        assert run(["scan", "--plan", str(plan), "--out", str(out)]) == 3
+        text, err = capsys.readouterr()
+        assert "1 rows, 1 failed" in text
+        assert f"rho=10 L=4: {UNHEALTHY}" in text
+        assert err == "error: 1 of 1 scan points did not run ok\n"
+        with open(out / "table.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["status"].startswith(UNHEALTHY) and row["M"] == "3"
+        assert json.loads((out / "summary.json").read_text())["points_failed"] == 1
+        assert (out / "traj_rho10_L4.csv").exists()
 
     def test_bad_plan_key(self, tmp_path, capsys):
         assert run(["scan", "--plan", str(self.plan(tmp_path, typo=1)),

@@ -220,6 +220,25 @@ class TestRecord:
             got = report([SimpleNamespace(t=0.5, mass=1.0, energy=e0), *recs])
             assert got.max_mass_dev == 0.5 and math.isnan(got.max_energy_drift)
 
+    def test_status_judges_the_mass_not_the_energy(self):
+        ctx = TrajectoryContext(s0=1.0, t0_kin=0.0, b=B_GAUSS, c_decay=16.0,
+                                k0=(0, 0, 0), theta=0.0, u0_mass_sq=0.0)
+
+        def report(mass):
+            recs = [SimpleNamespace(t=1.0, mass=1.0, energy=2.0),
+                    SimpleNamespace(t=2.0, mass=mass, energy=3.0)]  # 50% energy drift
+            return run_report(Trajectory(records=recs, final_state=None, context=ctx))
+
+        tol = diagnostics.MASS_TOLERANCE
+        assert tol == 1e-6
+        for mass in (1.0, 1.0 - 0.5 * tol, 1.0 + 0.5 * tol):
+            got = report(mass)
+            assert got.status == "ok" and got.max_energy_drift == 0.5
+        got = report(1.0 - 2.0 * tol)
+        assert got.status == (f"unhealthy: max |mass - 1| = {got.max_mass_dev:.3e} "
+                              "> MASS_TOLERANCE = 1e-06")
+        assert report(math.nan).status.startswith("unhealthy:")
+
 
 def record_reference(state, model, ctx):
     """make_record's fields, each lattice sum taken from its own array by
@@ -513,6 +532,7 @@ class TestEnvelopeAudit:
             1.0 / (2.0 * traj.context.s0**2 * B_GAUSS), rel=1e-13)
         report = run_report(traj)
         assert report.audit == audit
+        assert report.records_past_blowup == 0 and report.status == "ok"
         assert report.min_s_margin == min(e["s_margin"] for e in audit["records"])
         assert report.min_t_margin == min(e["t_margin"] for e in audit["records"])
 
@@ -564,6 +584,7 @@ class TestEnvelopeAudit:
         report = run_report(traj)
         assert math.isnan(report.min_s_margin) and math.isnan(report.min_t_margin)
         assert report.max_mass_dev == 0.0
+        assert report.records_past_blowup == 2 and report.status == "ok"
         assert report.audit["passed"]
         assert [e["in_domain"] for e in report.audit["records"]] == [False, False]
 

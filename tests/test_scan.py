@@ -315,8 +315,12 @@ class TestRunScan:
             traj = Trajectory(records=[make_record(state, model, ctx)],
                               final_state=state, context=ctx)
         report = run_report(traj)
+        # the report run_config returns with the point's trajectory is that same report
+        _, returned = scan.run_config(scan.point_config(plan, 0, 0), model)
+        assert returned == report
+        assert row.status == returned.status == "ok"
         for name in ("max_mass_dev", "max_energy_drift", "min_s_margin", "min_t_margin"):
-            assert getattr(row, name) == getattr(report, name), name
+            assert getattr(row, name) == getattr(returned, name), name
             assert math.isfinite(getattr(row, name)), name
 
     def test_write_trajectories_toggle(self, tmp_path):
