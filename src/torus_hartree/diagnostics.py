@@ -15,7 +15,7 @@ from dataclasses import MISSING, dataclass, fields as dataclass_fields
 
 import numpy as np
 
-from .field import SpectralState, _get_kernel, s_sum, t_sum, to_physical
+from .field import MASS_TOLERANCE, SpectralState, _get_kernel, s_sum, t_sum, to_physical
 from .potential import GaussianPotential, _positive_finite, as_real, potential_l2, vhat_grid
 
 __all__ = [
@@ -357,7 +357,8 @@ def make_record(state: SpectralState, model: GaussianPotential,
 # envelope audit, run report and comparison wave
 
 AUDIT_TOLERANCE = 1e-6
-MASS_TOLERANCE = 1e-6  # a run whose max |mass - 1| exceeds it has left the normalised flow
+# MASS_TOLERANCE, imported from field: a run whose max |mass - 1| exceeds it
+# has left the normalised flow, and load_state refuses such a snapshot
 
 
 def envelope_audit(trajectory) -> dict:

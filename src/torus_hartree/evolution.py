@@ -283,13 +283,17 @@ def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float
     starts included, must stay inside the contraction ball of radius tau
     times the initial A^2 norm.
 
-    A pass's endpoint is the Gauss quadrature of its converging sweep's node
-    terms, at no further kernel call.  A solve that settles at q = 4 after k
-    sweeps at q = 3 makes 2 + 3 k + 4 calls: k = 1 for a plane wave, 1-2 for
-    a perturbed M = 3 state at 0.05-0.3 of the guard.  Nodes, weights and
-    matrices are built once per rule; the ball and delta norms of all q
-    nodes take one ordered_sums call.  tau, tol and max_iter are checked by
-    IntegratorConfig, as in evolve.
+    A sweep evaluates its q node terms in one kernel call on the (q, n, n, n)
+    stack, each node with the bits of its own call, and a pass's endpoint is
+    the Gauss quadrature of its converging sweep's node terms, at no further
+    kernel call.  A solve that settles at q = 4 after k sweeps at q = 3 takes
+    2 + 3 k + 4 node terms in 2 + k + 1 kernel calls: k = 1 for a plane wave,
+    1-2 for a perturbed M = 3 state at 0.05-0.3 of the guard.  The frame
+    phases exp(i (omega + c) s) depend on |n|^2 alone, so they are taken once
+    per shell of TorusLattice.shells and gathered to the sites.  Nodes,
+    weights and matrices are built once per rule; the ball and delta norms
+    of all q nodes take one ordered_sums call.  tau, tol and max_iter are
+    checked by IntegratorConfig, as in evolve.
     """
     t = as_real(t_target, "t_target")
     if t < 0.0:
@@ -303,7 +307,9 @@ def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float
     lat = state.lattice
     kernel = _get_kernel(model, lat)
     c = model.b * state.mass  # the k = 0 term of V * |alpha|^2, constant along the flow
-    freq = lat.omega + c
+    # phases exp(i (omega + c) s) depend on |n|^2 only: taken once per shell, then gathered
+    first, index = lat.shells
+    freq_sh = lat.omega.ravel()[first] + c
     w2 = lat.a2_weight
 
     def a2norm(arr):
@@ -327,12 +333,12 @@ def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float
         nodes, weights, S = _quadrature(q)
         Q = (0.5 * t) * S
         # node axis first: rot[i] = exp(i (omega + c) s_i), g[i] is the iterate at s_i
-        rot = np.exp((0.5j * t) * (nodes + 1.0)[:, None, None, None] * freq)
+        rot = np.exp((0.5j * t) * (nodes + 1.0)[:, None] * freq_sh)[..., index]
         if prev_end is None:
             # the docstring's two-call predictor, or the free flight outside the ball
             m = 0.5 * t
             h0 = kernel.nonlinear(a0) - c * a0
-            rot_m = np.exp((1j * m) * freq)
+            rot_m = np.exp((1j * m) * freq_sh)[index]
             g_m = a0 - (1j * m) * h0
             h_m = rot_m * kernel.nonlinear(np.conj(rot_m) * g_m) - c * g_m
             s = (0.5 * t) * (nodes + 1.0)[:, None, None, None]
@@ -345,7 +351,7 @@ def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float
             check_ball(g)
 
         def node_terms(g):
-            terms = np.array([kernel.nonlinear(a) for a in np.conj(rot) * g])
+            terms = kernel.nonlinear(np.conj(rot) * g)
             return np.multiply(rot, terms, out=terms) - c * g  # operand order: see step_split
 
         for _ in range(max_iter):
@@ -364,7 +370,7 @@ def picard_solve(state: SpectralState, model: GaussianPotential, t_target: float
         # the converging sweep's terms: g is within tol of the iterate they were taken at;
         # einsum, not a BLAS gemv, whose threaded reduction order varies with thread count
         integral = np.einsum("j,j...->...", (0.5 * t) * weights, h)
-        end = np.exp(-1j * freq * t) * (a0 - 1j * integral)
+        end = np.exp(-1j * freq_sh * t)[index] * (a0 - 1j * integral)
         if prev_end is not None and a2norm(end - prev_end) < 0.1 * tol:
             return state.with_alpha(end, t=state.t + t)
         prev_end = end

@@ -46,6 +46,9 @@ __all__ = [
 SNAPSHOT_FORMAT = "torus-hartree-state"
 SNAPSHOT_VERSION = 1
 SNAPSHOT_LAYOUT = {"encoding": "base64/float64-le", "order": "shell-lex"}
+# max |mass - 1| of a healthy run (diagnostics.run_report) and of a snapshot
+# load_state accepts, so every healthy run's final state can be resumed
+MASS_TOLERANCE = 1e-6
 
 
 def as_mode(value, name: str = "k0") -> tuple:
@@ -105,6 +108,18 @@ class TorusLattice:
         out = (4.0 * math.pi**2 / self.L**2) * self.norm_sq
         out.setflags(write=False)
         return out
+
+    @cached_property
+    def shells(self):
+        """Read-only (first, index) of the |n|^2 shells in increasing order:
+        first[j] is the flat index of shell j's first site and index, of the
+        lattice's shape, each site's shell, so f(|n|^2) evaluated once per
+        shell on x.ravel()[first] is f(x) per site as f_shell[..., index]."""
+        _, first, index = np.unique(self.norm_sq, return_index=True, return_inverse=True)
+        index = index.reshape(self.shape)
+        for a in (first, index):
+            a.setflags(write=False)
+        return first, index
 
     @cached_property
     def a2_weight(self):
@@ -249,20 +264,22 @@ def _dft_analysis(F):
 
 
 def _transform(f, T):
-    """The pruned transform of a (q, q, q) cube to a (p, p, p) one by the
-    (p, q) matrix T: F of _dft_synthesis gives the G^3 ifftn of the modes
-    embedded at their grid indices, the unit-density field on x_j = j L / G,
-    and A of _dft_analysis gives fftn(f)[modes] / G^3.
+    """The pruned transform of a (..., q, q, q) stack of cubes to a
+    (..., p, p, p) one by the (p, q) matrix T: F of _dft_synthesis gives the
+    G^3 ifftn of the modes embedded at their grid indices, the unit-density
+    field on x_j = j L / G, and A of _dft_analysis gives fftn(f)[modes] / G^3.
 
     Pruned (FFTW's "pruned FFTs"): each product T @ f.reshape(-1, q).T maps
     the last axis alone and puts its new axis first, so three whole-array
-    products (3 BLAS calls; T on the left, as the tall f.reshape(q, -1).T @
-    T.T is slower) end in C order.
+    products (3 BLAS calls per cube; T on the left, as the tall
+    f.reshape(q, -1).T @ T.T is slower) end in C order.  A stack takes the
+    same products per cube, so each cube's bits are its own transform's.
     """
     p, q = T.shape
+    lead = f.shape[:-3]
     for _ in range(3):
-        f = T @ f.reshape(-1, q).T
-    return f.reshape(p, p, p)
+        f = np.matmul(T, f.reshape(*lead, -1, q).swapaxes(-1, -2))
+    return f.reshape(*lead, p, p, p)
 
 
 def _bandwidth(g) -> int:
@@ -306,7 +323,10 @@ class _Kernel:
 
     field and crop are _transform against the read-only DFT pair
     F = _dft_synthesis(M, G), A = _dft_analysis(F); convolve takes a grid
-    density, |phi|^2 from convolved_density or a record's.  The kernel keeps no
+    density, |phi|^2 from convolved_density or a record's.  field, crop,
+    convolved_density, convolve and nonlinear take (..., n, n, n) stacks,
+    n = 2M + 1 or G, and give each array of a stack the bits it gets alone,
+    so picard_solve evaluates all its nodes in one call.  The kernel keeps no
     scratch buffers and not its model, so threads of one process may share
     it (each call allocates its own; scan workers build their own) and it
     dies with the model.
@@ -360,20 +380,29 @@ class _Kernel:
         return self.convolve(dens, dens)
 
     def convolve(self, dens, scratch):
-        """V_L * dens = b (C x C x C) dens as a new array; scratch, a C-contiguous
-        G^3 float array that may be dens itself, is overwritten."""
-        # Axis 0, then 2, then 1, ping-ponging between two G^3 buffers: as left
+        """V_L * dens = b (C x C x C) dens as a new array, per G^3 cube of a
+        (..., G, G, G) stack; scratch, a C-contiguous array of dens's shape
+        that may be dens itself, is overwritten."""
+        # Axis 0, then 2, then 1, ping-ponging between two buffers: as left
         # products C @ y.reshape(-1, G).T the bits vary with the BLAS thread count
         # at G >= 35, and as tall y.reshape(G, -1).T @ C it is slower at M >= 8.
+        # The axis-2 product stays one (G^2, G) product per cube: folding a
+        # stack into one taller product changes its bits (G = 28, 3 cubes).
         G = self.G
-        y = np.matmul(self.bC, dens.transpose(1, 0, 2))  # (j, i', k)
-        np.matmul(y.reshape(G * G, G), self.C, out=scratch.reshape(G * G, G))  # (j, i', k')
-        return np.matmul(self.C, scratch.transpose(1, 0, 2), out=y)  # (i', j', k')
+        lead = dens.shape[:-3]
+        y = np.matmul(self.bC, dens.swapaxes(-3, -2))  # (..., j, i', k)
+        np.matmul(y.reshape(*lead, G * G, G), self.C,
+                  out=scratch.reshape(*lead, G * G, G))  # (..., j, i', k')
+        return np.matmul(self.C, scratch.swapaxes(-3, -2), out=y)  # (..., i', j', k')
 
     def nonlinear(self, alpha):
         """Projected convolution term P_M[(V_L * |phi|^2) phi] in coefficients."""
         phi = self.field(alpha)
-        return self.crop(self.convolved_density(phi) * phi)
+        # the product, in written operand order, goes into phi: one stack-sized
+        # buffer fewer keeps glibc's default heap policy from trimming and
+        # refaulting the heap top on every call (up to ~330 page faults per
+        # four-solve M = 3 Picard ladder without it, depending on heap layout)
+        return self.crop(np.multiply(self.convolved_density(phi), phi, out=phi))
 
     def half_kinetic_phase(self, dt):
         """exp(-i dt omega / 2) on the lattice.  The last two step sizes
@@ -681,6 +710,6 @@ def load_state(path) -> SpectralState:
     alpha[lat.order] = buf.view("<c16")  # the (re, im) pairs, bit for bit
     state = SpectralState(lat, as_real(_require(doc, "rho", path), "rho", positive=True),
                           as_real(_require(doc, "t", path), "t"), alpha.reshape(lat.shape))
-    if not abs(state.mass - 1.0) <= 1e-9:  # a NaN mass fails too
+    if not abs(state.mass - 1.0) <= MASS_TOLERANCE:  # a NaN mass fails too
         raise ValueError(f"{path}: snapshot mass {state.mass!r} deviates from 1")
     return state

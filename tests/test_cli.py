@@ -225,6 +225,20 @@ class TestSimulate:
         assert float(rows[-1]["condensate_fraction"]) == pytest.approx(
             1.0, abs=1e-12)
 
+    def test_healthy_run_final_state_resumes(self, tmp_path, capsys):
+        # the accuracy setting: dealiased Strang at dt 0.02 loses 4.3e-9 of
+        # mass, above the 1e-9 snapshots were once held to and well inside
+        # MASS_TOLERANCE, so the run is ok and its final state resumes
+        final = tmp_path / "final.state"
+        cfg = write_config(tmp_path, M=8, dt=0.02, t_final=0.2,
+                           state={"family": "perturbed", "eps": 0.2, "s": 3.0, "seed": 1})
+        assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a.csv"),
+                    "--final-state", str(final)]) == 0
+        assert 1e-9 < abs(load_state(final).mass - 1.0) <= diagnostics.MASS_TOLERANCE
+        cfg = write_config(tmp_path, M=8, dt=0.02, t_final=0.2, state={"snapshot": str(final)})
+        assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "b.csv")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_resumed_snapshot_envelopes_count_from_its_t(self, tmp_path, capsys):
         snap = tmp_path / "in.state"
         state = make_state("plane_wave", TorusLattice(4.0, 2), 10.0, k0=(1, 0, 0))

@@ -452,12 +452,13 @@ class TestPicard:
 
     @staticmethod
     def count_calls(monkeypatch):
-        # the list gets each kernel.nonlinear call's argument
+        # the list gets each node evaluation's argument: a kernel.nonlinear
+        # call on a (k, n, n, n) stack adds its k arrays, a call on one array 1
         calls = []
         nonlinear = _Kernel.nonlinear
 
         def counted(kernel, alpha):
-            calls.append(alpha)
+            calls.extend(alpha.reshape(-1, *kernel.lattice.shape))
             return nonlinear(kernel, alpha)
 
         monkeypatch.setattr(_Kernel, "nonlinear", counted)
@@ -466,16 +467,28 @@ class TestPicard:
     def test_doubled_passes_start_warm(self, gaussian, monkeypatch):
         # q = 3 sweeps from the two-call predictor; q = 4 starts from its
         # solution and settles in one sweep, and each endpoint reuses its
-        # pass's last sweep: 2 predictor calls + 3 per sweep + 4
+        # pass's last sweep: 2 predictor evaluations + 3 per sweep + 4, in
+        # 2 kernel calls + 1 per sweep, each sweep's nodes one stacked call
         calls = self.count_calls(monkeypatch)
+        kernel_calls = []
+        counted = _Kernel.nonlinear
+
+        def stacked(kernel, alpha):
+            kernel_calls.append(alpha.shape)
+            return counted(kernel, alpha)
+
+        monkeypatch.setattr(_Kernel, "nonlinear", stacked)
         st = quasi_condensate(m=3, eps=0.05)
         guard = lifespan_guard(st, gaussian).guard
-        counts = []
+        counts, per_solve = [], []
         for frac in (0.05, 0.1, 0.2, 0.3):
             calls.clear()
+            kernel_calls.clear()
             picard_solve(st, gaussian, frac * guard)
             counts.append(len(calls))
+            per_solve.append(len(kernel_calls))
         assert counts == [9, 9, 12, 12]
+        assert per_solve == [4, 4, 5, 5]
 
     def test_tight_tolerance_climbs_the_ladder(self, gaussian, monkeypatch):
         # near the guard and at tol = 1e-14 the q = 3 and 4 endpoints differ
@@ -662,6 +675,10 @@ class TestPicard:
                 for frac in (0.05, 0.3):
                     out = picard_solve(st, model, frac * lifespan_guard(st, model).guard)
                     print(m, frac, hashlib.sha256(out.alpha.tobytes()).hexdigest())
+            # a tight tolerance climbs to q = 32: stacks of 8, 16 and 32 nodes
+            st = make_state("perturbed", TorusLattice(4.0, 3), 10.0, eps=0.05, s=6.0, seed=1)
+            out = picard_solve(st, model, 0.9 * lifespan_guard(st, model).guard, tol=1e-14)
+            print("tight", hashlib.sha256(out.alpha.tobytes()).hexdigest())
             st = make_state("perturbed", TorusLattice(8.0, 8), 10.0, eps=0.2, s=3.0, seed=2)
             print("beta", hashlib.sha256(autocorrelation(st).beta.tobytes()).hexdigest())
             st = make_state("perturbed", TorusLattice(16.0, 16), 10.0, eps=0.2, s=3.0, seed=3)
@@ -685,7 +702,7 @@ class TestPicard:
                                   text=True, env=dict(os.environ, PYTHONPATH=path,
                                                       OPENBLAS_NUM_THREADS=threads)).stdout
                    for threads in ("1", "2", "4")]
-        assert len(outputs[0].splitlines()) == 10
+        assert len(outputs[0].splitlines()) == 11
         assert outputs[0] == outputs[1] == outputs[2]
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -983,6 +1000,31 @@ class TestKernelCache:
                     assert all(r is records[0] for r in records)
         finally:
             sys.setswitchinterval(old_interval)
+
+    @pytest.mark.parametrize("m", [3, 8, 16])
+    def test_stacked_call_equals_the_per_array_calls(self, gaussian, m):
+        # picard_solve evaluates a sweep's q nodes in one nonlinear call on
+        # their (q, n, n, n) stack; each node gets the bits of its own call
+        lat = TorusLattice(float(m), m)
+        kernel = _get_kernel(gaussian, lat)
+        stack = np.array([random_state(lat, 10.0, seed=seed).alpha for seed in range(8)])
+        for height in (1, 3, 4, 8):
+            got = kernel.nonlinear(stack[:height])
+            assert got.shape == (height, *lat.shape)
+            for node, want in zip(got, stack[:height]):
+                assert np.array_equal(node, kernel.nonlinear(want))
+
+    def test_stacked_call_equals_the_per_array_calls_above_g_100(self, gaussian):
+        # the record kernel at M = 25 is on G = 105, where the convolution's
+        # bits vary with the BLAS thread count (ROADMAP item 9); in one
+        # process the stack and the loop run at the same thread count
+        lat = TorusLattice(25.0, 25)
+        kernel = _get_kernel(gaussian, lat).record
+        assert kernel.G >= 100
+        stack = np.array([random_state(lat, 10.0, seed=seed).alpha for seed in range(3)])
+        got = kernel.nonlinear(stack)
+        for node, want in zip(got, stack):
+            assert np.array_equal(node, kernel.nonlinear(want))
 
     def test_threads_share_one_kernel(self, gaussian):
         # a kernel holds no scratch buffers, so concurrent calls cannot mix

@@ -107,6 +107,21 @@ class TestLattice:
         lat = TorusLattice(4.0, m)
         assert np.array_equal(lat.order, np.argsort(lat.norm_sq.ravel(), kind="stable"))
 
+    @pytest.mark.parametrize("m", [*range(1, 25), 64])
+    def test_shells_gather_omega_bit_for_bit(self, m):
+        # picard_solve takes its phases once per |n|^2 shell and gathers them
+        # by index, which gives every site its own omega's bits
+        lat = TorusLattice(4.0, m)
+        first, index = lat.shells
+        assert index.shape == lat.shape
+        assert np.array_equal(lat.omega.ravel()[first][index], lat.omega)
+        assert np.all(np.diff(lat.norm_sq.ravel()[first]) > 0)
+        assert lat.shells is lat.shells
+        for a in (first, index):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 0
+
     def test_ordered_sum_matches_fsum(self, rng):
         lat = TorusLattice(4.0, 3)
         x = rng.normal(size=lat.shape)
@@ -747,4 +762,27 @@ class TestSnapshots:
         path = tmp_path / "state.json"
         save_state(st_, path)
         with pytest.raises(ValueError):
+            load_state(path)
+
+    def test_mass_tolerance_is_the_run_health_bound(self, tmp_path, monkeypatch):
+        # load_state accepts the masses a healthy run may end at, |mass - 1|
+        # up to MASS_TOLERANCE, and refuses the rest, a NaN or infinite mass too
+        from torus_hartree import diagnostics, field
+        assert diagnostics.MASS_TOLERANCE is field.MASS_TOLERANCE == 1e-6
+        st_ = make_state("perturbed", TorusLattice(4.0, 2), 10.0, eps=0.1, s=5.0, seed=3)
+        path = tmp_path / "state.json"
+        for mass, ok in ((1 - 5e-7, True), (1 + 5e-7, True), (1 + 2e-6, False),
+                         (1 - 2e-6, False)):
+            save_state(st_.with_alpha(math.sqrt(mass) * st_.alpha), path)
+            if ok:
+                assert load_state(path).mass == pytest.approx(mass, abs=1e-15)
+            else:
+                with pytest.raises(ValueError, match="deviates from 1"):
+                    load_state(path)
+        save_state(st_.with_alpha(1e160 * st_.alpha), path)  # finite, but |alpha|^2 overflows
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="mass inf deviates"):
+            load_state(path)
+        save_state(st_, path)
+        monkeypatch.setattr(SpectralState, "mass", property(lambda self: math.nan))
+        with pytest.raises(ValueError, match="snapshot mass nan deviates from 1"):
             load_state(path)
