@@ -25,7 +25,7 @@ from .diagnostics import (BoundInputs, DiagnosticsRecord, EnvelopeDomainError,
                           TrajectoryContext, assumption_check, bound_inputs,
                           energy_per_particle, energy_physical,
                           envelope_audit, excitation_bound, kinetic_tail,
-                          make_record, omega_coefficient,
+                          make_record, make_records, omega_coefficient,
                           plane_wave_comparison, quasi_vacuum_energy_bound,
                           RunReport, run_report, s_envelope, t_envelope,
                           tail_sum, u_mass_envelope, write_trajectory_csv)

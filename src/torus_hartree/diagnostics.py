@@ -43,6 +43,7 @@ __all__ = [
     "kinetic_tail",
     "assumption_check",
     "make_record",
+    "make_records",
     "format_float",
     "write_csv",
     "write_trajectory_csv",
@@ -56,9 +57,16 @@ class EnvelopeDomainError(ValueError):
 # ---------------------------------------------------------------------------
 # energy
 
-def _interaction_and_beta_gap(state: SpectralState, model: GaussianPotential):
-    """Interaction energy per particle and beta_gap from one synthesis and
-    one density pass on the kernel's record grid.
+def _row_sums(stack) -> list:
+    """np.sum of each array of a C-contiguous (R, ...) stack, from one
+    np.add.reduce over its (R, n) rows, each bit for bit its array's np.sum."""
+    return np.add.reduce(stack.reshape(len(stack), -1), axis=1).tolist()
+
+
+def _interactions_and_beta_gaps(alphas, kernel):
+    """Interaction energy per particle and beta_gap of each array of an
+    (R, n, n, n) coefficient stack, from one synthesis and one density pass
+    on the record kernel's grid.
 
     The record grid (G >= 4M+1) resolves the density |phi|^2 of the
     unit-density field without aliasing, so beta = fftn(|phi|^2) / G^3 is
@@ -66,31 +74,38 @@ def _interaction_and_beta_gap(state: SpectralState, model: GaussianPotential):
     takes the step's circulant convolution of that density: half
     sum_k Vhat |beta|^2 is sum(|phi|^2 conv) / (2 G^3).  By Parseval,
     beta(0) = sum |phi|^2 / G^3 and sum_{k != 0} |beta|^2 =
-    sum (|phi|^2 - beta(0))^2 / G^3.
+    sum (|phi|^2 - beta(0))^2 / G^3.  The field and the convolution keep each
+    cube's bits on a stack, and each sum is one _row_sums call for the batch.
     """
-    kernel = _get_kernel(model, state.lattice).record
-    phi = kernel.field(state.alpha)
+    phi = kernel.field(alphas)
     dens = np.square(phi.real)
     dens += np.square(phi.imag, out=phi.imag)  # phi is ours: square in place
-    del phi  # before the convolution allocates its two G^3 buffers
+    del phi  # before the convolution allocates its two R G^3 buffers
     conv = kernel.convolve(dens, np.empty_like(dens))
-    n = dens.size
+    n = kernel.G**3
     conv *= dens
-    interaction = 0.5 * float(np.add.reduce(conv, axis=None)) / n  # np.sum's reduce
-    beta0 = float(np.add.reduce(dens, axis=None)) / n
-    dens -= beta0
+    interactions = [0.5 * v / n for v in _row_sums(conv)]
+    del conv
+    beta0 = [v / n for v in _row_sums(dens)]
+    for cube, b0 in zip(dens, beta0):
+        cube -= b0
     # carry beta0's rounding as the residual mean r, so the gap keeps its digits near 0
-    r = float(np.add.reduce(dens, axis=None)) / n
-    off = (beta0 - 1.0) + r
-    variance = float(np.add.reduce(np.square(dens, out=dens), axis=None)) / n - r * r
-    return interaction, variance + abs(off * (2.0 + off))
+    r = [v / n for v in _row_sums(dens)]
+    squares = _row_sums(np.square(dens, out=dens))
+    gaps = []
+    for b0, ri, sq in zip(beta0, r, squares):
+        off = (b0 - 1.0) + ri
+        gaps.append(sq / n - ri * ri + abs(off * (2.0 + off)))
+    return interactions, gaps
 
 
 def energy_per_particle(state: SpectralState, model: GaussianPotential) -> float:
-    """E / (rho L^3): kinetic sum plus half the Vhat-weighted |beta|^2 sum."""
+    """E / (rho L^3): kinetic sum plus half the Vhat-weighted |beta|^2 sum,
+    the interaction taken by make_records' route."""
     lat = state.lattice
     kinetic = lat.ordered_sum(lat.omega * np.abs(state.alpha) ** 2)
-    return kinetic + _interaction_and_beta_gap(state, model)[0]
+    kernel = _get_kernel(model, lat).record
+    return kinetic + _interactions_and_beta_gaps(state.alpha[None], kernel)[0][0]
 
 
 def energy_physical(state: SpectralState, model: GaussianPotential, g: int = 2) -> float:
@@ -247,11 +262,12 @@ class TrajectoryContext:
         s0 = _positive_finite(lambda: s_sum(state), "S0 = sum |alpha|")
         lat = state.lattice
         if k0 is None:
-            k0 = _argmax_mode(lat, np.abs(state.alpha))[0]
+            k0 = _argmax_modes(lat, np.abs(state.alpha)[None])[1][0]
         idx = lat.index_of(k0)
         if theta is None:
             theta = float(np.angle(state.alpha[idx]))
-        u0 = lat.ordered_sum(_wave_deviation(state.alpha, idx, theta) ** 2)
+        site = np.ravel_multi_index(idx, lat.shape)
+        u0 = lat.ordered_sum(_wave_deviations(state.alpha[None], [site], [theta]) ** 2)
         return cls(s0=s0, t0_kin=t_sum(state), b=model.b,
                    c_decay=model.C, k0=tuple(int(v) for v in np.asarray(k0).reshape(3)),
                    theta=float(theta), u0_mass_sq=u0, t0=state.t)
@@ -277,45 +293,52 @@ def _envelopes(ctx: TrajectoryContext, t: float):
         return math.nan, math.nan, math.nan
 
 
-def _wave_deviation(alpha, idx, phase):
-    """|alpha - exp(i phase) delta_k| per site, k the mode at array index idx:
-    distance to a plane wave."""
-    u = alpha.copy()
-    u[idx] -= np.exp(1j * phase)
+def _wave_deviations(alphas, sites, phases):
+    """|alpha - exp(i phase) delta_k| per site of each array of an (R, n, n, n)
+    stack, k the mode at C-order site sites[r] of array r: distance to a plane wave."""
+    u = alphas.copy()
+    for row, site, phase in zip(u.reshape(len(u), -1), sites, phases):
+        row[site] -= np.exp(1j * phase)
     return np.abs(u)
 
 
-def _comparison_wave(state: SpectralState, ctx: TrajectoryContext):
-    """omega_L = 4 pi^2 |k0|^2 / L^2 + b and the per-site |u|^2 at state.t,
-    where u = alpha - exp(i (theta - omega_L (t - t0))) delta_k0."""
-    lat = state.lattice
+def _comparison_waves(states, alphas, ctx):
+    """omega_L = 4 pi^2 |k0|^2 / L^2 + b and the per-site |u| of each state, whose
+    coefficients are the arrays of alphas, where
+    u = alpha - exp(i (theta - omega_L (t - t0))) delta_k0 at the state's t."""
+    lat = states[0].lattice
     idx = tuple(v + lat.M for v in ctx.k0)  # from_state checked k0's three ints
     if not all(0 <= i < lat.size for i in idx):
         raise ValueError(f"mode {ctx.k0} outside cutoff M={lat.M}")
     omega_l = 4.0 * math.pi**2 * float(sum(v * v for v in ctx.k0)) / lat.L**2 + ctx.b
-    phase = ctx.theta - omega_l * (state.t - ctx.t0)
-    return omega_l, _wave_deviation(state.alpha, idx, phase) ** 2
+    phases = [ctx.theta - omega_l * (st.t - ctx.t0) for st in states]
+    site = np.ravel_multi_index(idx, lat.shape)
+    return omega_l, _wave_deviations(alphas, [site] * len(states), phases)
 
 
-def _argmax_mode(lattice, a_abs):
-    """The mode of largest |alpha|, the first in C order on ties, and its array index."""
-    i, jk = divmod(int(np.argmax(a_abs)), lattice.size**2)
-    idx = (i, *divmod(jk, lattice.size))
-    return tuple(v - lattice.M for v in idx), idx
+def _argmax_modes(lattice, a_abs):
+    """The C-order site of largest |alpha| of each array of an (R, n, n, n)
+    stack, the first on ties, and its mode."""
+    sites = a_abs.reshape(len(a_abs), -1).argmax(axis=1)
+    n, M = lattice.size, lattice.M
+    return sites, [(i // (n * n) - M, i // n % n - M, i % n - M) for i in sites.tolist()]
 
 
-def _record_sums(state: SpectralState, context):
-    """make_record's lattice sums from one ordered_sums call (mass, l1 and l2^2
-    deviation, tail_sum at ceil(M / 2), kinetic_tail at c = 1, kinetic energy, S,
-    T and, with a context, the u mass), then k_star and |alpha(k_star)|.  Each row
-    is the per-site array of the function named, bit for bit, written in place."""
-    lat = state.lattice
-    a = state.alpha
-    stack = np.empty((8 if context is None else 9, *lat.shape))
+def _record_sums(states, alphas, context):
+    """make_records' lattice sums from one ordered_sums call, then each record's
+    k_star and |alpha(k_star)|.  Row j of the (k, R, n, n, n) stack holds, for
+    every state, the per-site array of: mass, l1 and l2^2 deviation, tail_sum at
+    ceil(M / 2), kinetic_tail at c = 1, kinetic energy, S, T and, with a context,
+    the u mass.  Each array is its function's, bit for bit, written in place."""
+    lat = states[0].lattice
+    R = len(states)
+    stack = np.empty((8 if context is None else 9, R, *lat.shape))
     abs_sq, dabs, dabs_sq, tail, ktail, kinetic, a_abs, t_site = stack[:8]
-    np.abs(a, out=a_abs)
-    k_star, idx = _argmax_mode(lat, a_abs)
-    dabs[...] = _wave_deviation(a, idx, float(np.angle(a[idx])))
+    np.abs(alphas, out=a_abs)
+    sites, k_stars = _argmax_modes(lat, a_abs)
+    at_star = (np.arange(R), sites)
+    phases = np.angle(alphas.reshape(R, -1)[at_star]).tolist()
+    dabs[...] = _wave_deviations(alphas, sites.tolist(), phases)
     np.square(a_abs, out=abs_sq)
     np.square(dabs, out=dabs_sq)
     np.multiply(a_abs, _beyond(lat, math.ceil(lat.M / 2)), out=tail)
@@ -323,34 +346,54 @@ def _record_sums(state: SpectralState, context):
     np.multiply(t_site, _beyond(lat, lat.L), out=ktail)
     np.multiply(lat.omega, abs_sq, out=kinetic)
     if context is not None:
-        stack[8] = _comparison_wave(state, context)[1]
-    return lat.ordered_sums(stack), k_star, float(a_abs[idx])
+        np.square(_comparison_waves(states, alphas, context)[1], out=stack[8])
+    sums = lat.ordered_sums(stack.reshape(-1, *lat.shape))
+    return [sums[r::R] for r in range(R)], k_stars, a_abs.reshape(R, -1)[at_star].tolist()
+
+
+def make_records(states, model: GaussianPotential,
+                 context: TrajectoryContext | None = None) -> list:
+    """The DiagnosticsRecord of each state, all on one lattice, in one pass:
+    one field and one convolve call on the (R, G, G, G) record-grid stack, and
+    every record's lattice rows from one ordered_sums call.  Each record has
+    the bits of make_record of its state alone.  A batch of R states peaks at
+    R times one record's memory: 24 G^3 bytes of grid plus 72 n^3 bytes of
+    sum rows per state, G the record grid and n = 2M + 1."""
+    states = list(states)
+    if not states:
+        return []
+    lat = states[0].lattice
+    if any(st.lattice != lat for st in states):
+        raise ValueError("make_records takes states of one lattice")
+    # one state takes a view: a record at R = 1 allocates no coefficient stack
+    alphas = states[0].alpha[None] if len(states) == 1 else np.stack([st.alpha for st in states])
+    # the sums' arrays are freed on return, before the energy pass allocates
+    sums, k_stars, a_stars = _record_sums(states, alphas, context)
+    interactions, gaps = _interactions_and_beta_gaps(alphas, _get_kernel(model, lat).record)
+    records = []
+    for st, row, k_star, a_star, interaction, beta_gap in zip(
+            states, sums, k_stars, a_stars, interactions, gaps):
+        mass, l1_dev, l2_sq, tail_half, ktail, kinetic, s, t_kin = row[:8]
+        epp = kinetic + interaction
+        s_env = t_env = u_env = u_mass = math.nan
+        if context is not None:
+            s_env, t_env, u_env = _envelopes(context, st.t)
+            u_mass = row[8]
+        records.append(DiagnosticsRecord(
+            t=st.t, mass=mass, energy=st.rho * lat.L**3 * epp, energy_per_particle=epp,
+            S=s, T=t_kin, k_star=k_star,
+            condensate_fraction=a_star**2, l1_dev=l1_dev, l2_dev=math.sqrt(l2_sq),
+            tail_half_M=tail_half, beta_gap=beta_gap,
+            s_envelope=s_env, t_envelope=t_env,
+            u_mass_sq=u_mass, u_mass_envelope=u_env, kinetic_tail=ktail,
+        ))
+    return records
 
 
 def make_record(state: SpectralState, model: GaussianPotential,
                 context: TrajectoryContext | None = None) -> DiagnosticsRecord:
-    lat = state.lattice
-    # the sums' arrays are freed on return, before the energy pass allocates
-    sums, k_star, a_star = _record_sums(state, context)
-    mass, l1_dev, l2_sq, tail_half, ktail, kinetic, s, t_kin = sums[:8]
-
-    interaction, beta_gap = _interaction_and_beta_gap(state, model)
-    epp = kinetic + interaction
-    e_total = state.rho * lat.L**3 * epp
-
-    s_env = t_env = u_env = u_mass = math.nan
-    if context is not None:
-        s_env, t_env, u_env = _envelopes(context, state.t)
-        u_mass = sums[8]
-
-    return DiagnosticsRecord(
-        t=state.t, mass=mass, energy=e_total, energy_per_particle=epp,
-        S=s, T=t_kin, k_star=k_star,
-        condensate_fraction=a_star**2, l1_dev=l1_dev, l2_dev=math.sqrt(l2_sq),
-        tail_half_M=tail_half, beta_gap=beta_gap,
-        s_envelope=s_env, t_envelope=t_env,
-        u_mass_sq=u_mass, u_mass_envelope=u_env, kinetic_tail=ktail,
-    )
+    """The DiagnosticsRecord of one state: make_records([state], ...)[0]."""
+    return make_records([state], model, context)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +488,9 @@ def plane_wave_comparison(trajectory, k0, theta: float, model: GaussianPotential
     lat = states[0].lattice
 
     ts, masses, grads, envs = [], [], [], []
-    for st in states:
-        omega_l, uabs2 = _comparison_wave(st, ctx)
+    for st in states:  # one state at a time: a run's states may fill the memory
+        omega_l, u = _comparison_waves([st], st.alpha[None], ctx)
+        uabs2 = np.square(u, out=u)
         ts.append(st.t)
         masses.append(lat.ordered_sum(uabs2))
         grads.append(lat.ordered_sum(lat.omega * uabs2))

@@ -11,6 +11,7 @@ import os
 import tempfile
 import threading
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -238,6 +239,21 @@ class TestSimulate:
         cfg = write_config(tmp_path, M=8, dt=0.02, t_final=0.2, state={"snapshot": str(final)})
         assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "b.csv")]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_overflowing_snapshot_mass_exits_2_without_a_warning(self, tmp_path, capsys):
+        # a finite snapshot whose |alpha|^2 overflows: one error line and exit 2,
+        # with every warning an error as under python -W error
+        snap = tmp_path / "huge.state"
+        state = make_state("perturbed", TorusLattice(4.0, 2), 10.0, eps=0.2, s=3.0, seed=1)
+        save_state(state.with_alpha(1e160 * state.alpha), snap)
+        cfg = write_config(tmp_path, state={"snapshot": str(snap)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["simulate", "--config", str(cfg),
+                        "--out", str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "snapshot mass inf deviates from 1" in err
 
     def test_resumed_snapshot_envelopes_count_from_its_t(self, tmp_path, capsys):
         snap = tmp_path / "in.state"

@@ -41,11 +41,12 @@ from torus_hartree import (
     tail_sum,
     u_mass_envelope,
 )
-from torus_hartree import diagnostics
+from torus_hartree import diagnostics, evolution
 from torus_hartree.diagnostics import (
     CSV_COLUMNS,
     format_float,
     make_record,
+    make_records,
     write_trajectory_csv,
 )
 from torus_hartree.field import _get_kernel
@@ -258,7 +259,8 @@ def record_reference(state, model, ctx):
         condensate_fraction=float(a_abs[idx]) ** 2, l1_dev=lat.ordered_sum(dabs),
         l2_dev=math.sqrt(lat.ordered_sum(dabs**2)),
         tail_half_M=tail_sum(state, math.ceil(lat.M / 2)),
-        beta_gap=diagnostics._interaction_and_beta_gap(state, model)[1],
+        beta_gap=diagnostics._interactions_and_beta_gaps(
+            state.alpha[None], _get_kernel(model, lat).record)[1][0],
         s_envelope=math.nan, t_envelope=math.nan, u_mass_sq=math.nan,
         u_mass_envelope=math.nan, kinetic_tail=kinetic_tail(state, 1.0))
     if ctx is not None:
@@ -465,6 +467,51 @@ def exact_parseval_gap(state, model):
     n, s1, s2 = len(ints), sum(ints), sum(i * i for i in ints)
     beta0 = Fraction(s1, n << k)
     return float(Fraction(n * s2 - s1 * s1, (n << k) ** 2) + abs(beta0 * beta0 - 1))
+
+
+class TestRecordBatches:
+    @staticmethod
+    def run_states(lat, n=11):
+        """n states of one lattice at increasing t: a perturbed condensate off
+        the centre mode, then rolled, rephased and reweighted copies of it."""
+        st0 = make_state("perturbed", lat, 10.0, k0=(1, 0, -1), eps=0.2, s=3.0, seed=lat.M)
+        return [st0] + [st0.with_alpha(np.roll(st0.alpha, k, axis=k % 3)
+                                       * np.exp(0.37j * k) * (1.0 + 1e-3 * k), t=1e-3 * k)
+                        for k in range(1, n)]
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 8])
+    def test_every_record_keeps_its_bits(self, gaussian, m):
+        # each record of a batch of 1-11 is make_record of its state alone, by repr
+        states = self.run_states(TorusLattice(float(m), m))
+        ctx = TrajectoryContext.from_state(states[0], gaussian)
+        for c in (None, ctx):
+            alone = [repr(make_record(st, gaussian, c)) for st in states]
+            for r in range(1, len(states) + 1):
+                assert [repr(rec) for rec in make_records(states[:r], gaussian, c)] \
+                    == alone[:r]
+
+    def test_empty_and_mixed_batches(self, gaussian):
+        assert make_records([], gaussian) == []
+        mixed = [random_state(TorusLattice(4.0, 2)), random_state(TorusLattice(4.0, 3))]
+        with pytest.raises(ValueError, match="states of one lattice"):
+            make_records(mixed, gaussian)
+
+    def test_peak_memory(self, gaussian):
+        # a batch of R peaks within R times one record's bound (TestRecordBits)
+        lat = TorusLattice(4.0, 4)
+        G = _get_kernel(gaussian, lat).record.G
+        R = evolution._RECORD_BATCH_POINTS // G**3
+        assert R > 1
+        states = self.run_states(lat, R)
+        ctx = TrajectoryContext.from_state(states[0], gaussian)
+        make_records(states, gaussian, ctx)  # builds the kernels and the masks
+        tracemalloc.start()
+        try:
+            make_records(states, gaussian, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= R * (1.5 * 16 * G**3 + 9 * lat.size**3 * 8)
 
 
 class TestRecordOracle:

@@ -741,6 +741,18 @@ class TestPicard:
         with pytest.raises(ConvergenceError):
             picard_solve(st, gaussian, t, max_iter=1)
 
+    def test_stalled_sweeps_refuse_promptly(self, gaussian, monkeypatch):
+        # at tol 1e-14 the q = 3 deltas of this solve level off near 1.1e-14
+        # (9.2e-9, 4.7e-12, 6.7e-14, 2.2e-14, 1.4e-14, ...): refused once they stop
+        # halving, within 10 sweeps, not after max_iter = 100
+        calls = self.count_calls(monkeypatch)
+        st = quasi_condensate(m=8, eps=0.05)
+        t = 0.9 * lifespan_guard(st, gaussian).guard
+        with pytest.raises(ConvergenceError, match="did not halve in the last 3 of"):
+            picard_solve(st, gaussian, t, tol=1e-14)
+        sweeps = (len(calls) - 2) // 3  # after the predictor's two evaluations
+        assert len(calls) == 2 + 3 * sweeps and sweeps <= 10
+
     def test_argument_validation(self, gaussian):
         st = quasi_condensate()
         with pytest.raises(ValueError):
@@ -788,6 +800,41 @@ class TestEvolve:
                                             TrajectoryContext.from_state(st, gaussian))]
         assert traj.final_state is st
         assert traj.states == [st]
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_batched_records_equal_per_state_records(self, gaussian, m):
+        # evolve makes its records in batches (of 17 at M = 3, 8 at M = 4); each
+        # must be make_record of its state alone, at stride 1, at stride 3 and
+        # with a shortened last step, with or without kept states
+        st = quasi_condensate(m=m, L=float(m), eps=0.2, s=3.0)
+        cfg = IntegratorConfig(dt=1e-3)
+        for t_final, stride in ((0.025, 1), (0.025, 3), (0.0255, 1), (0.0255, 3)):
+            traj = evolve(st, gaussian, t_final, cfg, stride=stride)
+            assert [repr(r) for r in traj.records] == [
+                repr(make_record(s, gaussian, traj.context)) for s in traj.states]
+            assert evolve(st, gaussian, t_final, cfg, stride=stride,
+                          keep_states=False).records == traj.records
+
+    @pytest.mark.parametrize("m,steps,calls", [
+        (2, 12, [13]),            # G = 10: one batch of every record, at the end
+        (4, 12, [8, 5]),          # G = 18: batches of 8, the rest at the end
+        (8, 12, [1] * 13),        # G = 35 and 66: one record per call, each as soon
+        (16, 2, [1] * 3)])        # as its state is due, the t0 record before any step
+    def test_record_batch_sizes(self, gaussian, monkeypatch, m, steps, calls):
+        events = []
+        make_records = diagnostics.make_records
+        monkeypatch.setattr(diagnostics, "make_records",
+                            lambda states, *a: events.append(len(states)) or make_records(
+                                states, *a))
+        monkeypatch.setattr(evolution, "step_split",
+                            lambda *a: events.append("step") or step_split(*a))
+        st = quasi_condensate(m=m, L=float(m))
+        evolve(st, gaussian, steps * 1e-3, IntegratorConfig(dt=1e-3), keep_states=False)
+        assert [e for e in events if e != "step"] == calls
+        if calls[0] == 1:
+            assert events == [1] + ["step", 1] * steps
+        else:  # the t0 record waits for its batch
+            assert events[:calls[0] - 1] == ["step"] * (calls[0] - 1)
 
     def test_states_align_with_records(self, gaussian):
         st = quasi_condensate()

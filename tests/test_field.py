@@ -5,6 +5,7 @@ import math
 import re
 import struct
 import tempfile
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -782,6 +783,10 @@ class TestSnapshots:
         save_state(st_.with_alpha(1e160 * st_.alpha), path)  # finite, but |alpha|^2 overflows
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="mass inf deviates"):
             load_state(path)
+        with warnings.catch_warnings():  # refused by the ValueError alone, no warning
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mass inf deviates"):
+                load_state(path)
         save_state(st_, path)
         monkeypatch.setattr(SpectralState, "mass", property(lambda self: math.nan))
         with pytest.raises(ValueError, match="snapshot mass nan deviates from 1"):
