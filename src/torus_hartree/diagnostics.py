@@ -15,7 +15,8 @@ from dataclasses import MISSING, dataclass, fields as dataclass_fields
 
 import numpy as np
 
-from .field import MASS_TOLERANCE, SpectralState, _get_kernel, s_sum, t_sum, to_physical
+from .field import (MASS_TOLERANCE, SpectralState, _get_kernel, _row_sums, s_sum, t_sum,
+                    to_physical)
 from .potential import GaussianPotential, _positive_finite, as_real, potential_l2, vhat_grid
 
 __all__ = [
@@ -56,12 +57,6 @@ class EnvelopeDomainError(ValueError):
 
 # ---------------------------------------------------------------------------
 # energy
-
-def _row_sums(stack) -> list:
-    """np.sum of each array of a C-contiguous (R, ...) stack, from one
-    np.add.reduce over its (R, n) rows, each bit for bit its array's np.sum."""
-    return np.add.reduce(stack.reshape(len(stack), -1), axis=1).tolist()
-
 
 def _interactions_and_beta_gaps(alphas, kernel):
     """Interaction energy per particle and beta_gap of each array of an

@@ -60,6 +60,15 @@ def as_mode(value, name: str = "k0") -> tuple:
     return tuple(as_int(v, name) for v in value)
 
 
+def _row_sums(stack) -> list:
+    """Sum each array of a (k, ...) stack in C order by one
+    np.add.reduce(rows, axis=1) over its C-contiguous (k, n) rows, bit for bit
+    each row's own np.add.reduce, past numpy's 8192-element buffer too."""
+    v = np.ascontiguousarray(stack)
+    rows = v.reshape(len(v), math.prod(v.shape[1:]))
+    return np.add.reduce(rows, axis=1, dtype=float).tolist()
+
+
 @dataclass(frozen=True)
 class TorusLattice:
     """Cubic truncation {n in Z^3 : |n|_inf <= M} of the momentum lattice.
@@ -139,14 +148,12 @@ class TorusLattice:
         return perm
 
     def ordered_sums(self, stack) -> list:
-        """Sum each per-site array of a (k, ...) stack in C order by one
-        np.add.reduce(rows, axis=1) over the C-contiguous (k, n) stack, bit for
-        bit each row's own np.add.reduce, past numpy's 8192-element buffer too."""
-        v = np.ascontiguousarray(stack)
+        """_row_sums of a (k, ...) stack of per-site arrays."""
+        v = np.asarray(stack)
         n = self.size**3
         if v.ndim < 1 or v.size != len(v) * n:
             raise ValueError("array does not match lattice size")
-        return np.add.reduce(v.reshape(len(v), n), axis=1, dtype=float).tolist()
+        return _row_sums(v)
 
     def ordered_sum(self, values) -> float:
         """Sum a per-site array as one row of ordered_sums."""
@@ -220,19 +227,6 @@ class AutoCorrelation:
             raise ValueError("beta shape does not match difference lattice")
         b.setflags(write=False)
         object.__setattr__(self, "beta", b)
-
-
-def _fast_len(n: int) -> int:
-    """The least 11-smooth integer >= n, as scipy.fft.next_fast_len(n)."""
-    n = max(n, 1)
-    while True:
-        k = n
-        for p in (2, 3, 5, 7, 11):
-            while k % p == 0:
-                k //= p
-        if k == 1:
-            return n
-        n += 1
 
 
 def _dft_synthesis(M: int, G: int):
@@ -314,12 +308,13 @@ class _Kernel:
     picard_solve and rhs are exact.  _get_kernel takes K = _bandwidth(g),
     the least K <= 2M whose dropped Gaussian weight is at most 2^-53 (as
     |beta_k| <= beta_0 = 1, the dropped part of V * |phi|^2 is then at most
-    2^-53 b in sup norm), and G = _fast_len(2M + K + 1).  The Strang step's
-    crop of exp(i theta) phi also aliases the phase's second-order modes,
-    up to M + 2K: at roundoff while g is tiny near K, not always once
-    K = 2M (8.3e-14 at L = 4, M = 2 on G = 9, 5e-16 on 10).  So the K = 2M
-    kernel, which records take as record (Parseval over |k|_inf <= 2M
-    needs G >= 4M + 1), is on _fast_len(4M + 2).
+    2^-53 b in sup norm), and G = 2M + K + 1, the least such grid: the
+    transforms are matrix products, which need no FFT-friendly size.  The
+    Strang step's crop of exp(i theta) phi also aliases the phase's
+    second-order modes, up to M + 2K: at roundoff while g is tiny near K,
+    not always once K = 2M (8.3e-14 at L = 4, M = 2 on G = 9, 5e-16 on 10).
+    So the K = 2M kernel, which records take as record (Parseval over
+    |k|_inf <= 2M needs G >= 4M + 1), is on G = 4M + 2.
 
     field and crop are _transform against the read-only DFT pair
     F = _dft_synthesis(M, G), A = _dft_analysis(F); convolve takes a grid
@@ -332,11 +327,14 @@ class _Kernel:
     dies with the model.
     """
 
-    def __init__(self, lattice: TorusLattice, b: float, g, K: int):
-        """g is the read-only axis profile Vhat(2 pi f / L) / b on f = 0..2M."""
+    def __init__(self, lattice: TorusLattice, b: float, g, K: int, G=None):
+        """g is the read-only axis profile Vhat(2 pi f / L) / b on f = 0..2M;
+        G, the grid size, is the rule above unless given."""
         self.lattice, self.b, self.g, self.K = lattice, b, g, K
         M = lattice.M
-        self.G = G = _fast_len(4 * M + 2 if K == 2 * M else 2 * M + K + 1)
+        if G is None:
+            G = 4 * M + 2 if K == 2 * M else 2 * M + K + 1
+        self.G = G
         self.F = _dft_synthesis(M, G)
         self.A = _dft_analysis(self.F)
         # g on the grid frequencies, 0 beyond K
@@ -521,7 +519,7 @@ def pointwise_product(a: SpectralState, b: SpectralState) -> SpectralState:
     if a.lattice != b.lattice:
         raise ValueError("operands must share a lattice")
     lat = a.lattice
-    G = _fast_len(2 * lat.size - 1)
+    G = 4 * lat.M + 1  # the least grid on which the product's modes |k| <= 2M do not alias
     F = _dft_synthesis(lat.M, G)
     prod = _transform(a.alpha, F) * _transform(b.alpha, F)
     diff = difference_lattice(lat)

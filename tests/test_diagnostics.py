@@ -515,7 +515,7 @@ class TestRecordBatches:
 
 
 class TestRecordOracle:
-    @pytest.mark.parametrize("m", [2, 3, 6, 8, 16])  # G = 10, 14, 27, 35, 66
+    @pytest.mark.parametrize("m", [2, 3, 6, 8, 16])  # G = 10, 14, 26, 34, 66
     def test_grid_route_matches_full_spectrum(self, gaussian, m):
         st = make_state("perturbed", TorusLattice(float(m), m), 10.0,
                         eps=0.2, s=3.0, seed=m)

@@ -39,7 +39,7 @@ from torus_hartree import (
     time_reversal,
 )
 import torus_hartree
-from torus_hartree import diagnostics, evolution, field
+from torus_hartree import diagnostics, evolution
 from numpy.polynomial.legendre import leggauss
 
 from torus_hartree.evolution import (
@@ -142,7 +142,7 @@ class TestRhs:
 
     @pytest.mark.parametrize("m", [1, 2, 3, 6])
     def test_direct_matches_fft(self, gaussian, m):
-        # the kernel's circulant products against the direct sum; M = 6 gives the odd G = 27
+        # the kernel's circulant products against the direct sum, on G = 6, 10, 12, 18
         st = random_state(TorusLattice(4.0, m), rho=10.0, seed=m)
         np.testing.assert_allclose(rhs(st, gaussian, "direct"),
                                    rhs(st, gaussian, "fft"), atol=1e-12)
@@ -269,16 +269,15 @@ class TestSplitStep:
 
     def test_capped_bandwidth_step_covers_the_phase(self, gaussian, monkeypatch):
         # at K = 2M the pointwise phase's second-order modes reach M + 2K and alias
-        # onto the crop: the kernel's _fast_len(4M + 2) = 10 meets G = 15, alias-free
-        # to second order, at roundoff, and the minimal _fast_len(4M + 1) = 9 does not
+        # onto the crop: the kernel's 4M + 2 = 10 meets G = 15, alias-free to second
+        # order, at roundoff, and the first-order minimum 4M + 1 = 9 does not
         st = quasi_condensate(m=2, L=4.0, eps=0.2, s=3.0)
         kernel = _get_kernel(gaussian, st.lattice)
         assert (kernel.K, kernel.G) == (4, 10)
         kept = step_split(st, gaussian, 0.02)
 
         def step_on(G):
-            monkeypatch.setattr(field, "_fast_len", lambda n: G)
-            grid = _Kernel(st.lattice, kernel.b, kernel.g, kernel.K)
+            grid = _Kernel(st.lattice, kernel.b, kernel.g, kernel.K, G)
             monkeypatch.setattr(evolution, "_get_kernel", lambda model, lat: grid)
             return step_split(st, gaussian, 0.02)
 
@@ -691,7 +690,7 @@ class TestPicard:
                             eps=0.2, s=3.0, seed=4)
             ctx = TrajectoryContext.from_state(st, model)
             print("record", 3, repr(make_record(st, model, ctx)))
-            for m in (25, 32):  # step grids G = 88 and 112
+            for m in (25, 32):  # step grids G = 87 and 112
                 st = make_state("perturbed", TorusLattice(float(m), m), 10.0,
                                 eps=0.2, s=3.0, seed=m)
                 st = step_split(st, model, 1e-3)
@@ -818,7 +817,7 @@ class TestEvolve:
     @pytest.mark.parametrize("m,steps,calls", [
         (2, 12, [13]),            # G = 10: one batch of every record, at the end
         (4, 12, [8, 5]),          # G = 18: batches of 8, the rest at the end
-        (8, 12, [1] * 13),        # G = 35 and 66: one record per call, each as soon
+        (8, 12, [1] * 13),        # G = 34 and 66: one record per call, each as soon
         (16, 2, [1] * 3)])        # as its state is due, the t0 record before any step
     def test_record_batch_sizes(self, gaussian, monkeypatch, m, steps, calls):
         events = []
@@ -1062,7 +1061,7 @@ class TestKernelCache:
                 assert np.array_equal(node, kernel.nonlinear(want))
 
     def test_stacked_call_equals_the_per_array_calls_above_g_100(self, gaussian):
-        # the record kernel at M = 25 is on G = 105, where the convolution's
+        # the record kernel at M = 25 is on G = 102, where the convolution's
         # bits vary with the BLAS thread count (ROADMAP item 9); in one
         # process the stack and the loop run at the same thread count
         lat = TorusLattice(25.0, 25)

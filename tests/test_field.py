@@ -38,8 +38,7 @@ from torus_hartree import (
     to_physical,
     wiener_norm,
 )
-from torus_hartree.field import (_dft_analysis, _dft_synthesis, _fast_len, _get_kernel,
-                                 _transform)
+from torus_hartree.field import _dft_analysis, _dft_synthesis, _get_kernel, _transform
 from torus_hartree.potential import vhat_grid
 
 
@@ -349,7 +348,7 @@ class TestAutocorrelation:
 
     @pytest.mark.parametrize("M", [1, 2, 3, 4, 5])
     def test_fft_matches_direct_and_full_cube(self, M):
-        # G = next_fast_len(4M+1) is 5, 9, 14, 18, 21: odd and even grids
+        # pointwise_product's G = 4M + 1 is 5, 9, 13, 17, 21: 13 and 17 are prime
         st_ = random_state(TorusLattice(4.0, M), seed=40 + M)
         fft = autocorrelation(st_).beta
         assert_rel_close(fft, autocorrelation(st_, "direct").beta)
@@ -486,24 +485,24 @@ class TestKernel:
         assert_rel_close(kernel.crop(grid),
                          np.fft.fftn(grid)[lat.embed_indexer(kernel.G)] / kernel.G**3)
 
-    @pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("M", [1, 2, 3, 4, 5, 9])
     def test_matches_full_grid(self, M):
-        # M = 8 gives the odd record grid G = 35.
+        # M = 9 gives the odd (and prime) step grid G = 31.
         kernel = self.check(M, seed=M)
         K = kernel.K
-        assert kernel.G == next_fast_len(4 * M + 2 if K == 2 * M else 2 * M + K + 1)
-        assert kernel.record.G == next_fast_len(4 * M + 2)
+        assert kernel.G == (4 * M + 2 if K == 2 * M else 2 * M + K + 1)
+        assert kernel.record.G == 4 * M + 2
 
-    @pytest.mark.parametrize("M", range(1, 13))
+    @pytest.mark.parametrize("M", range(1, 65))
     @pytest.mark.parametrize("L_is_M", [True, False])
     def test_grid_rule(self, M, L_is_M):
-        # L = M (kappa 1) and L = 4: the step grid is next_fast_len(2M + K + 1) below
-        # K = 2M, and the record kernel (K = 2M) takes next_fast_len(4M + 2)
+        # L = M (kappa 1) and L = 4: the step grid is the alias-free least 2M + K + 1
+        # below K = 2M, and the record kernel (K = 2M) takes 4M + 2
         lat = TorusLattice(float(M) if L_is_M else 4.0, M)
         kernel = _get_kernel(GaussianPotential(), lat)
         K = kernel.K
-        assert kernel.G == _fast_len(4 * M + 2 if K == 2 * M else 2 * M + K + 1)
-        assert kernel.record.G == _fast_len(4 * M + 2)
+        assert kernel.G == (4 * M + 2 if K == 2 * M else 2 * M + K + 1)
+        assert kernel.record.G == 4 * M + 2
         assert kernel.record.K == 2 * M
         assert (kernel.record is kernel) == (K == 2 * M)
 
@@ -522,10 +521,6 @@ class TestKernel:
         assert dropped(K) <= roundoff < dropped(K - 1)
         assert (kernel.record is kernel) == (K == 2 * M)
 
-    def test_fast_len_is_scipy_next_fast_len(self):
-        n = range(1, 2001)
-        assert [_fast_len(k) for k in n] == [next_fast_len(k) for k in n]
-
     @settings(max_examples=20, deadline=None)
     @given(M=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     def test_matches_full_grid_property(self, M, seed):
@@ -533,13 +528,13 @@ class TestKernel:
 
     @pytest.mark.parametrize("M", [1, 2, 3, 4, 5])
     def test_transforms_on_kernel_and_odd_grids(self, M):
-        # pointwise_product's grid (odd for M = 1, 2, 5), the kernel's record grid
-        # (even for M <= 5), an odd padded one and the unpadded odd one, against
-        # the full numpy transforms
+        # pointwise_product's odd grid 4M + 1, the kernel's even record grid
+        # 4M + 2, an odd padded one and the unpadded odd one, against the full
+        # numpy transforms
         lat = TorusLattice(4.0, M)
         alpha = random_state(lat, seed=60 + M).alpha
         rng = np.random.default_rng(M)
-        for G in (next_fast_len(4 * M + 1), next_fast_len(4 * M + 2), 4 * M + 3, lat.size):
+        for G in (4 * M + 1, 4 * M + 2, 4 * M + 3, lat.size):
             F = _dft_synthesis(M, G)
             A = _dft_analysis(F)
             assert not F.flags.writeable and not A.flags.writeable
